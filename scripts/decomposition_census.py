@@ -15,6 +15,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gpsrb import default_corpus, load_table, verify_theorem_decomposition
+from gpsrb.oracles import DEFAULT_MAX_SIZE
 
 
 def mask_to_subset(table, mask):
@@ -25,7 +26,12 @@ def mask_to_subset(table, mask):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("tables", nargs="*", help="extra monoid table JSON files")
-    ap.add_argument("--max-size", type=int, default=12, help="refuse carriers above this (default 12)")
+    ap.add_argument(
+        "--max-size",
+        type=int,
+        default=DEFAULT_MAX_SIZE,
+        help=f"refuse carriers above this (default {DEFAULT_MAX_SIZE})",
+    )
     ap.add_argument("--show-masks", action="store_true", help="list every identity-satisfying kept set")
     args = ap.parse_args()
 

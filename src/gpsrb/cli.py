@@ -31,12 +31,19 @@ from .monoids import (
     OrderedMonoid,
     VectorLex,
     VectorProduct,
+    _is_int,
     default_window,
     int_window,
     load_table,
     vector_window,
 )
-from .oracles import NotTotalOrder, TooLarge, scan_cutoffs, verify_theorem_decomposition
+from .oracles import (
+    DEFAULT_MAX_SIZE,
+    NotTotalOrder,
+    TooLarge,
+    scan_cutoffs,
+    verify_theorem_decomposition,
+)
 from .outcomes import CheckOutcome
 from .parsing import ParseError, parse_series, render_laurent, render_series
 from .projectors import (
@@ -167,22 +174,40 @@ def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Decomposition:
             raise UsageError("mask decompositions need a finite table monoid")
         return Decomposition.from_mask(monoid, int(spec[len("mask:") :], 0))
     if spec.endswith(".json") and os.path.exists(spec):
-        with open(spec) as fh:
-            data = json.load(fh)
         if not isinstance(monoid, FiniteTable):
             raise UsageError("file decompositions need a finite table monoid")
-        if "mask" in data:
-            return Decomposition.from_mask(monoid, data["mask"], label=spec)
-        if "kept" in data:
-            kept = set(data["kept"])
-            for k in kept:
-                monoid.check_elem(k)
-            return Decomposition(monoid, lambda s: s in kept, label=spec)
-        raise UsageError(f"decomposition file {spec} needs a 'mask' or 'kept' key")
+        try:
+            with open(spec) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read decomposition file {spec}: {exc}") from None
+        return _decomposition_from_json(monoid, data, spec)
     raise UsageError(
         f"unknown decomposition {spec!r}; choose from {', '.join(_PLAIN_VOCAB)}, "
         "below(w), notbelow(w), mask:<int>, or a .json file"
     )
+
+
+def _decomposition_from_json(table: FiniteTable, data, spec: str) -> Decomposition:
+    """{"mask": <int>} or {"kept": [<element index>, ...]} from a decomposition file."""
+    if not isinstance(data, dict) or not ("mask" in data or "kept" in data):
+        raise UsageError(
+            f"decomposition file {spec} needs a JSON object with a 'mask' or 'kept' key"
+        )
+    if "mask" in data:
+        mask = data["mask"]
+        if not (_is_int(mask) and 0 <= mask < 1 << table.n):
+            raise UsageError(
+                f"decomposition file {spec}: 'mask' must be an integer in 0..{(1 << table.n) - 1}"
+            )
+        return Decomposition.from_mask(table, mask, label=spec)
+    kept = data["kept"]
+    if not (isinstance(kept, list) and all(_is_int(k) for k in kept)):
+        raise UsageError(f"decomposition file {spec}: 'kept' must be a list of element indices")
+    for k in kept:
+        table.check_elem(k)
+    kept_set = set(kept)
+    return Decomposition(table, lambda s: s in kept_set, label=spec)
 
 
 def _outcome_text(oc: CheckOutcome) -> str:
@@ -333,6 +358,8 @@ def cmd_laurent_demo(args) -> int:
         seed = int(seed_text)
     except ValueError:
         raise UsageError(f"GPS_RB_SEED must be an integer, got {seed_text!r}") from None
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     rng = random.Random(seed)
     records = []
     all_zero = True
@@ -408,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem-verify", help="exhaustive decomposition sweep on a finite table")
     p.add_argument("--table", required=True, help="JSON table file")
-    p.add_argument("--max-size", type=int, default=12, dest="max_size")
+    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE, dest="max_size")
     p.add_argument("--ring", default="Z")
     p.add_argument("--json", action="store_true")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Iterable, Sequence
 
 from .monoids import FiniteTable, OrderedMonoid
@@ -21,8 +22,8 @@ from .projectors import (
     CutoffProjector,
     Decomposition,
     DecompositionProjector,
-    closed_under_addition,
     cutoff_violation_pairs,
+    nonzero_defect_pairs,
     rb_defect,
 )
 from .scalars import Ring, ZZ
@@ -47,6 +48,8 @@ class TheoremReport:
     mismatches is empty exactly when the structural and semantic verdicts
     agreed for every decomposition; rb_masks lists the decompositions (as
     kept-part bitmasks, ascending) whose projector satisfies the identity.
+    closed_masks counts the decompositions the structural route calls
+    closed, and defect_evals the rb_defect calls the semantic route made.
     """
 
     monoid: str
@@ -55,6 +58,8 @@ class TheoremReport:
     rb_count: int
     rb_masks: tuple[int, ...]
     mismatches: tuple[tuple[int, str], ...]
+    closed_masks: int
+    defect_evals: int
     elapsed: float
 
     def to_json(self) -> dict[str, Any]:
@@ -65,6 +70,8 @@ class TheoremReport:
             "rb_count": self.rb_count,
             "rb_masks": list(self.rb_masks),
             "mismatches": [{"mask": m, "direction": d} for m, d in self.mismatches],
+            "closed_masks": self.closed_masks,
+            "defect_evals": self.defect_evals,
             "elapsed": self.elapsed,
         }
 
@@ -76,14 +83,22 @@ def decomposition_defect_free(split: Decomposition, elems: Sequence, ring: Ring)
     arguments, so over a full finite carrier this decides the identity for
     every pair of series, not just the scanned ones.
     """
-    monoid = split.monoid
-    P = DecompositionProjector(split)
-    for u in elems:
-        eu = indicator(monoid, u, ring)
-        for v in elems:
-            if not rb_defect(P, eu, indicator(monoid, v, ring)).is_zero():
-                return False
-    return True
+    return next(nonzero_defect_pairs(DecompositionProjector(split), elems, ring), None) is None
+
+
+def closure_witness(monoid: FiniteTable, mask: int) -> tuple[int, int] | None:
+    """Structural verdict on a kept-part bitmask, by bit tests on the add table.
+
+    Returns the first pair (u, v), u outer, whose members lie on the same
+    side of the split while u + v lies on the other side; None when both
+    the kept part and the killed part are closed under addition.
+    """
+    for u, row in enumerate(monoid.add_table):
+        side = mask >> u & 1
+        for v, s in enumerate(row):
+            if mask >> v & 1 == side and mask >> s & 1 != side:
+                return u, v
+    return None
 
 
 def verify_theorem_decomposition(
@@ -96,21 +111,42 @@ def verify_theorem_decomposition(
     decomposition where the two verdicts differ lands in mismatches with the
     direction of the disagreement; an empty mismatch list certifies the
     equivalence for this monoid.
+
+    The sweep is witness-first. When a part is not closed at (u, v), the
+    defect of the single-term pair (e_u, e_v) has coefficient
+    k_u k_v - k_v k_{u+v} - k_u k_{u+v} + k_{u+v} = 1 at e_{u+v}, where k_s
+    is 1 when s is kept. So one defect evaluation at the structural witness
+    settles such a mask for both routes. A mask that is closed, or whose
+    witness defect is zero, gets the full n^2 semantic scan, so a
+    disagreement in either direction still shows.
     """
     if not isinstance(monoid, FiniteTable):
         raise TypeError("exhaustive decomposition sweeps need a finite carrier")
     if monoid.n > max_size:
         raise TooLarge(f"n={monoid.n} exceeds the limit {max_size} (2^n decompositions)")
+    n = monoid.n
     elems = list(monoid.carrier())
     start = time.perf_counter()
+    ones = [indicator(monoid, s, ring) for s in elems]
     rb_masks: list[int] = []
     mismatches: list[tuple[int, str]] = []
-    for mask in range(1 << monoid.n):
-        split = Decomposition.from_mask(monoid, mask)
-        structural = bool(closed_under_addition(monoid, split.kept(elems), elems)) and bool(
-            closed_under_addition(monoid, split.killed(elems), elems)
-        )
-        semantic = decomposition_defect_free(split, elems, ring)
+    closed_masks = 0
+    defect_evals = 0
+    for mask in range(1 << n):
+        P = DecompositionProjector(Decomposition.from_mask(monoid, mask))
+        witness = closure_witness(monoid, mask)
+        structural = witness is None
+        if structural:
+            closed_masks += 1
+        else:
+            u, v = witness
+            defect_evals += 1
+            if not rb_defect(P, ones[u], ones[v]).is_zero():
+                continue  # both routes say no
+        first = next(nonzero_defect_pairs(P, elems, ring), None)
+        # elems is 0..n-1, so the scan stopped after pair u * n + v
+        defect_evals += n * n if first is None else first[0] * n + first[1] + 1
+        semantic = first is None
         if semantic:
             rb_masks.append(mask)
         if structural != semantic:
@@ -119,11 +155,13 @@ def verify_theorem_decomposition(
     elapsed = time.perf_counter() - start
     return TheoremReport(
         monoid=str(monoid),
-        size=monoid.n,
-        decompositions_total=1 << monoid.n,
+        size=n,
+        decompositions_total=1 << n,
         rb_count=len(rb_masks),
         rb_masks=tuple(rb_masks),
         mismatches=tuple(mismatches),
+        closed_masks=closed_masks,
+        defect_evals=defect_evals,
         elapsed=elapsed,
     )
 
@@ -145,18 +183,16 @@ def scan_cutoffs(
     exhaustive = isinstance(monoid, FiniteTable) and set(elems) == set(monoid.carrier())
     for w in w_set:
         drop_in, escape = cutoff_violation_pairs(monoid, w, elems)
+        flagged = set(drop_in) | set(escape)
         P = CutoffProjector(monoid, w)
-        flagged = {(u, v) for u, v in drop_in} | {(u, v) for u, v in escape}
-        for u in elems:
-            eu = indicator(monoid, u, ring)
-            for v in elems:
-                nonzero = not rb_defect(P, eu, indicator(monoid, v, ring)).is_zero()
-                if nonzero != ((u, v) in flagged):
-                    raise AssertionError(
-                        f"criteria disagree at w={rep(w)}, pair ({rep(u)}, {rep(v)}): "
-                        f"defect {'non' if nonzero else ''}zero but "
-                        f"{'' if (u, v) in flagged else 'not '}in an obstruction set"
-                    )
+        nonzero = {(u, v) for u, v, _ in nonzero_defect_pairs(P, elems, ring)}
+        if nonzero != flagged:
+            u, v = next(p for p in product(elems, elems) if (p in nonzero) != (p in flagged))
+            raise AssertionError(
+                f"criteria disagree at w={rep(w)}, pair ({rep(u)}, {rep(v)}): "
+                f"defect {'non' if (u, v) in nonzero else ''}zero but "
+                f"{'' if (u, v) in flagged else 'not '}in an obstruction set"
+            )
         desc = f"w={rep(w)}, {len(elems)} window elements"
         if drop_in or escape:
             witness = {

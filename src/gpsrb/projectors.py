@@ -16,7 +16,7 @@ part and the killed part are closed under addition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .monoids import FiniteTable, OrderedMonoid
 from .outcomes import CheckOutcome, outcome_fail, outcome_on_window, outcome_pass
@@ -168,6 +168,24 @@ def is_subsemigroup(split: Decomposition, part: str, window: Iterable) -> CheckO
     return closed_under_addition(split.monoid, subset, elems)
 
 
+def nonzero_defect_pairs(
+    P: Projector, window: Iterable, ring: Ring
+) -> Iterator[tuple[Any, Any, Series]]:
+    """Yield (u, v, defect) for each window pair whose single-term defect is nonzero.
+
+    Pairs come in window order, u outer and v inner, so the first item is
+    the first failing pair a nested scan would meet. Each single-term series
+    is built once and reused across the n^2 pairs.
+    """
+    elems = list(window)
+    ones = [indicator(P.monoid, s, ring) for s in elems]
+    for u, eu in zip(elems, ones):
+        for v, ev in zip(elems, ones):
+            d = rb_defect(P, eu, ev)
+            if not d.is_zero():
+                yield u, v, d
+
+
 def indicator_pair_scan(split: Decomposition, window: Iterable, ring: Ring) -> CheckOutcome:
     """Evaluate the defect on every pair of single-term series from the window.
 
@@ -178,17 +196,12 @@ def indicator_pair_scan(split: Decomposition, window: Iterable, ring: Ring) -> C
     """
     elems = list(window)
     monoid = split.monoid
-    P = DecompositionProjector(split)
     desc = f"{len(elems)}^2 single-term pairs"
-    for u in elems:
-        eu = indicator(monoid, u, ring)
-        for v in elems:
-            d = rb_defect(P, eu, indicator(monoid, v, ring))
-            if not d.is_zero():
-                rep = monoid.elem_repr
-                return outcome_fail(
-                    {"u": rep(u), "v": rep(v), "defect": d.to_json()["terms"]}, desc
-                )
+    first = next(nonzero_defect_pairs(DecompositionProjector(split), elems, ring), None)
+    if first is not None:
+        u, v, d = first
+        rep = monoid.elem_repr
+        return outcome_fail({"u": rep(u), "v": rep(v), "defect": d.to_json()["terms"]}, desc)
     exhaustive = isinstance(monoid, FiniteTable) and set(elems) == set(monoid.carrier())
     return outcome_pass(desc) if exhaustive else outcome_on_window(desc)
 

@@ -2,9 +2,11 @@
 
 The convolution oracle here deliberately computes coefficients the slow way
 (filter all support pairs per target exponent) so it shares no code path with
-Series multiplication. GPS_RB_SEED pins the plain-random sampling used by the
-bulk acceptance checks; the default keeps runs reproducible without the env
-var set.
+Series multiplication. The sweep oracle runs both closure checks and the full
+n^2 defect scan on every decomposition, with none of the witness-first
+shortcuts of verify_theorem_decomposition. GPS_RB_SEED pins the plain-random
+sampling used by the bulk acceptance checks; the default keeps runs
+reproducible without the env var set.
 """
 
 import os
@@ -15,13 +17,17 @@ import pytest
 from hypothesis import strategies as st
 
 from gpsrb import (
+    Decomposition,
+    FiniteTable,
     IntLine,
     QQ,
     RatScalar,
     Series,
     VectorProduct,
     ZZ,
+    closed_under_addition,
 )
+from gpsrb.oracles import decomposition_defect_free
 
 DEFAULT_SEED = 20260814
 
@@ -44,6 +50,60 @@ def naive_convolve(f: Series, g: Series) -> Series:
                     total = total + f.coeff(u) * g.coeff(v)
         terms[s] = total
     return Series(f.monoid, f.ring, terms)
+
+
+def reference_sweep(monoid: FiniteTable, ring=ZZ) -> dict:
+    """Sweep oracle: closure of both parts and the full defect scan on all 2^n masks.
+
+    Returns the report fields the witness-first sweep must reproduce, plus
+    closed_masks, the number of masks whose two parts are both closed.
+    """
+    elems = list(monoid.carrier())
+    rb_masks, mismatches = [], []
+    closed_masks = 0
+    for mask in range(1 << monoid.n):
+        split = Decomposition.from_mask(monoid, mask)
+        structural = bool(closed_under_addition(monoid, split.kept(elems), elems)) and bool(
+            closed_under_addition(monoid, split.killed(elems), elems)
+        )
+        closed_masks += structural
+        semantic = decomposition_defect_free(split, elems, ring)
+        if semantic:
+            rb_masks.append(mask)
+        if structural != semantic:
+            direction = "closed-but-defect" if structural else "defect-free-but-not-closed"
+            mismatches.append((mask, direction))
+    return {
+        "rb_masks": tuple(rb_masks),
+        "rb_count": len(rb_masks),
+        "mismatches": tuple(mismatches),
+        "closed_masks": closed_masks,
+    }
+
+
+def direct_product_table(a: FiniteTable, b: FiniteTable) -> FiniteTable:
+    """a x b with componentwise addition and the trivial order; (i, j) has index i * b.n + j."""
+    n = a.n * b.n
+    add = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            i, j = a.add(x // b.n, y // b.n), b.add(x % b.n, y % b.n)
+            add[x][y] = i * b.n + j
+    neutral = a.neutral * b.n + b.neutral
+    return FiniteTable.from_lists(n, neutral, add, name=f"{a.name}x{b.name}")
+
+
+def relabel_table(table: FiniteTable, rng: random.Random) -> FiniteTable:
+    """The same monoid with its elements renamed by a random permutation."""
+    perm = list(range(table.n))
+    rng.shuffle(perm)
+    add = [[0] * table.n for _ in range(table.n)]
+    leq = [[False] * table.n for _ in range(table.n)]
+    for i in range(table.n):
+        for j in range(table.n):
+            add[perm[i]][perm[j]] = perm[table.add(i, j)]
+            leq[perm[i]][perm[j]] = table.leq(i, j)
+    return FiniteTable.from_lists(table.n, perm[table.neutral], add, leq, name=f"{table.name}~")
 
 
 # hypothesis strategies

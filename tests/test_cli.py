@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gpsrb.cli import main, parse_decomposition, parse_monoid_spec, parse_window_spec
+from gpsrb.cli import UsageError, main, parse_decomposition, parse_monoid_spec, parse_window_spec
 from gpsrb import FiniteTable, IntLine, NatLine, VectorLex, VectorProduct
 
 TABLES = Path(__file__).resolve().parent.parent / "tables"
@@ -154,6 +154,13 @@ def test_laurent_demo_json(capsys, monkeypatch):
         assert pair["defect"]["coeffs"] == []
 
 
+def test_laurent_demo_rejects_empty_count(capsys):
+    for count in ("0", "-1"):
+        code, out, err = run(capsys, "laurent-demo", "--count", count)
+        assert code == 2
+        assert "--count" in err and out == ""
+
+
 def test_bad_inputs_exit_two(capsys):
     assert run(capsys, "mul", "e^", "e^1")[0] == 2
     assert run(capsys, "rb-check", "--decomp", "nonsense")[0] == 2
@@ -222,3 +229,17 @@ def test_decomposition_from_file(capsys, tmp_path):
     )
     # {0,2} is a subgroup of Z/4 but its complement {1,3} is not closed
     assert code == 1
+
+
+@pytest.mark.parametrize("payload", [5, {"kept": [[1]]}, {"mask": "x"}, {"mask": 16}, {"other": 1}])
+def test_malformed_decomposition_file_exits_two(capsys, tmp_path, payload):
+    p = tmp_path / "split.json"
+    p.write_text(json.dumps(payload))
+    table = parse_monoid_spec(f"table:{TABLES / 'z4.json'}")
+    with pytest.raises(UsageError):
+        parse_decomposition(table, str(p))
+    code, out, err = run(
+        capsys, "rb-check", "--monoid", f"table:{TABLES / 'z4.json'}", "--decomp", str(p)
+    )
+    assert code == 2
+    assert err.startswith("error:") and out == ""

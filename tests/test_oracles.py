@@ -1,5 +1,10 @@
+import random
+
 import pytest
 
+import gpsrb.oracles
+import gpsrb.projectors
+from conftest import DEFAULT_SEED, direct_product_table, reference_sweep, relabel_table
 from gpsrb import (
     Decomposition,
     FiniteTable,
@@ -15,12 +20,14 @@ from gpsrb import (
     default_corpus,
     idempotent_pair_table,
     int_window,
+    one_series,
     scan_cutoffs,
     truncated_addition_table,
     validate_monoid,
     vector_window,
     verify_theorem_decomposition,
     verify_total_order_threshold_rule,
+    zero_series,
 )
 
 
@@ -169,3 +176,67 @@ def test_no_nontrivial_strictly_compatible_order_on_z4():
         if all((t.add(a, k), t.add(b, k)) in rel for a, b in rel for k in range(4)):
             found.append(rel)
     assert found == []
+
+
+def _sweep_tables():
+    rng = random.Random(DEFAULT_SEED)
+    bases = [
+        cyclic_table(8),
+        truncated_addition_table(7),
+        direct_product_table(cyclic_table(2), cyclic_table(4)),
+        direct_product_table(cyclic_table(3), truncated_addition_table(2)),
+    ]
+    return default_corpus() + [relabel_table(t, rng) for t in bases]
+
+
+@pytest.mark.parametrize("table", _sweep_tables(), ids=str)
+def test_sweep_matches_full_scan_reference(table):
+    report = verify_theorem_decomposition(table)
+    expected = reference_sweep(table)
+    assert report.rb_masks == expected["rb_masks"]
+    assert report.rb_count == expected["rb_count"]
+    assert report.mismatches == expected["mismatches"] == ()
+    assert report.closed_masks == expected["closed_masks"]
+    assert report.decompositions_total == 1 << table.n
+
+
+def test_sweep_defect_evals_one_per_unclosed_mask():
+    # Z/4: only the two trivial splits are closed; each gets the 4^2 scan
+    report = verify_theorem_decomposition(cyclic_table(4))
+    assert report.closed_masks == 2
+    assert report.defect_evals == 14 + 2 * 16
+    j = report.to_json()
+    assert (j["closed_masks"], j["defect_evals"]) == (2, 46)
+
+
+def plant_defect(monkeypatch, fake):
+    """Replace rb_defect in every module of the sweep that calls it."""
+    for module in (gpsrb.projectors, gpsrb.oracles):
+        monkeypatch.setattr(module, "rb_defect", fake)
+
+
+def test_sweep_catches_planted_zero_defect(monkeypatch):
+    table = cyclic_table(4)
+    plant_defect(monkeypatch, lambda P, f, g: zero_series(f.monoid, f.ring))
+    report = verify_theorem_decomposition(table)
+    unclosed = [m for m in range(16) if m not in (0b0000, 0b1111)]
+    assert report.mismatches == tuple((m, "defect-free-but-not-closed") for m in unclosed)
+    assert report.rb_count == 16
+
+
+def test_sweep_catches_planted_nonzero_defect(monkeypatch):
+    table = truncated_addition_table(2)
+    expected = reference_sweep(table)
+    plant_defect(monkeypatch, lambda P, f, g: one_series(f.monoid, f.ring))
+    report = verify_theorem_decomposition(table)
+    assert report.rb_masks == ()
+    closed = expected["rb_masks"]  # the closed masks, as the reference finds no mismatch
+    assert 0b000 in closed and 0b111 in closed
+    assert report.mismatches == tuple((m, "closed-but-defect") for m in closed)
+
+
+def test_scan_cutoffs_raises_on_planted_zero_defect(monkeypatch):
+    # at w=-1 the killed pair (-1, -1) drops into the kept part at -2
+    plant_defect(monkeypatch, lambda P, f, g: zero_series(f.monoid, f.ring))
+    with pytest.raises(AssertionError, match=r"w=-1, pair \(-1, -1\): defect zero but in an"):
+        scan_cutoffs(IntLine(), [-1], int_window(-2, 2))
