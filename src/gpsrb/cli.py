@@ -6,8 +6,9 @@ theorem-verify for the exhaustive finite-monoid sweep, laurent-demo for a
 seeded end-to-end run of the pole-part projector.
 
 Exit codes: 0 all checks passed (window-limited passes are flagged in the
-output), 1 a counterexample was found, 2 usage or input error. The env var
-GPS_RB_SEED fixes the demo RNG seed.
+output), 1 a counterexample was found, 2 usage or input error, 3 internal
+fault: the structural and semantic routes of cutoff-scan disagreed, which
+means a bug in one of them. The env var GPS_RB_SEED fixes the demo RNG seed.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .monoids import (
 from .oracles import (
     DEFAULT_MAX_SIZE,
     NotTotalOrder,
+    RouteDisagreement,
     TooLarge,
     scan_cutoffs,
     verify_theorem_decomposition,
@@ -55,7 +57,7 @@ from .projectors import (
     is_subsemigroup,
     rb_defect,
 )
-from .scalars import QQ, RatScalar, Ring, ZZ, Zmod
+from .scalars import QQ, Ring, ZZ, Zmod
 from .series import Series
 
 
@@ -345,7 +347,7 @@ def _random_laurent(rng: random.Random, ring: Ring) -> TruncatedLaurent:
         if rng.random() < 0.3:
             coeffs.append(ring.zero())
         elif ring is QQ:
-            coeffs.append(RatScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+            coeffs.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         else:
             coeffs.append(ring.from_int(rng.randint(-9, 9)))
     return TruncatedLaurent(ring, lo, coeffs, exact=rng.random() < 0.3, trunc=hi)
@@ -496,6 +498,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RouteDisagreement as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

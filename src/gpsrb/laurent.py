@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .scalars import Ring, Scalar
+from .scalars import Ring, RingMismatch
 
 
 class InsufficientPrecision(ArithmeticError):
@@ -37,7 +37,7 @@ class TruncatedLaurent:
         self,
         ring: Ring,
         ord: int,
-        coeffs: Iterable[Scalar],
+        coeffs: Iterable,
         exact: bool = True,
         trunc: int | None = None,
     ):
@@ -45,32 +45,21 @@ class TruncatedLaurent:
         for c in cs:
             if not ring.contains(c):
                 raise TypeError(f"coefficient {c!r} is not in {ring}")
-        if trunc is None:
-            trunc = ord + len(cs)
-        if trunc != ord + len(cs):
+        if trunc is not None and trunc != ord + len(cs):
             raise ValueError(f"window [{ord}, {trunc}) does not fit {len(cs)} coefficients")
-        # canonical form: no leading zeros; exact values also shed trailing zeros
-        while cs and cs[0].is_zero():
-            cs.pop(0)
-            ord += 1
-        if exact:
-            while cs and cs[-1].is_zero():
-                cs.pop()
-            trunc = ord + len(cs)
-            if not cs:
-                ord = trunc = 0
-        elif not cs:
-            ord = trunc
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "ord", ord)
-        object.__setattr__(self, "coeffs", tuple(cs))
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "exact", exact)
+        _store(self, ring, ord, cs, exact)
+
+    @staticmethod
+    def _raw(ring: Ring, ord: int, cs: list, exact: bool) -> "TruncatedLaurent":
+        """Trusted constructor: cs already in the ring, window [ord, ord + len(cs))."""
+        out = object.__new__(TruncatedLaurent)
+        _store(out, ring, ord, cs, exact)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedLaurent is immutable")
 
-    def coeff(self, n: int) -> Scalar:
+    def coeff(self, n: int):
         if n < self.ord:
             return self.ring.zero()
         if n < self.trunc:
@@ -88,45 +77,45 @@ class TruncatedLaurent:
 
     def items(self):
         for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
+            if c:
                 yield self.ord + i, c
 
     def _check_peer(self, other: "TruncatedLaurent") -> None:
         if self.ring != other.ring:
-            raise TypeError(f"series over {self.ring} vs {other.ring}")
+            raise RingMismatch(f"series over {self.ring} vs {other.ring}")
 
     def __add__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         if not isinstance(other, TruncatedLaurent):
             return NotImplemented
         self._check_peer(other)
         exact = self.exact and other.exact
-        bounds = [t.trunc for t in (self, other) if not t.exact]
         if exact:
             hi = max(self.trunc, other.trunc)
         else:
-            hi = min(bounds)
+            hi = min(t.trunc for t in (self, other) if not t.exact)
         lo = min(self.ord, other.ord, hi)
-        zero = self.ring.zero()
-        cs = []
-        for n in range(lo, hi):
-            a = self.coeffs[n - self.ord] if self.ord <= n < self.trunc else zero
-            b = other.coeffs[n - other.ord] if other.ord <= n < other.trunc else zero
-            cs.append(a + b)
-        return TruncatedLaurent(self.ring, lo, cs, exact=exact)
+        cs = [self.ring.zero()] * (hi - lo)
+        for t in (self, other):
+            k = t.ord - lo
+            for c in t.coeffs[: max(hi - t.ord, 0)]:
+                cs[k] += c
+                k += 1
+        m = self.ring.modulus
+        if m:
+            cs = [c % m for c in cs]
+        return TruncatedLaurent._raw(self.ring, lo, cs, exact)
 
     def __neg__(self) -> "TruncatedLaurent":
-        return TruncatedLaurent(
-            self.ring, self.ord, [-c for c in self.coeffs], exact=self.exact
-        )
+        m = self.ring.modulus
+        cs = [-c % m for c in self.coeffs] if m else [-c for c in self.coeffs]
+        return TruncatedLaurent._raw(self.ring, self.ord, cs, self.exact)
 
     def __sub__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
         if not isinstance(other, TruncatedLaurent):
-            return NotImplemented
+            return self.scale(other)
         self._check_peer(other)
         if self.is_zero() or other.is_zero():
             return zero_laurent(self.ring)
@@ -141,31 +130,32 @@ class TruncatedLaurent:
             if not other.exact:
                 bounds.append(other.trunc + self.ord)
             hi = min(bounds)
-        if hi < lo:
-            hi = lo
-        zero = self.ring.zero()
-        cs = [zero] * (hi - lo)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
+        width = max(hi - lo, 0)
+        # the coefficient of x^(lo + i + j) collects a_i * b_j
+        cs = [self.ring.zero()] * width
+        g = [(j, b) for j, b in enumerate(other.coeffs[:width]) if b]
+        for i, a in enumerate(self.coeffs[:width]):
+            if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
-                n = (self.ord + i) + (other.ord + j)
-                if n >= hi:
+            room = width - i
+            for j, b in g:
+                if j >= room:
                     break
-                cs[n - lo] = cs[n - lo] + a * b
-        return TruncatedLaurent(self.ring, lo, cs, exact=exact)
+                cs[i + j] += a * b
+        m = self.ring.modulus
+        if m:
+            cs = [c % m for c in cs]
+        return TruncatedLaurent._raw(self.ring, lo, cs, exact)
 
     def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
-    def scale(self, c: Scalar) -> "TruncatedLaurent":
+    def scale(self, c) -> "TruncatedLaurent":
         if not self.ring.contains(c):
             raise TypeError(f"scalar {c!r} is not in {self.ring}")
-        return TruncatedLaurent(
-            self.ring, self.ord, [c * a for a in self.coeffs], exact=self.exact, trunc=self.trunc
-        )
+        m = self.ring.modulus
+        cs = [c * a % m for a in self.coeffs] if m else [c * a for a in self.coeffs]
+        return TruncatedLaurent._raw(self.ring, self.ord, cs, self.exact)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedLaurent):
@@ -184,7 +174,7 @@ class TruncatedLaurent:
     def __str__(self) -> str:
         parts = []
         for n, c in self.items():
-            cs = str(c)
+            cs = self.ring.fmt(c)
             if n == 0:
                 parts.append(cs)
             else:
@@ -203,34 +193,58 @@ class TruncatedLaurent:
         return {
             "ring": str(self.ring),
             "ord": self.ord,
-            "coeffs": [str(c) for c in self.coeffs],
+            "coeffs": [self.ring.fmt(c) for c in self.coeffs],
             "trunc": self.trunc,
             "exact": self.exact,
         }
 
 
+def _store(out: TruncatedLaurent, ring: Ring, ord: int, cs: list, exact: bool) -> None:
+    """Set the fields of out in canonical form from the window [ord, ord + len(cs)).
+
+    Canonical form has no leading zeros; exact values also shed trailing
+    zeros, and the exact zero is stored as the empty window [0, 0).
+    """
+    lo, hi = 0, len(cs)
+    while lo < hi and not cs[lo]:
+        lo += 1
+    if exact:
+        while hi > lo and not cs[hi - 1]:
+            hi -= 1
+        if lo == hi:
+            ord = lo = hi = 0
+    trunc = ord + hi
+    ord += lo
+    object.__setattr__(out, "ring", ring)
+    object.__setattr__(out, "ord", ord)
+    object.__setattr__(out, "coeffs", tuple(cs[lo:hi]))
+    object.__setattr__(out, "trunc", trunc)
+    object.__setattr__(out, "exact", exact)
+
+
 def zero_laurent(ring: Ring) -> TruncatedLaurent:
-    return TruncatedLaurent(ring, 0, [], exact=True)
+    return TruncatedLaurent._raw(ring, 0, [], True)
 
 
-def make_laurent(
-    ring: Ring, terms: Mapping[int, Scalar] | Iterable, trunc: int | None = None
-) -> TruncatedLaurent:
+def make_laurent(ring: Ring, terms: Mapping | Iterable, trunc: int | None = None) -> TruncatedLaurent:
     """Build from {exponent: coefficient}; trunc=None means exact, else tail O(x^trunc)."""
     items = dict(terms.items() if isinstance(terms, Mapping) else terms)
+    for c in items.values():
+        if not ring.contains(c):
+            raise TypeError(f"coefficient {c!r} is not in {ring}")
     if not items:
         if trunc is None:
             return zero_laurent(ring)
-        return TruncatedLaurent(ring, trunc, [], exact=False)
+        return TruncatedLaurent._raw(ring, trunc, [], False)
     lo = min(items)
     hi = max(items) + 1
     if trunc is not None:
-        if any(n >= trunc for n in items):
+        if hi > trunc:
             raise ValueError(f"term at exponent >= trunc {trunc}")
         hi = trunc
     zero = ring.zero()
     cs = [items.get(n, zero) for n in range(lo, hi)]
-    return TruncatedLaurent(ring, lo, cs, exact=trunc is None)
+    return TruncatedLaurent._raw(ring, lo, cs, trunc is None)
 
 
 def pole_part(f: TruncatedLaurent) -> TruncatedLaurent:
@@ -244,7 +258,7 @@ def pole_part(f: TruncatedLaurent) -> TruncatedLaurent:
             f"pole part needs all coefficients below x^0, input is only known to O(x^{f.trunc})"
         )
     cut = min(0, f.trunc) - f.ord
-    return TruncatedLaurent(f.ring, f.ord, f.coeffs[:max(cut, 0)], exact=True)
+    return TruncatedLaurent._raw(f.ring, f.ord, list(f.coeffs[:max(cut, 0)]), True)
 
 
 def nonneg_part(f: TruncatedLaurent) -> TruncatedLaurent:

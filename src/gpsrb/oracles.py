@@ -38,6 +38,10 @@ class NotTotalOrder(ValueError):
     """Raised when a check that needs a total order meets an incomparable pair."""
 
 
+class RouteDisagreement(RuntimeError):
+    """Raised when the structural and semantic routes disagree: a bug, not a counterexample."""
+
+
 DEFAULT_MAX_SIZE = 12  # 2^12 decompositions is the largest exhaustive sweep
 
 
@@ -174,8 +178,8 @@ def scan_cutoffs(
     For every w the obstruction sets are cross-checked pair by pair against
     the defect on single-term series: a pair lands in an obstruction set
     exactly when its defect is nonzero. Disagreement would mean a bug in one
-    of the two routes, so it raises immediately rather than returning a
-    verdict.
+    of the two routes, so it raises RouteDisagreement immediately rather
+    than returning a verdict.
     """
     elems = list(window)
     rep = monoid.elem_repr
@@ -188,7 +192,7 @@ def scan_cutoffs(
         nonzero = {(u, v) for u, v, _ in nonzero_defect_pairs(P, elems, ring)}
         if nonzero != flagged:
             u, v = next(p for p in product(elems, elems) if (p in nonzero) != (p in flagged))
-            raise AssertionError(
+            raise RouteDisagreement(
                 f"criteria disagree at w={rep(w)}, pair ({rep(u)}, {rep(v)}): "
                 f"defect {'non' if (u, v) in nonzero else ''}zero but "
                 f"{'' if (u, v) in flagged else 'not '}in an obstruction set"

@@ -24,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .laurent import TruncatedLaurent, make_laurent, zero_laurent
+from .laurent import TruncatedLaurent, make_laurent
 from .monoids import BadElement, OrderedMonoid, VectorLex, VectorProduct
-from .scalars import Ring, Scalar, ZeroDenominator
-from .series import Series, indicator, zero_series
+from .scalars import Ring, ZeroDenominator
+from .series import Series, indicator
 
 
 class ParseError(ValueError):
@@ -300,16 +300,15 @@ def eval_series(node: Node, monoid: OrderedMonoid, ring: Ring) -> Series:
             c = ring.from_ratio(node.num, node.den)
         except (ValueError, ZeroDenominator) as exc:
             raise ParseError(str(exc), node.line, node.col) from None
-        return Series(monoid, ring, {monoid.zero(): c}) if not c.is_zero() else zero_series(monoid, ring)
+        return Series(monoid, ring, {monoid.zero(): c})
     if isinstance(node, Pow):
         return indicator(monoid, _payload_to_elem(monoid, node), ring)
     if isinstance(node, Neg):
         return -eval_series(node.inner, monoid, ring)
     if isinstance(node, Sum):
-        acc = eval_series(node.parts[0], monoid, ring)
-        for part in node.parts[1:]:
-            acc = acc + eval_series(part, monoid, ring)
-        return acc
+        # one pass: the constructor merges the parts' terms
+        parts = [eval_series(part, monoid, ring) for part in node.parts]
+        return Series(monoid, ring, [term for part in parts for term in part.items()])
     if isinstance(node, Product):
         acc = eval_series(node.factors[0], monoid, ring)
         for factor in node.factors[1:]:
@@ -335,10 +334,16 @@ def eval_laurent(node: Node, ring: Ring) -> TruncatedLaurent:
     if isinstance(node, Neg):
         return -eval_laurent(node.inner, ring)
     if isinstance(node, Sum):
-        acc = eval_laurent(node.parts[0], ring)
-        for part in node.parts[1:]:
-            acc = acc + eval_laurent(part, ring)
-        return acc
+        # one pass: the sum is known below the smallest tail among its parts
+        parts = [eval_laurent(part, ring) for part in node.parts]
+        tails = [part.trunc for part in parts if not part.exact]
+        trunc = min(tails) if tails else None
+        acc: dict = {}
+        for part in parts:
+            for n, c in part.items():
+                if trunc is None or n < trunc:
+                    acc[n] = acc[n] + c if n in acc else c
+        return make_laurent(ring, {n: ring.reduce(c) for n, c in acc.items()}, trunc)
     if isinstance(node, Product):
         acc = eval_laurent(node.factors[0], ring)
         for factor in node.factors[1:]:
@@ -359,15 +364,6 @@ def parse_series(
     return eval_series(node, monoid, ring)
 
 
-def _coeff_str(c: Scalar) -> str:
-    # modular residues render bare so the output stays inside the grammar
-    from .scalars import ModScalar
-
-    if isinstance(c, ModScalar):
-        return str(c.residue)
-    return str(c)
-
-
 def _exp_str(monoid: OrderedMonoid, s, var: str) -> str | None:
     """Exponent suffix for one term, or None when s is the neutral element."""
     if s == monoid.zero():
@@ -382,14 +378,14 @@ def _join_terms(parts: list[tuple[str, str]]) -> str:
     if not parts:
         return "0"
     sign, mag = parts[0]
-    out = mag if sign == "+" else f"-{mag}"
-    for sign, mag in parts[1:]:
-        out += f" {sign} {mag}"
-    return out
+    out = [mag if sign == "+" else f"-{mag}"]
+    out.extend(f"{sign} {mag}" for sign, mag in parts[1:])
+    return " ".join(out)
 
 
-def _term_parts(coeff: Scalar, exp_suffix: str | None) -> tuple[str, str]:
-    cs = _coeff_str(coeff)
+def _term_parts(coeff, exp_suffix: str | None) -> tuple[str, str]:
+    # bare values print as the grammar reads them; Z/m residues print bare
+    cs = str(coeff)
     sign = "+"
     if cs.startswith("-"):
         sign = "-"
@@ -402,16 +398,13 @@ def _term_parts(coeff: Scalar, exp_suffix: str | None) -> tuple[str, str]:
 
 
 def render_series(f: Series, var: str = "e") -> str:
-    parts = []
-    for s in f.support():
-        parts.append(_term_parts(f.coeff(s), _exp_str(f.monoid, s, var)))
-    return _join_terms(parts)
+    key = f.monoid.sort_key
+    terms = sorted(f.items(), key=lambda kv: key(kv[0]))
+    return _join_terms([_term_parts(c, _exp_str(f.monoid, s, var)) for s, c in terms])
 
 
 def render_laurent(f: TruncatedLaurent, var: str = "e") -> str:
-    parts = []
-    for n, c in f.items():
-        parts.append(_term_parts(c, None if n == 0 else f"{var}^{n}"))
+    parts = [_term_parts(c, None if n == 0 else f"{var}^{n}") for n, c in f.items()]
     if f.exact:
         return _join_terms(parts)
     tail = f"O({var}^{f.trunc})"

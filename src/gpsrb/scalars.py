@@ -1,7 +1,12 @@
 """Exact coefficient rings: arbitrary-precision integers, rationals, integers mod m.
 
-Every identity check downstream relies on exact equality here, so there is no
-floating-point variant and no silent coercion between rings.
+Coefficients are plain Python values: an `int` over Z, a `fractions.Fraction`
+over Q, and an `int` residue in 0..m-1 over Z/m. A `Ring` makes, checks,
+parses and prints its values; series carry their ring and check membership
+at their public constructors, so values of different rings never meet in a
+sum or product. Every identity check downstream relies on exact equality
+here, so there is no floating-point variant and no silent coercion between
+rings.
 """
 
 from __future__ import annotations
@@ -11,169 +16,78 @@ from fractions import Fraction
 
 
 class RingMismatch(TypeError):
-    """Raised when scalars from different rings (or moduli) are combined."""
+    """Raised when values or series from different rings (or moduli) are combined."""
 
 
 class ZeroDenominator(ZeroDivisionError):
     """Raised when a rational is built with denominator zero."""
 
 
-class Scalar:
-    """Base class for exact ring elements. Immutable."""
-
-    __slots__ = ()
-
-    def is_zero(self) -> bool:
-        raise NotImplementedError
-
-    def __sub__(self, other):
-        return self + (-other)
-
-
-def _mismatch(a, b) -> RingMismatch:
-    return RingMismatch(f"cannot combine {a!r} with {b!r}")
-
-
-@dataclass(frozen=True)
-class IntScalar(Scalar):
-    value: int
-
-    def __add__(self, other):
-        if not isinstance(other, IntScalar):
-            if not isinstance(other, Scalar):
-                return NotImplemented
-            raise _mismatch(self, other)
-        return IntScalar(self.value + other.value)
-
-    def __mul__(self, other):
-        if not isinstance(other, IntScalar):
-            if not isinstance(other, Scalar):
-                return NotImplemented
-            raise _mismatch(self, other)
-        return IntScalar(self.value * other.value)
-
-    def __neg__(self):
-        return IntScalar(-self.value)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class RatScalar(Scalar):
-    value: Fraction  # Fraction keeps gcd(|num|, den) = 1 and den > 0
-
-    def __add__(self, other):
-        if not isinstance(other, RatScalar):
-            if not isinstance(other, Scalar):
-                return NotImplemented
-            raise _mismatch(self, other)
-        return RatScalar(self.value + other.value)
-
-    def __mul__(self, other):
-        if not isinstance(other, RatScalar):
-            if not isinstance(other, Scalar):
-                return NotImplemented
-            raise _mismatch(self, other)
-        return RatScalar(self.value * other.value)
-
-    def __neg__(self):
-        return RatScalar(-self.value)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __str__(self) -> str:
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-
-
-@dataclass(frozen=True)
-class ModScalar(Scalar):
-    residue: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.modulus}")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    def _check(self, other):
-        if not isinstance(other, ModScalar) or other.modulus != self.modulus:
-            raise _mismatch(self, other)
-
-    def __add__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._check(other)
-        return ModScalar(self.residue + other.residue, self.modulus)
-
-    def __mul__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        self._check(other)
-        return ModScalar(self.residue * other.residue, self.modulus)
-
-    def __neg__(self):
-        return ModScalar(-self.residue, self.modulus)
-
-    def is_zero(self) -> bool:
-        return self.residue == 0
-
-    def __str__(self) -> str:
-        return f"{self.residue} mod {self.modulus}"
-
-
-def make_rational(num: int, den: int = 1) -> RatScalar:
+def make_rational(num: int, den: int = 1) -> Fraction:
     """Normalized rational num/den; the canonical zero is 0/1."""
     if den == 0:
         raise ZeroDenominator(f"{num}/0")
-    return RatScalar(Fraction(num, den))
+    return Fraction(num, den)
 
 
 class Ring:
-    """Descriptor for one of the coefficient rings; makes and parses its elements."""
+    """Descriptor for one of the coefficient rings.
 
-    def zero(self) -> Scalar:
+    Subclasses set `modulus`: None for Z and Q, m for Z/m. Sums and products
+    of ring values are computed on the bare values and brought back into the
+    ring by `reduce`; the series kernels read `modulus` to reduce once per
+    output term.
+    """
+
+    modulus: int | None
+
+    def zero(self):
         return self.from_int(0)
 
-    def one(self) -> Scalar:
+    def one(self):
         return self.from_int(1)
 
-    def from_int(self, n: int) -> Scalar:
+    def from_int(self, n: int):
         raise NotImplementedError
 
-    def from_ratio(self, num: int, den: int) -> Scalar:
+    def from_ratio(self, num: int, den: int):
         """num/den as an element of this ring, or ValueError when it has none."""
         raise NotImplementedError
 
-    def contains(self, s: Scalar) -> bool:
+    def contains(self, c) -> bool:
         raise NotImplementedError
 
-    def parse(self, text: str) -> Scalar:
+    def parse(self, text: str):
         raise NotImplementedError
+
+    def reduce(self, c):
+        """The ring element an integer (or rational) sum or product stands for."""
+        return c
+
+    def fmt(self, c) -> str:
+        """Text of one coefficient, as `__str__` and `to_json` show it."""
+        return str(c)
 
 
 @dataclass(frozen=True)
 class IntegerRing(Ring):
-    def from_int(self, n: int) -> IntScalar:
-        return IntScalar(n)
+    modulus = None
 
-    def from_ratio(self, num: int, den: int) -> IntScalar:
+    def from_int(self, n: int) -> int:
+        return n
+
+    def from_ratio(self, num: int, den: int) -> int:
         if den == 0:
             raise ZeroDenominator(f"{num}/0")
         if num % den != 0:
             raise ValueError(f"{num}/{den} is not an integer")
-        return IntScalar(num // den)
+        return num // den
 
-    def contains(self, s: Scalar) -> bool:
-        return isinstance(s, IntScalar)
+    def contains(self, c) -> bool:
+        return type(c) is int
 
-    def parse(self, text: str) -> IntScalar:
-        return IntScalar(int(text.strip()))
+    def parse(self, text: str) -> int:
+        return int(text.strip())
 
     def __str__(self) -> str:
         return "Z"
@@ -181,21 +95,23 @@ class IntegerRing(Ring):
 
 @dataclass(frozen=True)
 class RationalRing(Ring):
-    def from_int(self, n: int) -> RatScalar:
-        return RatScalar(Fraction(n))
+    modulus = None
 
-    def from_ratio(self, num: int, den: int) -> RatScalar:
+    def from_int(self, n: int) -> Fraction:
+        return Fraction(n)
+
+    def from_ratio(self, num: int, den: int) -> Fraction:
         return make_rational(num, den)
 
-    def contains(self, s: Scalar) -> bool:
-        return isinstance(s, RatScalar)
+    def contains(self, c) -> bool:
+        return type(c) is Fraction
 
-    def parse(self, text: str) -> RatScalar:
+    def parse(self, text: str) -> Fraction:
         text = text.strip()
         if "/" in text:
             num, den = text.split("/", 1)
             return make_rational(int(num), int(den))
-        return RatScalar(Fraction(int(text)))
+        return Fraction(int(text))
 
     def __str__(self) -> str:
         return "Q"
@@ -209,10 +125,10 @@ class ModRing(Ring):
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
 
-    def from_int(self, n: int) -> ModScalar:
-        return ModScalar(n, self.modulus)
+    def from_int(self, n: int) -> int:
+        return n % self.modulus
 
-    def from_ratio(self, num: int, den: int) -> ModScalar:
+    def from_ratio(self, num: int, den: int) -> int:
         if den == 0:
             raise ZeroDenominator(f"{num}/0")
         # den must be invertible mod m
@@ -220,21 +136,27 @@ class ModRing(Ring):
             inv = pow(den, -1, self.modulus)
         except ValueError:
             raise ValueError(f"denominator {den} not invertible mod {self.modulus}") from None
-        return ModScalar(num * inv, self.modulus)
+        return num * inv % self.modulus
 
-    def contains(self, s: Scalar) -> bool:
-        return isinstance(s, ModScalar) and s.modulus == self.modulus
+    def contains(self, c) -> bool:
+        return type(c) is int and 0 <= c < self.modulus
 
-    def parse(self, text: str) -> ModScalar:
+    def parse(self, text: str) -> int:
         parts = text.strip().split()
         if len(parts) == 3 and parts[1] == "mod":
             r, m = int(parts[0]), int(parts[2])
             if m != self.modulus:
                 raise RingMismatch(f"expected modulus {self.modulus}, got {m}")
-            return ModScalar(r, m)
+            return r % m
         if len(parts) == 1:
-            return ModScalar(int(parts[0]), self.modulus)
+            return int(parts[0]) % self.modulus
         raise ValueError(f"cannot parse modular scalar from {text!r}")
+
+    def reduce(self, c: int) -> int:
+        return c % self.modulus
+
+    def fmt(self, c: int) -> str:
+        return f"{c} mod {self.modulus}"
 
     def __str__(self) -> str:
         return f"Z/{self.modulus}"

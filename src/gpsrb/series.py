@@ -1,7 +1,8 @@
 """Finitely supported series over an ordered monoid with exact coefficients.
 
-A series is a map from monoid elements to nonzero scalars; addition is
-pointwise and multiplication is convolution,
+A series is a map from monoid elements to nonzero coefficients, stored as
+the bare values of its ring (see scalars.py); addition is pointwise and
+multiplication is convolution,
 
     (f * g)(s) = sum of f(u) * g(v) over all u + v = s.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .monoids import MonoidMismatch, OrderedMonoid
-from .scalars import Ring, Scalar
+from .scalars import Ring, RingMismatch
 
 
 class Series:
@@ -25,17 +26,20 @@ class Series:
 
     def __init__(self, monoid: OrderedMonoid, ring: Ring, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
+        contains, m = ring.contains, ring.modulus
         acc: dict = {}
         for s, c in items:
             monoid.check_elem(s)
-            if not ring.contains(c):
+            if not contains(c):
                 raise TypeError(f"coefficient {c!r} is not in {ring}")
             if s in acc:
-                c = acc[s] + c
-            if c.is_zero():
-                acc.pop(s, None)
-            else:
+                c += acc[s]
+                if m:
+                    c %= m
+            if c:
                 acc[s] = c
+            else:
+                acc.pop(s, None)
         object.__setattr__(self, "monoid", monoid)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", acc)
@@ -52,7 +56,7 @@ class Series:
         object.__setattr__(out, "_terms", terms)
         return out
 
-    def coeff(self, s) -> Scalar:
+    def coeff(self, s):
         self.monoid.check_elem(s)
         return self._terms.get(s, self.ring.zero())
 
@@ -69,61 +73,69 @@ class Series:
         if self.monoid != other.monoid:
             raise MonoidMismatch(f"series over {self.monoid} vs {other.monoid}")
         if self.ring != other.ring:
-            raise TypeError(f"series over {self.ring} vs {other.ring}")
+            raise RingMismatch(f"series over {self.ring} vs {other.ring}")
 
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         self._check_peer(other)
+        m = self.ring.modulus
         acc = dict(self._terms)
         for s, c in other._terms.items():
             if s in acc:
-                c = acc[s] + c
-                if c.is_zero():
+                c += acc[s]
+                if m:
+                    c %= m
+                if not c:
                     del acc[s]
                     continue
             acc[s] = c
         return Series._raw(self.monoid, self.ring, acc)
 
     def __neg__(self) -> "Series":
-        return Series._raw(self.monoid, self.ring, {s: -c for s, c in self._terms.items()})
+        m = self.ring.modulus
+        terms = self._terms.items()
+        neg = {s: m - c for s, c in terms} if m else {s: -c for s, c in terms}
+        return Series._raw(self.monoid, self.ring, neg)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
         if not isinstance(other, Series):
-            return NotImplemented
+            return self.scale(other)
         self._check_peer(other)
         add = self.monoid.add
+        g = other._terms.items()
         acc: dict = {}
         for u, cu in self._terms.items():
-            for v, cv in other._terms.items():
+            for v, cv in g:
                 s = add(u, v)
-                p = cu * cv
                 if s in acc:
-                    p = acc[s] + p
-                if p.is_zero():
-                    acc.pop(s, None)
+                    acc[s] += cu * cv
                 else:
-                    acc[s] = p
+                    acc[s] = cu * cv
+        m = self.ring.modulus
+        if m:
+            acc = {s: r for s, c in acc.items() if (r := c % m)}
+        elif len(acc) < len(self._terms) * len(other._terms):
+            # over Z and Q a product of nonzero terms is nonzero, so a zero
+            # sum needs two pairs landing on the same exponent
+            acc = {s: c for s, c in acc.items() if c}
         return Series._raw(self.monoid, self.ring, acc)
 
     def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
-    def scale(self, c: Scalar) -> "Series":
+    def scale(self, c) -> "Series":
         if not self.ring.contains(c):
             raise TypeError(f"scalar {c!r} is not in {self.ring}")
-        acc = {}
-        for s, v in self._terms.items():
-            p = c * v
-            if not p.is_zero():
-                acc[s] = p
+        m = self.ring.modulus
+        terms = self._terms.items()
+        if m:
+            acc = {s: r for s, v in terms if (r := c * v % m)}
+        else:
+            acc = {s: c * v for s, v in terms} if c else {}
         return Series._raw(self.monoid, self.ring, acc)
 
     def __eq__(self, other) -> bool:
@@ -141,20 +153,20 @@ class Series:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        rep = self.monoid.elem_repr
-        parts = [f"{c} @ {rep(s)}" for s, c in sorted(self._terms.items(), key=lambda kv: self.monoid.sort_key(kv[0]))]
+        rep, fmt = self.monoid.elem_repr, self.ring.fmt
+        parts = [f"{fmt(c)} @ {rep(s)}" for s, c in sorted(self._terms.items(), key=lambda kv: self.monoid.sort_key(kv[0]))]
         return " + ".join(parts)
 
     def __repr__(self) -> str:
         return f"Series({self.monoid}, {self.ring}, {self!s})"
 
     def to_json(self) -> dict:
-        rep = self.monoid.elem_repr
+        rep, fmt = self.monoid.elem_repr, self.ring.fmt
         return {
             "monoid": str(self.monoid),
             "ring": str(self.ring),
             "terms": [
-                {"exp": rep(s), "coeff": str(c)}
+                {"exp": rep(s), "coeff": fmt(c)}
                 for s, c in sorted(self._terms.items(), key=lambda kv: self.monoid.sort_key(kv[0]))
             ],
         }

@@ -21,7 +21,6 @@ from gpsrb import (
     FiniteTable,
     IntLine,
     QQ,
-    RatScalar,
     Series,
     VectorProduct,
     ZZ,
@@ -48,7 +47,7 @@ def naive_convolve(f: Series, g: Series) -> Series:
             for v in g.support():
                 if add(u, v) == s:
                     total = total + f.coeff(u) * g.coeff(v)
-        terms[s] = total
+        terms[s] = f.ring.reduce(total)
     return Series(f.monoid, f.ring, terms)
 
 
@@ -111,7 +110,7 @@ def relabel_table(table: FiniteTable, rng: random.Random) -> FiniteTable:
 int_scalars = st.integers(min_value=-50, max_value=50).map(ZZ.from_int)
 
 rat_scalars = st.builds(
-    lambda n, d: RatScalar(Fraction(n, d)),
+    Fraction,
     st.integers(min_value=-30, max_value=30),
     st.integers(min_value=1, max_value=12),
 )
@@ -137,8 +136,8 @@ def vec2_series(ring=QQ, scalars=None, max_terms=5, box=3):
     )
 
 
-def random_rat(rng: random.Random) -> RatScalar:
-    return RatScalar(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+def random_rat(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
 
 def random_int_series(rng: random.Random, max_support=8, exp_lo=-10, exp_hi=10) -> Series:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gpsrb.cli import UsageError, main, parse_decomposition, parse_monoid_spec, parse_window_spec
-from gpsrb import FiniteTable, IntLine, NatLine, VectorLex, VectorProduct
+from gpsrb import FiniteTable, IntLine, NatLine, VectorLex, VectorProduct, zero_series
 
 TABLES = Path(__file__).resolve().parent.parent / "tables"
 
@@ -243,3 +243,14 @@ def test_malformed_decomposition_file_exits_two(capsys, tmp_path, payload):
     )
     assert code == 2
     assert err.startswith("error:") and out == ""
+
+
+def test_cutoff_scan_route_disagreement_exits_three(capsys, monkeypatch):
+    # a semantic route that sees no defect anywhere contradicts the obstruction pairs
+    import gpsrb.projectors
+
+    monkeypatch.setattr(gpsrb.projectors, "rb_defect", lambda P, f, g: zero_series(f.monoid, f.ring))
+    code, out, err = run(capsys, "cutoff-scan", "--w-range", "-1..-1", "--window", "-2..2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: criteria disagree at w=-1, pair (-1, -1): defect zero but in an obstruction set\n"

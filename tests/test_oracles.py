@@ -11,6 +11,7 @@ from gpsrb import (
     IntLine,
     NatLine,
     NotTotalOrder,
+    RouteDisagreement,
     TooLarge,
     VectorLex,
     VectorProduct,
@@ -238,5 +239,5 @@ def test_sweep_catches_planted_nonzero_defect(monkeypatch):
 def test_scan_cutoffs_raises_on_planted_zero_defect(monkeypatch):
     # at w=-1 the killed pair (-1, -1) drops into the kept part at -2
     plant_defect(monkeypatch, lambda P, f, g: zero_series(f.monoid, f.ring))
-    with pytest.raises(AssertionError, match=r"w=-1, pair \(-1, -1\): defect zero but in an"):
+    with pytest.raises(RouteDisagreement, match=r"w=-1, pair \(-1, -1\): defect zero but in an"):
         scan_cutoffs(IntLine(), [-1], int_window(-2, 2))

@@ -1,3 +1,6 @@
+import operator
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,6 +18,8 @@ from gpsrb import (
     render_laurent,
     render_series,
 )
+
+from gpsrb.parsing import Sum, eval_laurent, eval_series, parse_expr
 
 from conftest import int_series, vec2_series
 
@@ -148,3 +153,42 @@ def test_round_trip_vector_monoid(f):
 @given(f=int_series(ring=ZZ))
 def test_round_trip_integer_ring(f):
     assert parse_series(render_series(f), M, ZZ) == f
+
+
+def _left_fold(text, ring, laurent):
+    """The sum of a top-level Sum's parts, added one at a time."""
+    node = parse_expr(text)
+    assert isinstance(node, Sum)
+    if laurent:
+        parts = [eval_laurent(part, ring) for part in node.parts]
+    else:
+        parts = [eval_series(part, M, ring) for part in node.parts]
+    return reduce(operator.add, parts)
+
+
+@pytest.mark.parametrize(
+    "text,ring,laurent,expected",
+    [
+        ("e^2 + e^2 - 2*e^2", ZZ, False, "0"),
+        ("e^2 + e^2 - 2*e^2", QQ, True, "0"),
+        ("1 + e^5 + O(e^3)", QQ, True, "1 + O(e^3)"),
+        ("O(e^4) + e + O(e^2)", QQ, True, "e^1 + O(e^2)"),
+        ("3*e + 5 + 4*e + 2", Zmod(7), False, "0"),
+        ("3*e + 5 + 4*e + 2", Zmod(7), True, "0"),
+        ("3*e^-1 + 6 + 4*e^-1 + O(e^1)", Zmod(7), True, "6 + O(e^1)"),
+        ("1/2*e - 1/3 + 1/2*e + 1/3 - e", QQ, False, "0"),
+    ],
+)
+def test_one_pass_sum_matches_left_fold(text, ring, laurent, expected):
+    got = parse_series(text, M, ring, laurent=laurent)
+    assert got == _left_fold(text, ring, laurent)
+    assert (render_laurent(got) if laurent else render_series(got)) == expected
+
+
+def test_one_pass_sum_keeps_error_position():
+    with pytest.raises(ParseError) as err:
+        parse_series("1 + e^2 +\n  3/0 + e", M, QQ)
+    assert (err.value.line, err.value.col) == (2, 3)
+    with pytest.raises(ParseError) as err:
+        parse_series("e + O(e^3) + f", M, QQ, laurent=True)
+    assert (err.value.line, err.value.col) == (1, 14)

@@ -117,10 +117,10 @@ def test_ring_axioms(f, g, h):
     assert f * one_series(M, QQ) == f
 
 
-@given(f=int_series())
-def test_no_stored_zero_coefficients(f):
-    for s in f.support():
-        assert not f.coeff(s).is_zero()
+@given(f=int_series(), g=int_series())
+def test_no_stored_zero_coefficients(f, g):
+    for h in (f, g, f + g, f - g, f * g, -f):
+        assert all(c != 0 and h.ring.contains(c) for _, c in h.items())
 
 
 @given(f=int_series(), g=int_series())
