@@ -15,8 +15,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from gpsrb import (
     IntLine,
-    VectorLex,
-    VectorProduct,
+    IntVector,
     int_window,
     scan_cutoffs,
     vector_window,
@@ -57,13 +56,13 @@ def main():
 
     # product order on the plane: the threshold rule for total orders no
     # longer applies, even w=(0,0) picks up obstruction pairs
-    plane = VectorProduct(2)
+    plane = IntVector(2)
     small = min(r, 3)
     ws = [(0, 0), (1, 1), (0, 1), (-1, -1), (2, 2)]
     window = vector_window(-small, small, 2)
     show(plane, scan_cutoffs(plane, ws, window), args.json)
 
-    lex = VectorLex(2)
+    lex = IntVector(2, lex=True)
     show(lex, scan_cutoffs(lex, ws, window), args.json)
 
 

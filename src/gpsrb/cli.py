@@ -6,9 +6,11 @@ theorem-verify for the exhaustive finite-monoid sweep, laurent-demo for a
 seeded end-to-end run of the pole-part projector.
 
 Exit codes: 0 all checks passed (window-limited passes are flagged in the
-output), 1 a counterexample was found, 2 usage or input error, 3 internal
-fault: the structural and semantic routes of cutoff-scan disagreed, which
-means a bug in one of them. The env var GPS_RB_SEED fixes the demo RNG seed.
+output), 1 a counterexample was found, 2 usage or input error (including an
+rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs), 3 internal
+fault: the structural and semantic routes of cutoff-scan disagreed, or an
+unexpected exception escaped (its traceback goes to stderr); either means a
+bug. The env var GPS_RB_SEED fixes the demo RNG seed.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import random
 import sys
+import traceback
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,16 +30,11 @@ from .monoids import (
     BadTable,
     FiniteTable,
     IntLine,
+    IntVector,
     MonoidMismatch,
-    NatLine,
     OrderedMonoid,
-    VectorLex,
-    VectorProduct,
     _is_int,
-    default_window,
-    int_window,
     load_table,
-    vector_window,
 )
 from .oracles import (
     DEFAULT_MAX_SIZE,
@@ -65,12 +63,17 @@ class UsageError(ValueError):
     pass
 
 
+# single-term pairs one rb-check or cutoff-scan run may examine: 13.5x the
+# largest benchmark job (cutoff-scan on Z, 11 thresholds x 41^2 = 18,491 pairs)
+PAIR_BUDGET = 250_000
+
+
 def parse_monoid_spec(spec: str) -> OrderedMonoid:
     """"Z", "N", "Z^d:product", "Z^d:lex", or "table:<path>"."""
     if spec == "Z":
         return IntLine()
     if spec == "N":
-        return NatLine()
+        return IntLine(nonneg=True)
     if spec.startswith("Z^"):
         body = spec[2:]
         if ":" not in body:
@@ -82,10 +85,8 @@ def parse_monoid_spec(spec: str) -> OrderedMonoid:
             raise UsageError(f"bad dimension in {spec!r}") from None
         if d < 1:
             raise UsageError(f"dimension must be >= 1 in {spec!r}")
-        if order == "product":
-            return VectorProduct(d)
-        if order == "lex":
-            return VectorLex(d)
+        if order in ("product", "lex"):
+            return IntVector(d, lex=order == "lex")
         raise UsageError(f"unknown vector order {order!r} (want product or lex)")
     if spec.startswith("table:"):
         return load_table(spec[len("table:") :])
@@ -102,7 +103,10 @@ def parse_ring_spec(spec: str) -> Ring:
             m = int(spec[2:])
         except ValueError:
             raise UsageError(f"bad modulus in {spec!r}") from None
-        return Zmod(m)
+        try:
+            return Zmod(m)
+        except ValueError as exc:  # modulus below 2
+            raise UsageError(str(exc)) from None
     raise UsageError(f"unknown ring spec {spec!r} (want Z, Q, or Z/m)")
 
 
@@ -122,24 +126,24 @@ def parse_range(text: str) -> tuple[int, int]:
 def parse_window_spec(monoid: OrderedMonoid, text: str | None) -> list:
     """Window elements from "a..b"; vectors get the box [a,b]^d, tables their carrier."""
     if text is None:
-        return default_window(monoid)
-    lo, hi = parse_range(text)
-    if isinstance(monoid, NatLine):
-        lo = max(lo, 0)
-        if lo > hi:
-            raise UsageError(f"window {text!r} contains no naturals")
-        return int_window(lo, hi)
-    if isinstance(monoid, IntLine):
-        return int_window(lo, hi)
-    if isinstance(monoid, (VectorProduct, VectorLex)):
-        return vector_window(lo, hi, monoid.dim)
-    if isinstance(monoid, FiniteTable):
-        lo = max(lo, 0)
-        hi = min(hi, monoid.n - 1)
-        if lo > hi:
-            raise UsageError(f"window {text!r} misses the carrier 0..{monoid.n - 1}")
-        return int_window(lo, hi)
-    raise UsageError(f"no window support for {monoid}")
+        return monoid.default_window()
+    return monoid.window(*parse_range(text))
+
+
+def check_pair_budget(monoid: OrderedMonoid, window: str | None, w_range: str | None = None) -> None:
+    """Raise TooLarge when |thresholds| x |window|^2 single-term pairs exceed the budget.
+
+    The sizes come from the bounds alone, so an oversized box is never built.
+    """
+    bounds = monoid.default_bounds() if window is None else parse_range(window)
+    size = monoid.window_size(*bounds)
+    thresholds = 1 if w_range is None else monoid.window_size(*parse_range(w_range))
+    pairs = thresholds * size * size
+    if pairs > PAIR_BUDGET:
+        raise TooLarge(
+            f"{thresholds} threshold(s) x {size}^2 window elements = "
+            f"{pairs} single-term pairs, above the budget of {PAIR_BUDGET}"
+        )
 
 
 _PLAIN_VOCAB = ("negatives", "nonnegatives", "positives", "nonpositives", "evens", "odds")
@@ -154,7 +158,7 @@ def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Decomposition:
     """
     zero = monoid.zero()
     if spec in _PLAIN_VOCAB:
-        if spec in ("evens", "odds") and not isinstance(monoid, (IntLine, NatLine)):
+        if spec in ("evens", "odds") and not isinstance(monoid, IntLine):
             raise UsageError(f"{spec!r} needs an integer line monoid")
         member = {
             "negatives": lambda s: monoid.lt(s, zero),
@@ -174,14 +178,17 @@ def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Decomposition:
     if spec.startswith("mask:"):
         if not isinstance(monoid, FiniteTable):
             raise UsageError("mask decompositions need a finite table monoid")
-        return Decomposition.from_mask(monoid, int(spec[len("mask:") :], 0))
+        try:
+            return Decomposition.from_mask(monoid, int(spec[len("mask:") :], 0))
+        except ValueError as exc:  # not an integer, or out of range
+            raise UsageError(str(exc)) from None
     if spec.endswith(".json") and os.path.exists(spec):
         if not isinstance(monoid, FiniteTable):
             raise UsageError("file decompositions need a finite table monoid")
         try:
             with open(spec) as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
             raise UsageError(f"cannot read decomposition file {spec}: {exc}") from None
         return _decomposition_from_json(monoid, data, spec)
     raise UsageError(
@@ -221,41 +228,50 @@ def _outcome_text(oc: CheckOutcome) -> str:
     return "  ".join(bits)
 
 
+def _parse(args, text: str, monoid: OrderedMonoid, ring: Ring, laurent: bool = False):
+    if args.var == "O":
+        raise UsageError('variable name "O" collides with the tail marker')
+    return parse_series(text, monoid, ring, var=args.var, laurent=laurent)
+
+
+def _printable(fmt, *args):
+    try:
+        return fmt(*args)
+    except ValueError as exc:  # an integer past the interpreter's digit limit for str()
+        raise UsageError(str(exc)) from None
+
+
 def cmd_arith(args, op: str) -> int:
     monoid = parse_monoid_spec(args.monoid)
     ring = parse_ring_spec(args.ring)
-    if args.laurent:
-        if not isinstance(monoid, IntLine):
-            raise UsageError("--laurent needs --monoid Z")
-        f = parse_series(args.expr1, monoid, ring, var=args.var, laurent=True)
-        g = parse_series(args.expr2, monoid, ring, var=args.var, laurent=True)
-        out = f * g if op == "mul" else f + g
-        print(json.dumps(out.to_json()) if args.json else render_laurent(out, args.var))
-        return 0
-    f = parse_series(args.expr1, monoid, ring, var=args.var)
-    g = parse_series(args.expr2, monoid, ring, var=args.var)
+    if args.laurent and monoid != IntLine():
+        raise UsageError("--laurent needs --monoid Z")
+    f = _parse(args, args.expr1, monoid, ring, args.laurent)
+    g = _parse(args, args.expr2, monoid, ring, args.laurent)
     out = f * g if op == "mul" else f + g
-    print(json.dumps(out.to_json()) if args.json else render_series(out, args.var))
+    render = render_laurent if args.laurent else render_series
+    print(json.dumps(_printable(out.to_json)) if args.json else _printable(render, out, args.var))
     return 0
 
 
 def cmd_rb_check(args) -> int:
     monoid = parse_monoid_spec(args.monoid)
     ring = parse_ring_spec(args.ring)
+    check_pair_budget(monoid, args.window)
     window = parse_window_spec(monoid, args.window)
     split = parse_decomposition(monoid, args.decomp)
     P = DecompositionProjector(split)
     if (args.f is None) != (args.g is None):
         raise UsageError("--f and --g go together")
     if args.f is not None:
-        f = parse_series(args.f, monoid, ring, var=args.var)
-        g = parse_series(args.g, monoid, ring, var=args.var)
+        f = _parse(args, args.f, monoid, ring)
+        g = _parse(args, args.g, monoid, ring)
         d = rb_defect(P, f, g)
         if args.json:
-            print(json.dumps({"decomposition": split.label, "defect": d.to_json()}))
+            print(json.dumps({"decomposition": split.label, "defect": _printable(d.to_json)}))
         else:
             print(f"decomposition: {split.label} on {monoid}")
-            print(f"defect: {render_series(d, args.var)}")
+            print(f"defect: {_printable(render_series, d, args.var)}")
         return 0 if d.is_zero() else 1
 
     kept = is_subsemigroup(split, "kept", window)
@@ -284,6 +300,7 @@ def cmd_rb_check(args) -> int:
 def cmd_cutoff_scan(args) -> int:
     monoid = parse_monoid_spec(args.monoid)
     ring = parse_ring_spec(args.ring)
+    check_pair_budget(monoid, args.window, args.w_range)
     window = parse_window_spec(monoid, args.window)
     w_lo, w_hi = parse_range(args.w_range)
     w_set = parse_window_spec(monoid, args.w_range)
@@ -494,12 +511,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         TooLarge,
         NotTotalOrder,
         OSError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RouteDisagreement as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug, never a counterexample: not exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
 

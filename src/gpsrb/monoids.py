@@ -14,9 +14,9 @@ partial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .outcomes import CheckOutcome, outcome_fail, outcome_on_window, outcome_pass
 
@@ -37,8 +37,18 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_square(rows, n: int) -> bool:
+    """Is rows an n x n table of lists or tuples (as JSON files may not be)?"""
+    square = isinstance(rows, (list, tuple)) and len(rows) == n
+    return square and all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
+
+
 class OrderedMonoid:
-    """Commutative monoid with a strict partial order; subclasses fill in the ops."""
+    """Commutative monoid with a strict partial order; subclasses fill in the ops.
+
+    Windows are boxes: window(lo, hi) holds the carrier elements with every
+    coordinate in lo..hi, and window_size counts them without building them.
+    """
 
     def zero(self):
         raise NotImplementedError
@@ -58,7 +68,7 @@ class OrderedMonoid:
 
     def sort_key(self, x):
         """Total key for display ordering; need not refine the monoid order."""
-        raise NotImplementedError
+        return x
 
     def elem_repr(self, x) -> str:
         return repr(x)
@@ -66,10 +76,41 @@ class OrderedMonoid:
     def parse_elem(self, text: str):
         raise NotImplementedError
 
+    def from_exponent(self, value):
+        """The element an exponent written as an int or a tuple of ints denotes."""
+        if isinstance(value, tuple):
+            raise BadElement(f"tuple exponent needs a vector monoid, not {self}")
+        self.check_elem(value)
+        return value
+
+    def bounds(self, lo: int, hi: int) -> tuple[int, int]:
+        """Window bounds trimmed to the carrier; BadElement when nothing is left."""
+        return lo, hi
+
+    def default_bounds(self, radius: int = 3) -> tuple[int, int]:
+        return -radius, radius
+
+    def window_size(self, lo: int, hi: int) -> int:
+        lo, hi = self.bounds(lo, hi)
+        return hi - lo + 1
+
+    def window(self, lo: int, hi: int) -> list:
+        return int_window(*self.bounds(lo, hi))
+
+    def default_window(self, radius: int = 3) -> list:
+        """A small box around the neutral element, trimmed to the carrier."""
+        return self.window(*self.default_bounds(radius))
+
+    def covers(self, elems: Iterable) -> bool:
+        """Do elems hold the whole carrier? Only a finite carrier can be covered."""
+        return False
+
 
 @dataclass(frozen=True)
 class IntLine(OrderedMonoid):
-    """(Z, +) with the usual total order."""
+    """(Z, +) with the usual total order; (N, +), 0 included, when nonneg."""
+
+    nonneg: bool = False
 
     def zero(self) -> int:
         return 0
@@ -83,63 +124,32 @@ class IntLine(OrderedMonoid):
     def lt(self, a: int, b: int) -> bool:
         return a < b
 
-    def check_elem(self, x) -> None:
-        if not _is_int(x):
-            raise BadElement(f"not an integer: {x!r}")
-
-    def sort_key(self, x: int) -> int:
-        return x
-
-    def elem_repr(self, x: int) -> str:
-        return str(x)
-
-    def parse_elem(self, text: str) -> int:
-        try:
-            return int(text.strip())
-        except ValueError:
-            raise BadElement(f"not an integer: {text!r}") from None
-
-    def __str__(self) -> str:
-        return "Z"
-
-
-@dataclass(frozen=True)
-class NatLine(OrderedMonoid):
-    """(N, +) with the usual total order; 0 included."""
-
-    def zero(self) -> int:
-        return 0
-
-    def add(self, a: int, b: int) -> int:
-        return a + b
-
-    def leq(self, a: int, b: int) -> bool:
-        return a <= b
-
-    def lt(self, a: int, b: int) -> bool:
-        return a < b
+    def _kind(self) -> str:
+        return "a natural number" if self.nonneg else "an integer"
 
     def check_elem(self, x) -> None:
-        if not _is_int(x) or x < 0:
-            raise BadElement(f"not a natural number: {x!r}")
-
-    def sort_key(self, x: int) -> int:
-        return x
-
-    def elem_repr(self, x: int) -> str:
-        return str(x)
+        if not _is_int(x) or (self.nonneg and x < 0):
+            raise BadElement(f"not {self._kind()}: {x!r}")
 
     def parse_elem(self, text: str) -> int:
         try:
             n = int(text.strip())
         except ValueError:
-            raise BadElement(f"not a natural number: {text!r}") from None
-        if n < 0:
+            raise BadElement(f"not {self._kind()}: {text!r}") from None
+        if self.nonneg and n < 0:
             raise BadElement(f"not a natural number: {n}")
         return n
 
+    def bounds(self, lo: int, hi: int) -> tuple[int, int]:
+        if self.nonneg and hi < 0:
+            raise BadElement(f"window '{lo}..{hi}' contains no naturals")
+        return (max(lo, 0) if self.nonneg else lo), hi
+
+    def default_bounds(self, radius: int = 3) -> tuple[int, int]:
+        return (0, 2 * radius) if self.nonneg else (-radius, radius)
+
     def __str__(self) -> str:
-        return "N"
+        return "N" if self.nonneg else "Z"
 
 
 def _parse_vector(text: str, dim: int) -> tuple[int, ...]:
@@ -156,10 +166,12 @@ def _parse_vector(text: str, dim: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class VectorProduct(OrderedMonoid):
-    """(Z^d, +) under the product (componentwise) order. Partial for d >= 2."""
+class IntVector(OrderedMonoid):
+    """(Z^d, +) under the product (componentwise) order, partial for d >= 2,
+    or under the lexicographic order, total for every d."""
 
     dim: int
+    lex: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -172,53 +184,15 @@ class VectorProduct(OrderedMonoid):
         return tuple(x + y for x, y in zip(a, b))
 
     def leq(self, a, b) -> bool:
-        return all(x <= y for x, y in zip(a, b))
-
-    def check_elem(self, x) -> None:
-        if not (isinstance(x, tuple) and len(x) == self.dim and all(_is_int(c) for c in x)):
-            raise BadElement(f"not a Z^{self.dim} vector: {x!r}")
-
-    def sort_key(self, x):
-        return x
-
-    def elem_repr(self, x) -> str:
-        return "(" + ",".join(str(c) for c in x) + ")"
-
-    def parse_elem(self, text: str):
-        return _parse_vector(text, self.dim)
-
-    def __str__(self) -> str:
-        return f"Z^{self.dim}:product"
-
-
-@dataclass(frozen=True)
-class VectorLex(OrderedMonoid):
-    """(Z^d, +) under lexicographic order; total for every d."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.dim
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def leq(self, a, b) -> bool:
-        return a <= b  # tuple comparison is lexicographic
+        # tuple comparison is lexicographic
+        return a <= b if self.lex else all(x <= y for x, y in zip(a, b))
 
     def lt(self, a, b) -> bool:
-        return a < b
+        return a < b if self.lex else a != b and all(x <= y for x, y in zip(a, b))
 
     def check_elem(self, x) -> None:
         if not (isinstance(x, tuple) and len(x) == self.dim and all(_is_int(c) for c in x)):
             raise BadElement(f"not a Z^{self.dim} vector: {x!r}")
-
-    def sort_key(self, x):
-        return x
 
     def elem_repr(self, x) -> str:
         return "(" + ",".join(str(c) for c in x) + ")"
@@ -226,8 +200,25 @@ class VectorLex(OrderedMonoid):
     def parse_elem(self, text: str):
         return _parse_vector(text, self.dim)
 
+    def from_exponent(self, value) -> tuple[int, ...]:
+        if not isinstance(value, tuple):
+            if self.dim != 1:
+                raise BadElement(f"scalar exponent for {self}; write a {self.dim}-tuple")
+            return (value,)
+        if len(value) != self.dim:
+            raise BadElement(f"exponent has {len(value)} coordinates, {self} needs {self.dim}")
+        return value
+
+    def window_size(self, lo: int, hi: int) -> int:
+        # from d = 64 on a side of two or more is past any budget already,
+        # so the count saturates there instead of growing a huge power
+        return (hi - lo + 1) ** min(self.dim, 64)
+
+    def window(self, lo: int, hi: int) -> list[tuple[int, ...]]:
+        return vector_window(lo, hi, self.dim)
+
     def __str__(self) -> str:
-        return f"Z^{self.dim}:lex"
+        return f"Z^{self.dim}:{'lex' if self.lex else 'product'}"
 
 
 @dataclass(frozen=True)
@@ -257,7 +248,7 @@ class FiniteTable(OrderedMonoid):
             raise BadTable(f"n must be a positive integer, got {n!r}")
         if not (_is_int(neutral) and 0 <= neutral < n):
             raise BadTable(f"neutral index {neutral!r} out of range for n={n}")
-        if len(add) != n or any(len(row) != n for row in add):
+        if not _is_square(add, n):
             raise BadTable(f"add table must be {n}x{n}")
         for i, row in enumerate(add):
             for j, v in enumerate(row):
@@ -265,7 +256,7 @@ class FiniteTable(OrderedMonoid):
                     raise BadTable(f"add[{i}][{j}] = {v!r} out of range")
         if leq is None:
             leq = [[i == j for j in range(n)] for i in range(n)]
-        if len(leq) != n or any(len(row) != n for row in leq):
+        if not _is_square(leq, n):
             raise BadTable(f"leq table must be {n}x{n}")
         for i, row in enumerate(leq):
             for j, v in enumerate(row):
@@ -295,12 +286,6 @@ class FiniteTable(OrderedMonoid):
         if not (_is_int(x) and 0 <= x < self.n):
             raise BadElement(f"not an index in 0..{self.n - 1}: {x!r}")
 
-    def sort_key(self, x: int) -> int:
-        return x
-
-    def elem_repr(self, x: int) -> str:
-        return str(x)
-
     def parse_elem(self, text: str) -> int:
         try:
             k = int(text.strip())
@@ -308,6 +293,17 @@ class FiniteTable(OrderedMonoid):
             raise BadElement(f"not an element index: {text!r}") from None
         self.check_elem(k)
         return k
+
+    def bounds(self, lo: int, hi: int) -> tuple[int, int]:
+        if max(lo, 0) > min(hi, self.n - 1):
+            raise BadElement(f"window '{lo}..{hi}' misses the carrier 0..{self.n - 1}")
+        return max(lo, 0), min(hi, self.n - 1)
+
+    def default_bounds(self, radius: int = 3) -> tuple[int, int]:
+        return 0, self.n - 1
+
+    def covers(self, elems: Iterable) -> bool:
+        return set(elems) == set(self.carrier())
 
     def __str__(self) -> str:
         return f"{self.name}(n={self.n})"
@@ -322,7 +318,7 @@ def load_table(path: str, validate: bool = True) -> FiniteTable:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
         raise BadTable(f"cannot read table file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise BadTable(f"table file {path} must hold a JSON object")
@@ -354,16 +350,8 @@ def vector_window(lo: int, hi: int, dim: int) -> list[tuple[int, ...]]:
 
 
 def default_window(monoid: OrderedMonoid, radius: int = 3) -> list:
-    """A small symmetric box of elements, trimmed to the carrier."""
-    if isinstance(monoid, FiniteTable):
-        return list(monoid.carrier())
-    if isinstance(monoid, NatLine):
-        return int_window(0, 2 * radius)
-    if isinstance(monoid, IntLine):
-        return int_window(-radius, radius)
-    if isinstance(monoid, (VectorProduct, VectorLex)):
-        return vector_window(-radius, radius, monoid.dim)
-    raise TypeError(f"no default window for {monoid!r}")
+    """monoid.default_window(radius); the benchmark's span table names this function."""
+    return monoid.default_window(radius)
 
 
 def validate_monoid(
@@ -376,11 +364,11 @@ def validate_monoid(
     certifies that window.
     """
     if window is None:
-        window = default_window(monoid)
+        window = monoid.default_window()
     elems = list(window)
     for x in elems:
         monoid.check_elem(x)
-    exhaustive = isinstance(monoid, FiniteTable) and set(elems) == set(monoid.carrier())
+    exhaustive = monoid.covers(elems)
     desc = f"{len(elems)} elements" + (" (entire carrier)" if exhaustive else "")
 
     z = monoid.zero()

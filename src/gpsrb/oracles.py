@@ -184,7 +184,7 @@ def scan_cutoffs(
     elems = list(window)
     rep = monoid.elem_repr
     results: list[tuple[Any, CheckOutcome]] = []
-    exhaustive = isinstance(monoid, FiniteTable) and set(elems) == set(monoid.carrier())
+    exhaustive = monoid.covers(elems)
     for w in w_set:
         drop_in, escape = cutoff_violation_pairs(monoid, w, elems)
         flagged = set(drop_in) | set(escape)

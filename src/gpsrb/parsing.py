@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .laurent import TruncatedLaurent, make_laurent
-from .monoids import BadElement, OrderedMonoid, VectorLex, VectorProduct
+from .monoids import BadElement, OrderedMonoid
 from .scalars import Ring, ZeroDenominator
 from .series import Series, indicator
 
@@ -102,8 +102,7 @@ class Lit:
 
 @dataclass(frozen=True)
 class Pow:
-    # exponent payload: ("int", k) or ("vec", (k1, ..., kd))
-    payload: tuple
+    exponent: int | tuple  # k, or (k1, ..., kd) when written as a tuple
     line: int
     col: int
 
@@ -138,6 +137,18 @@ class TruncMarker:
 
 Node = Union[Lit, Pow, Neg, Sum, Product, TruncMarker]
 
+# Each parenthesis level costs three parser frames, and a Sum nested that
+# deep costs two evaluation frames a level, so 200 levels stay well inside
+# the interpreter's default recursion limit of 1000.
+MAX_NESTING = 200
+
+
+def _int(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(str(exc), tok.line, tok.col) from None
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], var: str):
@@ -146,6 +157,7 @@ class _Parser:
         self.tokens = tokens
         self.var = var
         self.pos = 0
+        self.depth = 0  # open parentheses around the current factor
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -199,12 +211,12 @@ class _Parser:
     def factor(self) -> Node:
         tok = self.next()
         if tok.kind == "int":
-            num = int(tok.text)
+            num = _int(tok)
             den = 1
             nxt = self.peek()
             if nxt is not None and nxt.kind == "/":
                 self.next()
-                den = int(self.expect("int").text)
+                den = _int(self.expect("int"))
             return Lit(num, den, tok.line, tok.col)
         if tok.kind == "name":
             if tok.text == "O":
@@ -225,15 +237,20 @@ class _Parser:
                     f"unknown variable {tok.text!r} (expected {self.var!r})", tok.line, tok.col
                 )
             nxt = self.peek()
+            exponent = 1
             if nxt is not None and nxt.kind == "^":
                 self.next()
-                payload = self.exponent()
-            else:
-                payload = ("int", 1)
-            return Pow(payload, tok.line, tok.col)
+                exponent = self.exponent()
+            return Pow(exponent, tok.line, tok.col)
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels", tok.line, tok.col
+                )
+            self.depth += 1
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
 
@@ -243,10 +260,10 @@ class _Parser:
         if tok is not None and tok.kind == "-":
             self.next()
             neg = True
-        val = int(self.expect("int").text)
+        val = _int(self.expect("int"))
         return -val if neg else val
 
-    def exponent(self) -> tuple:
+    def exponent(self) -> int | tuple:
         tok = self.peek()
         if tok is not None and tok.kind == "(":
             self.next()
@@ -255,8 +272,8 @@ class _Parser:
                 self.next()
                 coords.append(self.signed_int())
             self.expect(")")
-            return ("vec", tuple(coords))
-        return ("int", self.signed_int())
+            return tuple(coords)
+        return self.signed_int()
 
 
 def parse_expr(text: str, var: str = "e") -> Node:
@@ -266,32 +283,11 @@ def parse_expr(text: str, var: str = "e") -> Node:
     return _Parser(tokens, var).parse()
 
 
-def _payload_to_elem(monoid: OrderedMonoid, node: Pow):
-    kind, value = node.payload
-    vector = isinstance(monoid, (VectorProduct, VectorLex))
-    if kind == "vec":
-        if not vector:
-            raise ParseError(
-                f"tuple exponent needs a vector monoid, not {monoid}", node.line, node.col
-            )
-        if len(value) != monoid.dim:
-            raise ParseError(
-                f"exponent has {len(value)} coordinates, {monoid} needs {monoid.dim}",
-                node.line,
-                node.col,
-            )
-        return value
-    if vector:
-        if monoid.dim != 1:
-            raise ParseError(
-                f"scalar exponent for {monoid}; write a {monoid.dim}-tuple", node.line, node.col
-            )
-        return (value,)
+def _exponent_elem(monoid: OrderedMonoid, node: Pow):
     try:
-        monoid.check_elem(value)
+        return monoid.from_exponent(node.exponent)
     except BadElement as exc:
         raise ParseError(str(exc), node.line, node.col) from None
-    return value
 
 
 def eval_series(node: Node, monoid: OrderedMonoid, ring: Ring) -> Series:
@@ -302,7 +298,7 @@ def eval_series(node: Node, monoid: OrderedMonoid, ring: Ring) -> Series:
             raise ParseError(str(exc), node.line, node.col) from None
         return Series(monoid, ring, {monoid.zero(): c})
     if isinstance(node, Pow):
-        return indicator(monoid, _payload_to_elem(monoid, node), ring)
+        return indicator(monoid, _exponent_elem(monoid, node), ring)
     if isinstance(node, Neg):
         return -eval_series(node.inner, monoid, ring)
     if isinstance(node, Sum):
@@ -327,10 +323,9 @@ def eval_laurent(node: Node, ring: Ring) -> TruncatedLaurent:
             raise ParseError(str(exc), node.line, node.col) from None
         return make_laurent(ring, {0: c})
     if isinstance(node, Pow):
-        kind, value = node.payload
-        if kind != "int":
+        if isinstance(node.exponent, tuple):
             raise ParseError("Laurent mode uses integer exponents", node.line, node.col)
-        return make_laurent(ring, {value: ring.one()})
+        return make_laurent(ring, {node.exponent: ring.one()})
     if isinstance(node, Neg):
         return -eval_laurent(node.inner, ring)
     if isinstance(node, Sum):
@@ -368,9 +363,7 @@ def _exp_str(monoid: OrderedMonoid, s, var: str) -> str | None:
     """Exponent suffix for one term, or None when s is the neutral element."""
     if s == monoid.zero():
         return None
-    if isinstance(monoid, (VectorProduct, VectorLex)):
-        return f"{var}^({','.join(str(c) for c in s)})"
-    return f"{var}^{s}"
+    return f"{var}^{monoid.elem_repr(s)}"
 
 
 def _join_terms(parts: list[tuple[str, str]]) -> str:

@@ -70,7 +70,7 @@ class Series:
         return not self._terms
 
     def _check_peer(self, other: "Series") -> None:
-        if self.monoid != other.monoid:
+        if self.monoid is not other.monoid and self.monoid != other.monoid:
             raise MonoidMismatch(f"series over {self.monoid} vs {other.monoid}")
         if self.ring != other.ring:
             raise RingMismatch(f"series over {self.ring} vs {other.ring}")

@@ -20,9 +20,9 @@ from gpsrb import (
     Decomposition,
     FiniteTable,
     IntLine,
+    IntVector,
     QQ,
     Series,
-    VectorProduct,
     ZZ,
     closed_under_addition,
 )
@@ -132,7 +132,7 @@ def vec2_series(ring=QQ, scalars=None, max_terms=5, box=3):
         st.integers(min_value=-box, max_value=box), st.integers(min_value=-box, max_value=box)
     )
     return st.dictionaries(exps, scalars, max_size=max_terms).map(
-        lambda d: Series(VectorProduct(2), ring, d)
+        lambda d: Series(IntVector(2), ring, d)
     )
 
 

@@ -16,12 +16,10 @@ from gpsrb import (
     DecompositionProjector,
     FiniteTable,
     IntLine,
-    NatLine,
+    IntVector,
     QQ,
     Series,
     TruncatedLaurent,
-    VectorLex,
-    VectorProduct,
     ZZ,
     commute_check,
     cutoff_violation_pairs,
@@ -160,9 +158,9 @@ def test_c07_obstruction_sets_agree_with_defect_scan():
     """
     cases = [
         (IntLine(), int_window(-3, 3), int_window(-6, 6)),
-        (NatLine(), int_window(0, 3), int_window(0, 6)),
-        (VectorProduct(2), [(0, 0), (1, 1), (-1, 2)], vector_window(-2, 2, 2)),
-        (VectorLex(2), [(0, 0), (1, -1)], vector_window(-2, 2, 2)),
+        (IntLine(nonneg=True), int_window(0, 3), int_window(0, 6)),
+        (IntVector(2), [(0, 0), (1, 1), (-1, 2)], vector_window(-2, 2, 2)),
+        (IntVector(2, lex=True), [(0, 0), (1, -1)], vector_window(-2, 2, 2)),
         (cyclic_table(4), [0, 1, 2, 3], list(range(4))),
     ]
     scanned = 0
@@ -182,7 +180,7 @@ def test_c08_total_order_drop_in_empty_iff_threshold_nonneg():
     """On the integer and natural lines: no drop-in pairs exactly when w >= 0."""
     out = verify_total_order_threshold_rule(M, int_window(-5, 5), int_window(-8, 8))
     assert bool(out) and out.verdict == "pass-on-window"
-    out_n = verify_total_order_threshold_rule(NatLine(), int_window(0, 5), int_window(0, 8))
+    out_n = verify_total_order_threshold_rule(IntLine(nonneg=True), int_window(0, 5), int_window(0, 8))
     assert bool(out_n)
     # same biconditional, asserted directly per threshold
     for w in int_window(-5, 5):

@@ -3,8 +3,18 @@ from pathlib import Path
 
 import pytest
 
-from gpsrb.cli import UsageError, main, parse_decomposition, parse_monoid_spec, parse_window_spec
-from gpsrb import FiniteTable, IntLine, NatLine, VectorLex, VectorProduct, zero_series
+from gpsrb.cli import (
+    PAIR_BUDGET,
+    UsageError,
+    check_pair_budget,
+    main,
+    parse_decomposition,
+    parse_monoid_spec,
+    parse_ring_spec,
+    parse_window_spec,
+)
+from gpsrb import FiniteTable, IntLine, IntVector, TooLarge, zero_series
+from gpsrb.parsing import MAX_NESTING
 
 TABLES = Path(__file__).resolve().parent.parent / "tables"
 
@@ -173,9 +183,9 @@ def test_bad_inputs_exit_two(capsys):
 
 def test_monoid_spec_parsing():
     assert isinstance(parse_monoid_spec("Z"), IntLine)
-    assert isinstance(parse_monoid_spec("N"), NatLine)
-    assert parse_monoid_spec("Z^3:product") == VectorProduct(3)
-    assert parse_monoid_spec("Z^2:lex") == VectorLex(2)
+    assert parse_monoid_spec("N") == IntLine(nonneg=True)
+    assert parse_monoid_spec("Z^3:product") == IntVector(3)
+    assert parse_monoid_spec("Z^2:lex") == IntVector(2, lex=True)
     assert isinstance(parse_monoid_spec(f"table:{TABLES / 'z4.json'}"), FiniteTable)
     for bad in ("q", "Z^x:lex", "Z^2", "Z^2:weird", "table:/does/not/exist.json"):
         with pytest.raises(Exception):
@@ -184,8 +194,8 @@ def test_monoid_spec_parsing():
 
 def test_window_spec_parsing():
     assert parse_window_spec(IntLine(), "-2..2") == [-2, -1, 0, 1, 2]
-    assert parse_window_spec(NatLine(), "-2..2") == [0, 1, 2]  # clamped at zero
-    assert len(parse_window_spec(VectorProduct(2), "-1..1")) == 9
+    assert parse_window_spec(IntLine(nonneg=True), "-2..2") == [0, 1, 2]  # clamped at zero
+    assert len(parse_window_spec(IntVector(2), "-1..1")) == 9
     table = parse_monoid_spec(f"table:{TABLES / 'z4.json'}")
     assert parse_window_spec(table, None) == [0, 1, 2, 3]
     assert parse_window_spec(table, "1..9") == [1, 2, 3]
@@ -197,7 +207,7 @@ def test_decomposition_vocab():
     assert below.kept([0, 1, 2, 3]) == [0, 1]
     notbelow = parse_decomposition(M, "notbelow(2)")
     assert notbelow.kept([0, 1, 2, 3]) == [2, 3]
-    V = VectorProduct(2)
+    V = IntVector(2)
     vb = parse_decomposition(V, "below((0,0))")
     assert vb.member((-1, -1)) and not vb.member((1, -5))
     pos = parse_decomposition(M, "positives")
@@ -254,3 +264,108 @@ def test_cutoff_scan_route_disagreement_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: criteria disagree at w=-1, pair (-1, -1): defect zero but in an obstruction set\n"
+
+
+def test_deep_parentheses_exit_two(capsys):
+    n = MAX_NESTING
+    assert run(capsys, "mul", "(" * n + "e" + ")" * n, "1") == (0, "e^1\n", "")
+    code, out, err = run(capsys, "mul", "(" * (n + 1) + "e" + ")" * (n + 1), "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: parentheses nest deeper than {n} levels (line 1, column {n + 1})\n"
+    # 330 levels used to overflow the interpreter stack and exit 1
+    code, out, err = run(capsys, "mul", "(" * 330 + "e" + ")" * 330, "1")
+    assert (code, out) == (2, "") and "(line 1, column 201)" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["mul", "e", "e", "--ring", "Z/1"], "modulus must be >= 2, got 1"),
+        (["rb-check", "--monoid", "TABLE", "--decomp", "mask:zz"],
+         "invalid literal for int() with base 0: 'zz'"),
+        (["rb-check", "--monoid", "TABLE", "--decomp", "mask:0x10"], "mask 0x10 out of range for n=4"),
+        (["mul", "e", "e", "--var", "O"], 'variable name "O" collides with the tail marker'),
+    ],
+)
+def test_user_input_value_errors_exit_two(capsys, argv, message):
+    argv = [f"table:{TABLES / 'z4.json'}" if a == "TABLE" else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_user_input_value_errors_raise_usage_error_at_the_source():
+    table = parse_monoid_spec(f"table:{TABLES / 'z4.json'}")
+    with pytest.raises(UsageError):
+        parse_ring_spec("Z/1")
+    for spec in ("mask:zz", "mask:0x10", "mask:-1"):
+        with pytest.raises(UsageError):
+            parse_decomposition(table, spec)
+
+
+def test_overlong_result_exits_two(capsys):
+    # the product has more digits than int() may turn into text
+    big = "9" * 3000
+    for extra in ((), ("--json",)):
+        code, out, err = run(capsys, "mul", big, big, "--ring", "Z", *extra)
+        assert (code, out) == (2, "") and err.startswith("error: Exceeds the limit")
+
+
+def test_internal_fault_exits_three(capsys, monkeypatch):
+    import gpsrb.cli
+
+    def planted(*args, **kwargs):
+        raise ValueError("planted internal fault")
+
+    monkeypatch.setattr(gpsrb.cli, "verify_theorem_decomposition", planted)
+    code, out, err = run(capsys, "theorem-verify", "--table", str(TABLES / "z4.json"))
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ValueError: planted internal fault\n")
+    assert "Traceback (most recent call last)" in err and "in planted" in err
+
+
+def test_pair_budget_counts_without_building(monkeypatch):
+    import gpsrb.monoids
+
+    def never(*args):
+        raise AssertionError("window built")
+
+    monkeypatch.setattr(gpsrb.monoids, "int_window", never)
+    monkeypatch.setattr(gpsrb.monoids, "vector_window", never)
+    side = int(PAIR_BUDGET**0.5)
+    assert side * side == PAIR_BUDGET
+    check_pair_budget(IntLine(), f"1..{side}")
+    with pytest.raises(TooLarge):
+        check_pair_budget(IntLine(), f"0..{side}")
+    # 19 thresholds: 114^2 pairs each fit, 115^2 do not
+    check_pair_budget(IntLine(), "1..114", "-9..9")
+    with pytest.raises(TooLarge):
+        check_pair_budget(IntLine(), "1..115", "-9..9")
+    check_pair_budget(IntLine(nonneg=True), f"{-10**9}..{side - 1}")  # trimmed to 0..side-1
+    with pytest.raises(TooLarge):
+        check_pair_budget(IntVector(8), "-9..9")
+    with pytest.raises(TooLarge):
+        check_pair_budget(IntVector(7, lex=True), None)  # the default box, 7^7 elements
+    check_pair_budget(IntVector(3), None)  # 7^3 elements: 117,649 pairs
+    with pytest.raises(TooLarge):
+        check_pair_budget(IntVector(4), None)  # 7^4 elements: 5,764,801 pairs
+
+
+def test_runs_at_and_over_the_pair_budget(capsys, monkeypatch):
+    side = int(PAIR_BUDGET**0.5)
+    # the window is built but the explicit pair leaves no scan to run
+    argv = ["rb-check", "--decomp", "negatives", "--f", "e^-2 + e", "--g", "e^-1 + e^3"]
+    assert run(capsys, *argv, "--window", f"1..{side}") == (0, "decomposition: negatives on Z\ndefect: 0\n", "")
+    import gpsrb.monoids
+
+    def never(*args):
+        raise AssertionError("window built")
+
+    monkeypatch.setattr(gpsrb.monoids, "int_window", never)
+    monkeypatch.setattr(gpsrb.monoids, "vector_window", never)
+    code, out, err = run(capsys, *argv, "--window", f"0..{side}")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: 1 threshold(s) x {side + 1}^2 window elements = {(side + 1) ** 2} "
+        f"single-term pairs, above the budget of {PAIR_BUDGET}\n"
+    )
+    code, out, err = run(capsys, "cutoff-scan", "--monoid", "Z^8:product", "--w-range", "0..0", "--window", "-9..9")
+    assert (code, out) == (2, "") and err.startswith(f"error: 1 threshold(s) x {19**8}^2 window elements")

@@ -7,11 +7,8 @@ from gpsrb import (
     BadTable,
     FiniteTable,
     IntLine,
-    NatLine,
-    VectorLex,
-    VectorProduct,
+    IntVector,
     cyclic_table,
-    default_window,
     idempotent_pair_table,
     int_window,
     load_table,
@@ -37,7 +34,7 @@ def test_int_line_basics():
 
 
 def test_nat_line_rejects_negatives():
-    M = NatLine()
+    M = IntLine(nonneg=True)
     M.check_elem(0)
     with pytest.raises(BadElement):
         M.check_elem(-1)
@@ -46,7 +43,7 @@ def test_nat_line_rejects_negatives():
 
 
 def test_vector_product_partial_order():
-    M = VectorProduct(2)
+    M = IntVector(2)
     assert M.add((1, 2), (3, -1)) == (4, 1)
     assert M.leq((0, 0), (1, 1))
     assert not M.leq((1, 0), (0, 1)) and not M.leq((0, 1), (1, 0))  # incomparable
@@ -60,7 +57,7 @@ def test_vector_product_partial_order():
 
 
 def test_vector_lex_total_order():
-    M = VectorLex(2)
+    M = IntVector(2, lex=True)
     assert M.lt((0, 5), (1, -100))
     assert M.lt((1, -100), (1, 0))
     w = vector_window(-1, 1, 2)
@@ -71,7 +68,7 @@ def test_vector_lex_total_order():
 
 @given(a=vecs2, b=vecs2, t=vecs2)
 def test_product_order_strict_compat(a, b, t):
-    M = VectorProduct(2)
+    M = IntVector(2)
     if M.lt(a, b):
         assert M.lt(M.add(a, t), M.add(b, t))
 
@@ -84,7 +81,7 @@ def test_int_line_strict_compat(a, b, t):
 
 
 def test_validate_builtins_windowed():
-    for M in (IntLine(), NatLine(), VectorProduct(2), VectorLex(2)):
+    for M in (IntLine(), IntLine(nonneg=True), IntVector(2), IntVector(2, lex=True)):
         outcome = validate_monoid(M)
         assert outcome.verdict == "pass-on-window"
         assert outcome.window is not None
@@ -111,6 +108,15 @@ def test_validate_catches_broken_axioms():
     out = validate_monoid(t2)
     assert out.verdict == "fail"
     assert out.witness["axiom"] == "strict-compatibility"
+
+
+@pytest.mark.parametrize(
+    "add,leq",
+    [(5, None), ([[0, 1], 5], None), ("ab", None), ([[0, 1], [1, 0]], 7), ([[0, 1], [1, 0]], [[True, False], "ab"])],
+)
+def test_from_lists_rejects_tables_that_are_not_square_lists(add, leq):
+    with pytest.raises(BadTable, match="table must be 2x2"):
+        FiniteTable.from_lists(2, 0, add, leq)
 
 
 def test_from_lists_shape_errors():
@@ -179,8 +185,61 @@ def test_windows():
     assert len(vector_window(-1, 1, 2)) == 9
     with pytest.raises(ValueError):
         int_window(3, 1)
-    assert default_window(NatLine())[0] == 0
-    assert set(default_window(cyclic_table(4))) == {0, 1, 2, 3}
+    assert IntLine(nonneg=True).default_window()[0] == 0
+    assert set(cyclic_table(4).default_window()) == {0, 1, 2, 3}
+
+
+def test_one_line_class_and_one_vector_class_keep_their_names():
+    monoids = [IntLine(), IntLine(nonneg=True), IntVector(2), IntVector(2, lex=True), IntVector(1, lex=True)]
+    assert [str(m) for m in monoids] == ["Z", "N", "Z^2:product", "Z^2:lex", "Z^1:lex"]
+    assert len(set(monoids)) == len(monoids)  # the flags tell the twins apart
+    assert IntVector(2).lt((0, 0), (0, 1)) and not IntVector(2).lt((0, 1), (1, 0))
+    assert IntVector(2, lex=True).lt((0, 1), (1, 0))
+
+
+def test_windows_trimmed_to_the_carrier():
+    N = IntLine(nonneg=True)
+    assert N.window(-2, 2) == [0, 1, 2] and N.window_size(-2, 2) == 3
+    assert N.default_window(2) == [0, 1, 2, 3, 4]
+    assert IntLine().default_window(2) == [-2, -1, 0, 1, 2]
+    with pytest.raises(BadElement, match="window '-5..-1' contains no naturals"):
+        N.window(-5, -1)
+    V = IntVector(3, lex=True)
+    assert V.window(-1, 1) == vector_window(-1, 1, 3) and V.window_size(-1, 1) == 27
+    assert V.default_window(1) == vector_window(-1, 1, 3)
+    assert IntVector(100).window_size(0, 0) == 1
+    assert IntVector(100).window_size(-1, 1) >= 2**64  # counted, never built
+    t = cyclic_table(4)
+    assert t.window(-3, 9) == [0, 1, 2, 3] and t.window_size(1, 9) == 3
+    assert t.default_window(1) == [0, 1, 2, 3]
+    with pytest.raises(BadElement, match="window '5..9' misses the carrier 0..3"):
+        t.window(5, 9)
+
+
+def test_from_exponent():
+    assert IntLine().from_exponent(-3) == -3
+    assert IntVector(1, lex=True).from_exponent(4) == (4,)  # Z^1 takes a scalar
+    assert IntVector(2).from_exponent((1, -2)) == (1, -2)
+    assert cyclic_table(4).from_exponent(3) == 3
+    bad = [
+        (IntLine(), (1, 2), "tuple exponent needs a vector monoid, not Z"),
+        (IntLine(nonneg=True), -1, "not a natural number: -1"),
+        (IntVector(2), 1, "scalar exponent for Z^2:product; write a 2-tuple"),
+        (IntVector(2, lex=True), (1, 2, 3), "exponent has 3 coordinates, Z^2:lex needs 2"),
+        (cyclic_table(4), 4, "not an index in 0..3: 4"),
+    ]
+    for monoid, value, message in bad:
+        with pytest.raises(BadElement) as info:
+            monoid.from_exponent(value)
+        assert str(info.value) == message
+
+
+def test_covers_only_a_whole_finite_carrier():
+    t = cyclic_table(4)
+    assert t.covers(range(4)) and t.covers([3, 2, 1, 0, 0])
+    assert not t.covers([0, 1, 2])
+    assert not IntLine(nonneg=True).covers(range(100))
+    assert not IntVector(1).covers([(0,)])
 
 
 def test_truncated_addition_is_a_monoid_but_chain_is_not_compatible():

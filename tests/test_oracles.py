@@ -9,12 +9,10 @@ from gpsrb import (
     Decomposition,
     FiniteTable,
     IntLine,
-    NatLine,
+    IntVector,
     NotTotalOrder,
     RouteDisagreement,
     TooLarge,
-    VectorLex,
-    VectorProduct,
     ZZ,
     closed_under_addition,
     cyclic_table,
@@ -94,7 +92,7 @@ def test_scan_cutoffs_int_line():
 
 def test_scan_cutoffs_nat_line_zero_vacuous():
     # nothing is below 0 in the naturals, so both obstruction sets are empty
-    (w, oc), = scan_cutoffs(NatLine(), [0], int_window(0, 8))
+    (w, oc), = scan_cutoffs(IntLine(nonneg=True), [0], int_window(0, 8))
     assert w == 0 and oc.verdict == "pass-on-window"
 
 
@@ -102,7 +100,7 @@ def test_scan_cutoffs_vec2_origin_has_drop_in_pairs():
     # mixed-sign vectors are not below (0,0), yet their sums can be:
     # (1,-2) + (-2,1) = (-1,-1) < (0,0)
     window = vector_window(-3, 3, 2)
-    (w, oc), = scan_cutoffs(VectorProduct(2), [(0, 0)], window)
+    (w, oc), = scan_cutoffs(IntVector(2), [(0, 0)], window)
     assert oc.verdict == "fail"
     assert ["(1,-2)", "(-2,1)"] in oc.witness["drop_in"]
     assert oc.witness["escape"] == []
@@ -111,10 +109,10 @@ def test_scan_cutoffs_vec2_origin_has_drop_in_pairs():
 def test_total_order_threshold_rule_lines():
     out = verify_total_order_threshold_rule(IntLine(), int_window(-5, 5), int_window(-8, 8))
     assert out.verdict == "pass-on-window"
-    out_n = verify_total_order_threshold_rule(NatLine(), int_window(0, 5), int_window(0, 8))
+    out_n = verify_total_order_threshold_rule(IntLine(nonneg=True), int_window(0, 5), int_window(0, 8))
     assert out_n.verdict == "pass-on-window"
     out_lex = verify_total_order_threshold_rule(
-        VectorLex(2), [(-1, 0), (0, 0), (2, -3)], vector_window(-2, 2, 2)
+        IntVector(2, lex=True), [(-1, 0), (0, 0), (2, -3)], vector_window(-2, 2, 2)
     )
     assert out_lex.verdict == "pass-on-window"
 
@@ -122,7 +120,7 @@ def test_total_order_threshold_rule_lines():
 def test_total_order_threshold_rule_needs_total_order():
     with pytest.raises(NotTotalOrder):
         verify_total_order_threshold_rule(
-            VectorProduct(2), [(0, 0)], vector_window(-1, 1, 2)
+            IntVector(2), [(0, 0)], vector_window(-1, 1, 2)
         )
 
 

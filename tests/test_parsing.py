@@ -6,11 +6,10 @@ from hypothesis import given, settings
 
 from gpsrb import (
     IntLine,
-    NatLine,
+    IntVector,
     ParseError,
     QQ,
     Series,
-    VectorProduct,
     Zmod,
     ZZ,
     indicator,
@@ -19,12 +18,12 @@ from gpsrb import (
     render_series,
 )
 
-from gpsrb.parsing import Sum, eval_laurent, eval_series, parse_expr
+from gpsrb.parsing import MAX_NESTING, Sum, eval_laurent, eval_series, parse_expr
 
 from conftest import int_series, vec2_series
 
 M = IntLine()
-V = VectorProduct(2)
+V = IntVector(2)
 
 
 def test_flat_sum_over_int_line():
@@ -104,7 +103,27 @@ def test_exponent_arity_mismatch():
     with pytest.raises(ParseError):
         parse_series("e^(1,2,3)", V, ZZ)
     with pytest.raises(ParseError):
-        parse_series("e^-1", NatLine(), ZZ)
+        parse_series("e^-1", IntLine(nonneg=True), ZZ)
+
+
+def test_nesting_limit():
+    n = MAX_NESTING
+    assert parse_series("(" * n + "e" + ")" * n, M, ZZ) == indicator(M, 1, ZZ)
+    # a Sum nested to the limit also evaluates, in both modes
+    nested = "(1+" * n + "e" + ")" * n
+    assert parse_series(nested, M, ZZ) == parse_series(f"{n} + e", M, ZZ)
+    assert parse_series(nested, M, ZZ, laurent=True) == parse_series(f"{n} + e", M, ZZ, laurent=True)
+    assert parse_series("0-(" * n + "e" + ")" * n, M, ZZ) == indicator(M, 1, ZZ).scale(ZZ.from_int((-1) ** n))
+    with pytest.raises(ParseError) as err:
+        parse_series("1 +\n" + "(" * (n + 1) + "e" + ")" * (n + 1), M, ZZ)
+    assert (err.value.line, err.value.col) == (2, n + 1)
+    assert str(err.value) == f"parentheses nest deeper than {n} levels (line 2, column {n + 1})"
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_series("e + " + "9" * 5000, M, ZZ)
+    assert (err.value.line, err.value.col) == (1, 5)
 
 
 def test_tail_marker_outside_laurent_mode():

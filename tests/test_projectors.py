@@ -8,9 +8,9 @@ from gpsrb import (
     Decomposition,
     DecompositionProjector,
     IntLine,
+    IntVector,
     QQ,
     Series,
-    VectorProduct,
     ZZ,
     closed_under_addition,
     commute_check,
@@ -54,7 +54,7 @@ def test_apply_fixes_kept_indicators():
 
 def test_apply_monoid_mismatch():
     P = DecompositionProjector(NEG)
-    f = Series(VectorProduct(2), ZZ, {(0, 0): ZZ.one()})
+    f = Series(IntVector(2), ZZ, {(0, 0): ZZ.one()})
     with pytest.raises(TypeError):
         P(f)
 
@@ -111,7 +111,7 @@ def test_cutoff_projector_label_and_keeps():
     P = CutoffProjector(M, 2)
     assert P.keeps(1) and not P.keeps(2)
     assert P.label() == "below(2)"
-    V = VectorProduct(2)
+    V = IntVector(2)
     Q = CutoffProjector(V, (0, 0))
     # strictly below (0,0) needs both coordinates <=, one strict
     assert Q.keeps((-1, 0)) and not Q.keeps((1, -5))
@@ -134,7 +134,7 @@ def test_commute_examples():
     assert commute_check(P, P, f)
     assert commute_check(P, Complement(P), f)
     with pytest.raises(TypeError):
-        commute_check(P, DecompositionProjector(Decomposition(VectorProduct(2), lambda s: True)), f)
+        commute_check(P, DecompositionProjector(Decomposition(IntVector(2), lambda s: True)), f)
 
 
 @settings(max_examples=60)

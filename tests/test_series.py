@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from gpsrb import (
     BadElement,
     IntLine,
+    IntVector,
     MonoidMismatch,
-    NatLine,
     QQ,
     Series,
-    VectorProduct,
     ZZ,
     indicator,
     one_series,
@@ -34,7 +33,7 @@ def test_element_and_coefficient_checks():
     with pytest.raises(TypeError):
         Series(M, ZZ, {0: QQ.one()})
     with pytest.raises(BadElement):
-        Series(NatLine(), ZZ, {-1: ZZ.one()})
+        Series(IntLine(nonneg=True), ZZ, {-1: ZZ.one()})
 
 
 def test_convolution_example():
@@ -58,7 +57,7 @@ def test_indicator_is_unit_at_neutral():
 
 def test_mismatch_errors():
     f = Series(M, ZZ, {0: ZZ.one()})
-    g = Series(NatLine(), ZZ, {0: ZZ.one()})
+    g = Series(IntLine(nonneg=True), ZZ, {0: ZZ.one()})
     with pytest.raises(MonoidMismatch):
         f + g
     with pytest.raises(MonoidMismatch):
@@ -77,7 +76,7 @@ def test_scale_and_neg():
 
 
 def test_vector_monoid_series():
-    V = VectorProduct(2)
+    V = IntVector(2)
     f = Series(V, ZZ, {(1, 0): ZZ.one(), (0, 1): ZZ.one()})
     p = f * f
     assert p.coeff((1, 1)) == ZZ.from_int(2)
