@@ -7,7 +7,8 @@ seeded end-to-end run of the pole-part projector.
 
 Exit codes: 0 all checks passed (window-limited passes are flagged in the
 output), 1 a counterexample was found, 2 usage or input error (including an
-rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs), 3 internal
+rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs, or a Laurent
+--json window above LAURENT_JSON_BUDGET coefficients), 3 internal
 fault: the structural and semantic routes of cutoff-scan disagreed, or an
 unexpected exception escaped (its traceback goes to stderr); either means a
 bug. The env var GPS_RB_SEED fixes the demo RNG seed.
@@ -66,6 +67,11 @@ class UsageError(ValueError):
 # single-term pairs one rb-check or cutoff-scan run may examine: 13.5x the
 # largest benchmark job (cutoff-scan on Z, 11 thresholds x 41^2 = 18,491 pairs)
 PAIR_BUDGET = 250_000
+
+# coefficients a Laurent --json result may list: its "coeffs" window is the one
+# output still dense in the exponent; a window at the budget takes 0.6 s and a
+# peak RSS of 97 MB (one core of a shared 2-vCPU x86 host, Python 3.11)
+LAURENT_JSON_BUDGET = 1_000_000
 
 
 def parse_monoid_spec(spec: str) -> OrderedMonoid:
@@ -249,6 +255,11 @@ def cmd_arith(args, op: str) -> int:
     f = _parse(args, args.expr1, monoid, ring, args.laurent)
     g = _parse(args, args.expr2, monoid, ring, args.laurent)
     out = f * g if op == "mul" else f + g
+    if args.json and args.laurent and out.trunc - out.ord > LAURENT_JSON_BUDGET:
+        raise UsageError(
+            f"--json would list the {out.trunc - out.ord} coefficients of [{out.ord}, {out.trunc}), "
+            f"above the budget of {LAURENT_JSON_BUDGET}; without --json the result prints sparse"
+        )
     render = render_laurent if args.laurent else render_series
     print(json.dumps(_printable(out.to_json)) if args.json else _printable(render, out, args.var))
     return 0

@@ -1,10 +1,17 @@
 """Laurent series in one variable, truncated, with order-of-validity tracking.
 
-A value stores the coefficients of x^n for ord <= n < trunc, plus an `exact`
-flag. Exact values are Laurent polynomials: every coefficient outside the
-stored window is zero. Inexact values carry an unknown tail at exponents
->= trunc, and every operation propagates the window on which its result is
-still fully determined:
+A value is a finitely supported `Series` over (Z, +) plus a tail bound.
+Exact values (tail None) are Laurent polynomials: every coefficient the
+series does not store is zero. Inexact values carry an unknown tail at
+exponents >= trunc (the tail bound), and their series stores only terms
+below it. Only nonzero coefficients are stored, so memory grows with the
+number of terms, not with the exponents.
+
+The window [ord, trunc) on which a value is fully determined is derived,
+not stored: ord is the lowest exponent with a nonzero coefficient, or trunc
+when there is none, and an exact value's trunc is one past its highest
+exponent (the exact zero has the window [0, 0)). Every operation propagates
+the window on which its result is still fully determined:
 
     (f + g).trunc = min(f.trunc, g.trunc)
     (f * g).trunc = min(f.trunc + g.ord, g.trunc + f.ord)
@@ -21,7 +28,11 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .scalars import Ring, RingMismatch
+from .monoids import IntLine
+from .scalars import Ring
+from .series import Series, zero_series
+
+_LINE = IntLine()
 
 
 class InsufficientPrecision(ArithmeticError):
@@ -31,7 +42,7 @@ class InsufficientPrecision(ArithmeticError):
 class TruncatedLaurent:
     """Immutable truncated Laurent series over an exact coefficient ring."""
 
-    __slots__ = ("ring", "ord", "coeffs", "trunc", "exact")
+    __slots__ = ("series", "tail")
 
     def __init__(
         self,
@@ -42,73 +53,87 @@ class TruncatedLaurent:
         trunc: int | None = None,
     ):
         cs = list(coeffs)
-        for c in cs:
-            if not ring.contains(c):
-                raise TypeError(f"coefficient {c!r} is not in {ring}")
+        series = Series(_LINE, ring, zip(range(ord, ord + len(cs)), cs))
         if trunc is not None and trunc != ord + len(cs):
             raise ValueError(f"window [{ord}, {trunc}) does not fit {len(cs)} coefficients")
-        _store(self, ring, ord, cs, exact)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "tail", None if exact else ord + len(cs))
 
     @staticmethod
-    def _raw(ring: Ring, ord: int, cs: list, exact: bool) -> "TruncatedLaurent":
-        """Trusted constructor: cs already in the ring, window [ord, ord + len(cs))."""
+    def _raw(series: Series, tail: int | None) -> "TruncatedLaurent":
+        """Trusted constructor: series over Z with no term at or past tail."""
         out = object.__new__(TruncatedLaurent)
-        _store(out, ring, ord, cs, exact)
+        object.__setattr__(out, "series", series)
+        object.__setattr__(out, "tail", tail)
         return out
+
+    @staticmethod
+    def from_series(series: Series, tail: int | None = None) -> "TruncatedLaurent":
+        """The value a series over Z determines below tail (exact when tail is None)."""
+        return TruncatedLaurent._raw(series if tail is None else series.below(tail), tail)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedLaurent is immutable")
 
+    @property
+    def ring(self) -> Ring:
+        return self.series.ring
+
+    @property
+    def exact(self) -> bool:
+        return self.tail is None
+
+    @property
+    def ord(self) -> int:
+        terms = self.series._terms
+        if terms:
+            return min(terms)
+        return 0 if self.tail is None else self.tail
+
+    @property
+    def trunc(self) -> int:
+        if self.tail is not None:
+            return self.tail
+        terms = self.series._terms
+        return max(terms) + 1 if terms else 0
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense window [ord, trunc), zeros included, built on each access."""
+        return tuple(self._window()[1])
+
+    def _window(self) -> tuple[int, list]:
+        """ord, and the coefficients of [ord, trunc) with the zeros filled in."""
+        lo = self.ord
+        window = [self.ring.zero()] * (self.trunc - lo)
+        for n, c in self.series.items():
+            window[n - lo] = c
+        return lo, window
+
     def coeff(self, n: int):
-        if n < self.ord:
-            return self.ring.zero()
-        if n < self.trunc:
-            return self.coeffs[n - self.ord]
-        if self.exact:
-            return self.ring.zero()
-        raise InsufficientPrecision(f"coefficient of x^{n} lies beyond O(x^{self.trunc})")
+        if self.tail is not None and n >= self.tail:
+            raise InsufficientPrecision(f"coefficient of x^{n} lies beyond O(x^{self.tail})")
+        return self.series.coeff(n)
 
     def is_zero(self) -> bool:
         """True only for the exact zero; an all-zero window with a tail is unknown."""
-        return self.exact and not self.coeffs
+        return self.tail is None and self.series.is_zero()
 
     def known_zero_on_window(self) -> bool:
-        return not self.coeffs
+        return self.series.is_zero()
 
-    def items(self):
-        for i, c in enumerate(self.coeffs):
-            if c:
-                yield self.ord + i, c
-
-    def _check_peer(self, other: "TruncatedLaurent") -> None:
-        if self.ring != other.ring:
-            raise RingMismatch(f"series over {self.ring} vs {other.ring}")
+    def items(self) -> list:
+        """The nonzero terms, (exponent, coefficient) by increasing exponent."""
+        return sorted(self.series.items())
 
     def __add__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         if not isinstance(other, TruncatedLaurent):
             return NotImplemented
-        self._check_peer(other)
-        exact = self.exact and other.exact
-        if exact:
-            hi = max(self.trunc, other.trunc)
-        else:
-            hi = min(t.trunc for t in (self, other) if not t.exact)
-        lo = min(self.ord, other.ord, hi)
-        cs = [self.ring.zero()] * (hi - lo)
-        for t in (self, other):
-            k = t.ord - lo
-            for c in t.coeffs[: max(hi - t.ord, 0)]:
-                cs[k] += c
-                k += 1
-        m = self.ring.modulus
-        if m:
-            cs = [c % m for c in cs]
-        return TruncatedLaurent._raw(self.ring, lo, cs, exact)
+        tails = [t.tail for t in (self, other) if t.tail is not None]
+        return TruncatedLaurent.from_series(self.series + other.series, min(tails, default=None))
 
     def __neg__(self) -> "TruncatedLaurent":
-        m = self.ring.modulus
-        cs = [-c % m for c in self.coeffs] if m else [-c for c in self.coeffs]
-        return TruncatedLaurent._raw(self.ring, self.ord, cs, self.exact)
+        return TruncatedLaurent._raw(-self.series, self.tail)
 
     def __sub__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         return self + (-other)
@@ -116,149 +141,71 @@ class TruncatedLaurent:
     def __mul__(self, other):
         if not isinstance(other, TruncatedLaurent):
             return self.scale(other)
-        self._check_peer(other)
-        if self.is_zero() or other.is_zero():
-            return zero_laurent(self.ring)
-        exact = self.exact and other.exact
-        lo = self.ord + other.ord
-        if exact:
-            hi = self.trunc + other.trunc - 1
-        else:
-            bounds = []
-            if not self.exact:
-                bounds.append(self.trunc + other.ord)
-            if not other.exact:
-                bounds.append(other.trunc + self.ord)
-            hi = min(bounds)
-        width = max(hi - lo, 0)
-        # the coefficient of x^(lo + i + j) collects a_i * b_j
-        cs = [self.ring.zero()] * width
-        g = [(j, b) for j, b in enumerate(other.coeffs[:width]) if b]
-        for i, a in enumerate(self.coeffs[:width]):
-            if not a:
-                continue
-            room = width - i
-            for j, b in g:
-                if j >= room:
-                    break
-                cs[i + j] += a * b
-        m = self.ring.modulus
-        if m:
-            cs = [c % m for c in cs]
-        return TruncatedLaurent._raw(self.ring, lo, cs, exact)
+        bounds = []  # stays empty when either factor is the exact zero, which annihilates a tail
+        if not (self.is_zero() or other.is_zero()):
+            if self.tail is not None:
+                bounds.append(self.tail + other.ord)
+            if other.tail is not None:
+                bounds.append(other.tail + self.ord)
+        tail = min(bounds) if bounds else None
+        return TruncatedLaurent._raw(self.series.mul(other.series, below=tail), tail)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c) -> "TruncatedLaurent":
-        if not self.ring.contains(c):
-            raise TypeError(f"scalar {c!r} is not in {self.ring}")
-        m = self.ring.modulus
-        cs = [c * a % m for a in self.coeffs] if m else [c * a for a in self.coeffs]
-        return TruncatedLaurent._raw(self.ring, self.ord, cs, self.exact)
+        return TruncatedLaurent._raw(self.series.scale(c), self.tail)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedLaurent):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.ord == other.ord
-            and self.coeffs == other.coeffs
-            and self.trunc == other.trunc
-            and self.exact == other.exact
-        )
+        return self.series == other.series and self.tail == other.tail
 
     def __hash__(self):
-        return hash((self.ring, self.ord, self.coeffs, self.trunc, self.exact))
-
-    def __str__(self) -> str:
-        parts = []
-        for n, c in self.items():
-            cs = self.ring.fmt(c)
-            if n == 0:
-                parts.append(cs)
-            else:
-                head = "" if cs == "1" else ("-" if cs == "-1" else f"{cs}*")
-                parts.append(f"{head}x^{n}" if n != 1 else f"{head}x")
-        body = " + ".join(parts) if parts else ("0" if self.exact else "")
-        if not self.exact:
-            tail = f"O(x^{self.trunc})"
-            return f"{body} + {tail}" if body else tail
-        return body
+        return hash((self.series, self.tail))
 
     def __repr__(self) -> str:
-        return f"TruncatedLaurent({self.ring}, {self!s})"
+        return f"TruncatedLaurent({self.ring}, {dict(self.items())}, trunc={self.tail})"
 
     def to_json(self) -> dict:
+        lo, window = self._window()
+        ring = self.ring
         return {
-            "ring": str(self.ring),
-            "ord": self.ord,
-            "coeffs": [self.ring.fmt(c) for c in self.coeffs],
-            "trunc": self.trunc,
+            "ring": str(ring),
+            "ord": lo,
+            "coeffs": [ring.fmt(c) for c in window],
+            "trunc": lo + len(window),
             "exact": self.exact,
         }
 
 
-def _store(out: TruncatedLaurent, ring: Ring, ord: int, cs: list, exact: bool) -> None:
-    """Set the fields of out in canonical form from the window [ord, ord + len(cs)).
-
-    Canonical form has no leading zeros; exact values also shed trailing
-    zeros, and the exact zero is stored as the empty window [0, 0).
-    """
-    lo, hi = 0, len(cs)
-    while lo < hi and not cs[lo]:
-        lo += 1
-    if exact:
-        while hi > lo and not cs[hi - 1]:
-            hi -= 1
-        if lo == hi:
-            ord = lo = hi = 0
-    trunc = ord + hi
-    ord += lo
-    object.__setattr__(out, "ring", ring)
-    object.__setattr__(out, "ord", ord)
-    object.__setattr__(out, "coeffs", tuple(cs[lo:hi]))
-    object.__setattr__(out, "trunc", trunc)
-    object.__setattr__(out, "exact", exact)
-
-
 def zero_laurent(ring: Ring) -> TruncatedLaurent:
-    return TruncatedLaurent._raw(ring, 0, [], True)
+    return TruncatedLaurent._raw(zero_series(_LINE, ring), None)
 
 
 def make_laurent(ring: Ring, terms: Mapping | Iterable, trunc: int | None = None) -> TruncatedLaurent:
     """Build from {exponent: coefficient}; trunc=None means exact, else tail O(x^trunc)."""
     items = dict(terms.items() if isinstance(terms, Mapping) else terms)
-    for c in items.values():
-        if not ring.contains(c):
-            raise TypeError(f"coefficient {c!r} is not in {ring}")
-    if not items:
-        if trunc is None:
-            return zero_laurent(ring)
-        return TruncatedLaurent._raw(ring, trunc, [], False)
-    lo = min(items)
-    hi = max(items) + 1
-    if trunc is not None:
-        if hi > trunc:
-            raise ValueError(f"term at exponent >= trunc {trunc}")
-        hi = trunc
-    zero = ring.zero()
-    cs = [items.get(n, zero) for n in range(lo, hi)]
-    return TruncatedLaurent._raw(ring, lo, cs, trunc is None)
+    series = Series(_LINE, ring, items)
+    if trunc is not None and items and max(items) >= trunc:
+        raise ValueError(f"term at exponent >= trunc {trunc}")
+    return TruncatedLaurent._raw(series, trunc)
 
 
 def pole_part(f: TruncatedLaurent) -> TruncatedLaurent:
     """Projection keeping the strictly negative exponents; the result is exact.
 
+    This is the cutoff projector at 0 on (Z, +), the minimal-subtraction
+    scheme of renormalisation.
+
     Demands that every negative-exponent coefficient be known, so an inexact
     input must satisfy trunc >= 0.
     """
-    if not f.exact and f.trunc < 0:
+    if f.tail is not None and f.tail < 0:
         raise InsufficientPrecision(
-            f"pole part needs all coefficients below x^0, input is only known to O(x^{f.trunc})"
+            f"pole part needs all coefficients below x^0, input is only known to O(x^{f.tail})"
         )
-    cut = min(0, f.trunc) - f.ord
-    return TruncatedLaurent._raw(f.ring, f.ord, list(f.coeffs[:max(cut, 0)]), True)
+    return TruncatedLaurent._raw(f.series.below(0), None)
 
 
 def nonneg_part(f: TruncatedLaurent) -> TruncatedLaurent:
@@ -284,10 +231,6 @@ def tl_rb_defect(f: TruncatedLaurent, g: TruncatedLaurent) -> TruncatedLaurent:
 
 def to_series(f: TruncatedLaurent, monoid, ring: Ring | None = None):
     """Reinterpret an exact value as a finitely supported series over the integers."""
-    from .series import Series
-
     if not f.exact:
         raise InsufficientPrecision("only exact values embed as finitely supported series")
-    if ring is None:
-        ring = f.ring
-    return Series(monoid, ring, {n: c for n, c in f.items()})
+    return Series(monoid, f.ring if ring is None else ring, f.series.items())

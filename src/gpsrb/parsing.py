@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .laurent import TruncatedLaurent, make_laurent
-from .monoids import BadElement, OrderedMonoid
+from .laurent import TruncatedLaurent
+from .monoids import BadElement, IntLine, OrderedMonoid
 from .scalars import Ring, ZeroDenominator
 from .series import Series, indicator
 
@@ -290,63 +290,43 @@ def _exponent_elem(monoid: OrderedMonoid, node: Pow):
         raise ParseError(str(exc), node.line, node.col) from None
 
 
-def eval_series(node: Node, monoid: OrderedMonoid, ring: Ring) -> Series:
+def eval_series(node: Node, monoid: OrderedMonoid, ring: Ring, laurent: bool = False):
+    """Evaluate to a Series, or in Laurent mode (monoid Z) to a TruncatedLaurent."""
+    if isinstance(node, Neg):
+        return -eval_series(node.inner, monoid, ring, laurent)
+    if isinstance(node, Sum):
+        # one pass: the constructor merges the parts' terms
+        parts = [eval_series(part, monoid, ring, laurent) for part in node.parts]
+        total = Series(monoid, ring, [term for part in parts for term in part.items()])
+        if not laurent:
+            return total
+        # a Laurent sum is known below the smallest tail among its parts
+        tails = [part.trunc for part in parts if not part.exact]
+        return TruncatedLaurent.from_series(total, min(tails, default=None))
+    if isinstance(node, Product):
+        acc = eval_series(node.factors[0], monoid, ring, laurent)
+        for factor in node.factors[1:]:
+            acc = acc * eval_series(factor, monoid, ring, laurent)
+        return acc
+    if isinstance(node, TruncMarker):
+        if not laurent:
+            raise ParseError("O(...) tail marker is only valid in Laurent mode", node.line, node.col)
+        return TruncatedLaurent(ring, node.exponent, [], exact=False)
     if isinstance(node, Lit):
         try:
             c = ring.from_ratio(node.num, node.den)
         except (ValueError, ZeroDenominator) as exc:
             raise ParseError(str(exc), node.line, node.col) from None
-        return Series(monoid, ring, {monoid.zero(): c})
-    if isinstance(node, Pow):
-        return indicator(monoid, _exponent_elem(monoid, node), ring)
-    if isinstance(node, Neg):
-        return -eval_series(node.inner, monoid, ring)
-    if isinstance(node, Sum):
-        # one pass: the constructor merges the parts' terms
-        parts = [eval_series(part, monoid, ring) for part in node.parts]
-        return Series(monoid, ring, [term for part in parts for term in part.items()])
-    if isinstance(node, Product):
-        acc = eval_series(node.factors[0], monoid, ring)
-        for factor in node.factors[1:]:
-            acc = acc * eval_series(factor, monoid, ring)
-        return acc
-    if isinstance(node, TruncMarker):
-        raise ParseError("O(...) tail marker is only valid in Laurent mode", node.line, node.col)
-    raise TypeError(f"unknown node {node!r}")
+        term = Series(monoid, ring, {monoid.zero(): c})
+    elif isinstance(node, Pow):
+        term = indicator(monoid, _exponent_elem(monoid, node), ring)
+    else:
+        raise TypeError(f"unknown node {node!r}")
+    return TruncatedLaurent.from_series(term) if laurent else term
 
 
 def eval_laurent(node: Node, ring: Ring) -> TruncatedLaurent:
-    if isinstance(node, Lit):
-        try:
-            c = ring.from_ratio(node.num, node.den)
-        except (ValueError, ZeroDenominator) as exc:
-            raise ParseError(str(exc), node.line, node.col) from None
-        return make_laurent(ring, {0: c})
-    if isinstance(node, Pow):
-        if isinstance(node.exponent, tuple):
-            raise ParseError("Laurent mode uses integer exponents", node.line, node.col)
-        return make_laurent(ring, {node.exponent: ring.one()})
-    if isinstance(node, Neg):
-        return -eval_laurent(node.inner, ring)
-    if isinstance(node, Sum):
-        # one pass: the sum is known below the smallest tail among its parts
-        parts = [eval_laurent(part, ring) for part in node.parts]
-        tails = [part.trunc for part in parts if not part.exact]
-        trunc = min(tails) if tails else None
-        acc: dict = {}
-        for part in parts:
-            for n, c in part.items():
-                if trunc is None or n < trunc:
-                    acc[n] = acc[n] + c if n in acc else c
-        return make_laurent(ring, {n: ring.reduce(c) for n, c in acc.items()}, trunc)
-    if isinstance(node, Product):
-        acc = eval_laurent(node.factors[0], ring)
-        for factor in node.factors[1:]:
-            acc = acc * eval_laurent(factor, ring)
-        return acc
-    if isinstance(node, TruncMarker):
-        return TruncatedLaurent(ring, node.exponent, [], exact=False)
-    raise TypeError(f"unknown node {node!r}")
+    return eval_series(node, IntLine(), ring, laurent=True)
 
 
 def parse_series(

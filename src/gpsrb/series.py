@@ -13,6 +13,7 @@ order is only partial.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
 from .monoids import MonoidMismatch, OrderedMonoid
@@ -72,7 +73,7 @@ class Series:
     def _check_peer(self, other: "Series") -> None:
         if self.monoid is not other.monoid and self.monoid != other.monoid:
             raise MonoidMismatch(f"series over {self.monoid} vs {other.monoid}")
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"series over {self.ring} vs {other.ring}")
 
     def __add__(self, other: "Series") -> "Series":
@@ -104,12 +105,23 @@ class Series:
     def __mul__(self, other):
         if not isinstance(other, Series):
             return self.scale(other)
+        return self.mul(other)
+
+    def mul(self, other: "Series", below: int | None = None) -> "Series":
+        """The convolution product: the one convolution loop of the package.
+
+        With integer exponents, below drops every exponent >= below without
+        forming the pairs that would land there.
+        """
         self._check_peer(other)
         add = self.monoid.add
         g = other._terms.items()
+        if below is not None:
+            g = sorted(g)
+            keys = [v for v, _ in g]
         acc: dict = {}
         for u, cu in self._terms.items():
-            for v, cv in g:
+            for v, cv in g if below is None else g[: bisect_left(keys, below - u)]:
                 s = add(u, v)
                 if s in acc:
                     acc[s] += cu * cv
@@ -123,6 +135,10 @@ class Series:
             # sum needs two pairs landing on the same exponent
             acc = {s: c for s, c in acc.items() if c}
         return Series._raw(self.monoid, self.ring, acc)
+
+    def below(self, bound: int) -> "Series":
+        """The terms at integer exponents < bound."""
+        return Series._raw(self.monoid, self.ring, {s: c for s, c in self._terms.items() if s < bound})
 
     def __rmul__(self, other):
         return self.scale(other)

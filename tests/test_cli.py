@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from gpsrb.cli import (
+    LAURENT_JSON_BUDGET,
     PAIR_BUDGET,
     UsageError,
     check_pair_budget,
@@ -42,6 +43,15 @@ def test_mul_laurent_mode(capsys):
     code, out, _ = run(capsys, "mul", "e^-1 + O(e^3)", "e^2", "--laurent")
     assert code == 0
     assert out.strip() == "e^1 + O(e^5)"
+
+
+def test_laurent_json_window_budget(capsys):
+    top = LAURENT_JSON_BUDGET  # the window [0, top + 1) is one coefficient too wide
+    code, out, err = run(capsys, "add", "1", f"e^{top}", "--laurent", "--json")
+    assert (code, out) == (2, "")
+    assert f"{top + 1} coefficients of [0, {top + 1})" in err
+    code, out, _ = run(capsys, "add", "1", f"e^{top}", "--laurent")
+    assert (code, out) == (0, f"1 + e^{top}\n")
 
 
 def test_laurent_mode_needs_int_line(capsys):

@@ -123,6 +123,43 @@ ARITH = [
         ['add', '3*e^-1 + 5', '4*e^-1 + 2 + O(e^4)', '--ring', 'Z/7', '--laurent', '--json'],
         '{"ring": "Z/7", "ord": 4, "coeffs": [], "trunc": 4, "exact": false}',
     ),
+    # window edge cases, recorded from the dense-window implementation
+    (
+        ['mul', 'O(e^3)', 'O(e^5)', '--laurent'],
+        'O(e^8)',
+    ),
+    (
+        ['mul', 'O(e^3)', 'O(e^5)', '--laurent', '--json'],
+        '{"ring": "Q", "ord": 8, "coeffs": [], "trunc": 8, "exact": false}',
+    ),
+    (
+        ['mul', '0', '1 + O(e^4)', '--laurent'],
+        '0',
+    ),
+    (
+        ['mul', 'O(e^4)', '0', '--laurent', '--json'],
+        '{"ring": "Q", "ord": 0, "coeffs": [], "trunc": 0, "exact": true}',
+    ),
+    (
+        ['add', 'e^3', 'O(e^2)', '--laurent'],
+        'O(e^2)',
+    ),
+    (
+        ['mul', '3*e + O(e^5)', '4*e^2', '--ring', 'Z/12', '--laurent', '--json'],
+        '{"ring": "Z/12", "ord": 7, "coeffs": [], "trunc": 7, "exact": false}',
+    ),
+    (
+        ['add', 'e^-4 + e^3', '2', '--ring', 'Z', '--laurent', '--json'],
+        '{"ring": "Z", "ord": -4, "coeffs": ["1", "0", "0", "0", "2", "0", "0", "1"], "trunc": 4, "exact": true}',
+    ),
+    (
+        ['mul', '2*e^-2 + 5 + O(e^4)', '1 - e^3', '--ring', 'Q', '--laurent', '--json'],
+        '{"ring": "Q", "ord": -2, "coeffs": ["2", "0", "5", "-2", "0", "-5"], "trunc": 4, "exact": false}',
+    ),
+    (
+        ['mul', '1 + 7*e^98000', '3 + O(e^118000)', '--ring', 'Z', '--laurent'],
+        '3 + 21*e^98000 + O(e^118000)',
+    ),
 ]
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,9 @@ from gpsrb import (
     ZZ,
     make_laurent,
     nonneg_part,
+    parse_series,
     pole_part,
+    render_laurent,
     tl_rb_defect,
     to_series,
     zero_laurent,
@@ -135,6 +138,19 @@ def test_scale():
     f = L({-1: 2, 2: 3}, trunc=4)
     g = f.scale(QQ.from_ratio(1, 2))
     assert g.coeff(-1) == one and g.trunc == 4 and not g.exact
+
+
+def test_memory_grows_with_terms_not_exponents():
+    tracemalloc.start()
+    try:
+        f = parse_series("1 + e^1000000", IntLine(), ZZ, laurent=True)
+        g = parse_series("1 + O(e^1200000)", IntLine(), ZZ, laurent=True)
+        text = render_laurent(f * g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == "1 + e^1000000 + O(e^1200000)"
+    assert peak < 1_000_000
 
 
 rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
