@@ -214,18 +214,20 @@ def nonneg_part(f: TruncatedLaurent) -> TruncatedLaurent:
     return f - p
 
 
-def tl_rb_defect(f: TruncatedLaurent, g: TruncatedLaurent) -> TruncatedLaurent:
-    """P(f)P(g) - P(f P(g)) - P(P(f) g) + P(f g) for the pole-part projection P.
+def defect_terms(f: TruncatedLaurent, g: TruncatedLaurent) -> tuple[TruncatedLaurent, ...]:
+    """P(f)P(g), P(f P(g)), P(P(f) g) and P(f g) for the pole-part projection P.
 
-    The four terms are computed independently; each application of P yields an
-    exact value, so the returned defect is exact whenever no term raises
+    The four terms are computed independently; each application of P yields
+    an exact value, so they are exact whenever none raises
     InsufficientPrecision.
     """
     pf, pg = pole_part(f), pole_part(g)
-    t1 = pf * pg
-    t2 = pole_part(f * pg)
-    t3 = pole_part(pf * g)
-    t4 = pole_part(f * g)
+    return pf * pg, pole_part(f * pg), pole_part(pf * g), pole_part(f * g)
+
+
+def tl_rb_defect(f: TruncatedLaurent, g: TruncatedLaurent) -> TruncatedLaurent:
+    """P(f)P(g) - P(f P(g)) - P(P(f) g) + P(f g) for the pole-part projection P."""
+    t1, t2, t3, t4 = defect_terms(f, g)
     return t1 - t2 - t3 + t4
 
 

@@ -53,7 +53,8 @@ class TheoremReport:
     agreed for every decomposition; rb_masks lists the decompositions (as
     kept-part bitmasks, ascending) whose projector satisfies the identity.
     closed_masks counts the decompositions the structural route calls
-    closed, and defect_evals the rb_defect calls the semantic route made.
+    closed, and defect_evals the single-term pairs the semantic route
+    decided: one per witness evaluation, and one per pair a scan covered.
     """
 
     monoid: str
@@ -78,16 +79,6 @@ class TheoremReport:
             "defect_evals": self.defect_evals,
             "elapsed": self.elapsed,
         }
-
-
-def decomposition_defect_free(split: Decomposition, elems: Sequence, ring: Ring) -> bool:
-    """Semantic verdict: defect zero on all single-term pairs from elems.
-
-    Single-term series form a basis and the defect is bilinear in both
-    arguments, so over a full finite carrier this decides the identity for
-    every pair of series, not just the scanned ones.
-    """
-    return next(nonzero_defect_pairs(DecompositionProjector(split), elems, ring), None) is None
 
 
 def closure_witness(monoid: FiniteTable, mask: int) -> tuple[int, int] | None:
@@ -189,7 +180,7 @@ def scan_cutoffs(
         drop_in, escape = cutoff_violation_pairs(monoid, w, elems)
         flagged = set(drop_in) | set(escape)
         P = CutoffProjector(monoid, w)
-        nonzero = {(u, v) for u, v, _ in nonzero_defect_pairs(P, elems, ring)}
+        nonzero = set(nonzero_defect_pairs(P, elems, ring))
         if nonzero != flagged:
             u, v = next(p for p in product(elems, elems) if (p in nonzero) != (p in flagged))
             raise RouteDisagreement(

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .monoids import FiniteTable, OrderedMonoid
 from .outcomes import CheckOutcome, outcome_fail, outcome_on_window, outcome_pass
-from .scalars import Ring
+from .scalars import ZZ, Ring
 from .series import Series, indicator
 
 
@@ -167,22 +167,42 @@ def is_subsemigroup(split: Decomposition, part: str, window: Iterable) -> CheckO
     return closed_under_addition(split.monoid, subset, elems)
 
 
-def nonzero_defect_pairs(
-    P: Projector, window: Iterable, ring: Ring
-) -> Iterator[tuple[Any, Any, Series]]:
-    """Yield (u, v, defect) for each window pair whose single-term defect is nonzero.
+def nonzero_defect_pairs(P: Projector, window: Iterable, ring: Ring) -> Iterator[tuple[Any, Any]]:
+    """Yield (u, v) for each window pair whose single-term defect is nonzero over ring.
 
     Pairs come in window order, u outer and v inner, so the first item is
-    the first failing pair a nested scan would meet. Each single-term series
-    is built once and reused across the n^2 pairs.
+    the first failing pair a nested scan would meet.
+
+    One rb_defect call decides a whole row u. P keeps or kills each term, so
+    each of the four terms of D(e_u, e_v) is 0 or +-e_{u+v}, and every
+    coefficient of it lies in [-2, 2]. The defect is bilinear, so over Z
+    with G = sum_j 8^j e_{v_j} every coefficient of D(e_u, G) is a base-8
+    number whose balanced digit j is the coefficient of D(e_u, e_{v_j}),
+    even when several v_j share one u + v_j. Reduction mod m is a ring map,
+    so a digit reduced mod m is the Z/m coefficient; Q contains Z.
     """
     elems = list(window)
-    ones = [indicator(P.monoid, s, ring) for s in elems]
-    for u, eu in zip(elems, ones):
-        for v, ev in zip(elems, ones):
-            d = rb_defect(P, eu, ev)
-            if not d.is_zero():
-                yield u, v, d
+    if len(set(elems)) != len(elems):
+        dup = next(s for i, s in enumerate(elems) if s in elems[:i])
+        raise ValueError(f"window repeats {P.monoid.elem_repr(dup)}")
+    monoid, m = P.monoid, ring.modulus
+    packed = Series._raw(monoid, ZZ, {v: 1 << 3 * j for j, v in enumerate(elems)})  # 8^j
+    for u in elems:
+        hits = []
+        for _, c in rb_defect(P, indicator(monoid, u, ZZ), packed).items():
+            while c:
+                # digit j occupies bits 3j..3j+2; the lowest set bit of c
+                # lies in its lowest nonzero digit
+                j = ((c & -c).bit_length() - 1) // 3
+                digit = (c >> 3 * j) % 8
+                if digit > 3:
+                    digit -= 8
+                c -= digit << 3 * j
+                if digit % m if m else digit:
+                    hits.append(j)
+        hits.sort()
+        for j in hits:
+            yield u, elems[j]
 
 
 def indicator_pair_scan(split: Decomposition, window: Iterable, ring: Ring) -> CheckOutcome:
@@ -196,9 +216,11 @@ def indicator_pair_scan(split: Decomposition, window: Iterable, ring: Ring) -> C
     elems = list(window)
     monoid = split.monoid
     desc = f"{len(elems)}^2 single-term pairs"
-    first = next(nonzero_defect_pairs(DecompositionProjector(split), elems, ring), None)
+    P = DecompositionProjector(split)
+    first = next(nonzero_defect_pairs(P, elems, ring), None)
     if first is not None:
-        u, v, d = first
+        u, v = first
+        d = rb_defect(P, indicator(monoid, u, ring), indicator(monoid, v, ring))
         rep = monoid.elem_repr
         return outcome_fail({"u": rep(u), "v": rep(v), "defect": d.to_json()["terms"]}, desc)
     return outcome_pass(desc) if monoid.covers(elems) else outcome_on_window(desc)

@@ -2,9 +2,11 @@
 
 The convolution oracle here deliberately computes coefficients the slow way
 (filter all support pairs per target exponent) so it shares no code path with
-Series multiplication. The sweep oracle runs both closure checks and the full
-n^2 defect scan on every decomposition, with none of the witness-first
-shortcuts of verify_theorem_decomposition. GPS_RB_SEED pins the plain-random
+Series multiplication. The pair oracle calls rb_defect once per single-term
+pair, with none of the row packing of projectors.nonzero_defect_pairs. The
+sweep oracle runs both closure checks and that pairwise scan on every
+decomposition, with none of the witness-first shortcuts of
+verify_theorem_decomposition. GPS_RB_SEED pins the plain-random
 sampling used by the bulk acceptance checks; the default keeps runs
 reproducible without the env var set.
 """
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from gpsrb import (
     Decomposition,
+    DecompositionProjector,
     FiniteTable,
     IntLine,
     IntVector,
@@ -25,8 +28,9 @@ from gpsrb import (
     Series,
     ZZ,
     closed_under_addition,
+    indicator,
+    rb_defect,
 )
-from gpsrb.oracles import decomposition_defect_free
 
 DEFAULT_SEED = 20260814
 
@@ -51,8 +55,21 @@ def naive_convolve(f: Series, g: Series) -> Series:
     return Series(f.monoid, f.ring, terms)
 
 
+def pairwise_defect_pairs(P, window, ring):
+    """Pair oracle: yield (u, v) for each nonzero single-term defect, one rb_defect call each.
+
+    Pairs come in window order, u outer and v inner.
+    """
+    elems = list(window)
+    ones = [indicator(P.monoid, s, ring) for s in elems]
+    for u, eu in zip(elems, ones):
+        for v, ev in zip(elems, ones):
+            if not rb_defect(P, eu, ev).is_zero():
+                yield u, v
+
+
 def reference_sweep(monoid: FiniteTable, ring=ZZ) -> dict:
-    """Sweep oracle: closure of both parts and the full defect scan on all 2^n masks.
+    """Sweep oracle: closure of both parts and the pairwise defect scan on all 2^n masks.
 
     Returns the report fields the witness-first sweep must reproduce, plus
     closed_masks, the number of masks whose two parts are both closed.
@@ -66,7 +83,8 @@ def reference_sweep(monoid: FiniteTable, ring=ZZ) -> dict:
             closed_under_addition(monoid, split.killed(elems), elems)
         )
         closed_masks += structural
-        semantic = decomposition_defect_free(split, elems, ring)
+        P = DecompositionProjector(split)
+        semantic = next(pairwise_defect_pairs(P, elems, ring), None) is None
         if semantic:
             rb_masks.append(mask)
         if structural != semantic:
