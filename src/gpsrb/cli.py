@@ -66,7 +66,7 @@ class UsageError(ValueError):
 
 # single-term pairs one rb-check or cutoff-scan run may examine: 13.5x the
 # largest benchmark job (cutoff-scan on Z, 11 thresholds x 41^2 = 18,491 pairs);
-# a run at the budget takes 0.24-1.3 s (one core of a shared 2-vCPU x86 host,
+# a run at the budget takes 0.32-1.8 s (one core of a shared 2-vCPU x86 host,
 # Python 3.11)
 PAIR_BUDGET = 250_000
 

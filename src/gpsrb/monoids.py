@@ -48,7 +48,11 @@ class OrderedMonoid:
 
     Windows are boxes: window(lo, hi) holds the carrier elements with every
     coordinate in lo..hi, and window_size counts them without building them.
+    int_exponents is True when the elements are plain ints added as ints, so
+    a series product may pack its factors into big integers (series.py).
     """
+
+    int_exponents = False
 
     def zero(self):
         raise NotImplementedError
@@ -111,6 +115,7 @@ class IntLine(OrderedMonoid):
     """(Z, +) with the usual total order; (N, +), 0 included, when nonneg."""
 
     nonneg: bool = False
+    int_exponents = True
 
     def zero(self) -> int:
         return 0

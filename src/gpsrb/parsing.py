@@ -27,7 +27,7 @@ from typing import Union
 from .laurent import TruncatedLaurent
 from .monoids import BadElement, IntLine, OrderedMonoid
 from .scalars import Ring, ZeroDenominator
-from .series import Series, indicator
+from .series import Series
 
 
 class ParseError(ValueError):
@@ -295,14 +295,21 @@ def eval_series(node: Node, monoid: OrderedMonoid, ring: Ring, laurent: bool = F
     if isinstance(node, Neg):
         return -eval_series(node.inner, monoid, ring, laurent)
     if isinstance(node, Sum):
-        # one pass: the constructor merges the parts' terms
-        parts = [eval_series(part, monoid, ring, laurent) for part in node.parts]
-        total = Series(monoid, ring, [term for part in parts for term in part.items()])
-        if not laurent:
-            return total
+        # one pass: monomials become terms directly, every other part is
+        # evaluated, and the constructor merges all the terms
+        terms, tails = [], []
+        for part in node.parts:
+            term = _monomial(part, monoid, ring)
+            if term is not None:
+                terms.append(term)
+                continue
+            value = eval_series(part, monoid, ring, laurent)
+            terms.extend(value.items())
+            if laurent and not value.exact:
+                tails.append(value.trunc)
+        total = Series(monoid, ring, terms)
         # a Laurent sum is known below the smallest tail among its parts
-        tails = [part.trunc for part in parts if not part.exact]
-        return TruncatedLaurent.from_series(total, min(tails, default=None))
+        return TruncatedLaurent.from_series(total, min(tails, default=None)) if laurent else total
     if isinstance(node, Product):
         acc = eval_series(node.factors[0], monoid, ring, laurent)
         for factor in node.factors[1:]:
@@ -312,17 +319,39 @@ def eval_series(node: Node, monoid: OrderedMonoid, ring: Ring, laurent: bool = F
         if not laurent:
             raise ParseError("O(...) tail marker is only valid in Laurent mode", node.line, node.col)
         return TruncatedLaurent(ring, node.exponent, [], exact=False)
-    if isinstance(node, Lit):
-        try:
-            c = ring.from_ratio(node.num, node.den)
-        except (ValueError, ZeroDenominator) as exc:
-            raise ParseError(str(exc), node.line, node.col) from None
-        term = Series(monoid, ring, {monoid.zero(): c})
-    elif isinstance(node, Pow):
-        term = indicator(monoid, _exponent_elem(monoid, node), ring)
-    else:
+    term = _monomial(node, monoid, ring)
+    if term is None:
         raise TypeError(f"unknown node {node!r}")
-    return TruncatedLaurent.from_series(term) if laurent else term
+    series = Series(monoid, ring, [term])
+    return TruncatedLaurent.from_series(series) if laurent else series
+
+
+def _coefficient(ring: Ring, node: Lit):
+    try:
+        return ring.from_ratio(node.num, node.den)
+    except (ValueError, ZeroDenominator) as exc:
+        raise ParseError(str(exc), node.line, node.col) from None
+
+
+def _monomial(node: Node, monoid: OrderedMonoid, ring: Ring):
+    """(exponent, coefficient) for c, e^k, c*e^k or the negation of one; else None.
+
+    Lit and Pow are read in the order eval_series evaluates them, so the
+    first bad literal or exponent raises the same ParseError it would.
+    """
+    if isinstance(node, Neg):
+        term = _monomial(node.inner, monoid, ring)
+        return None if term is None else (term[0], ring.reduce(-term[1]))
+    if isinstance(node, Lit):
+        return monoid.zero(), _coefficient(ring, node)
+    if isinstance(node, Pow):
+        return _exponent_elem(monoid, node), ring.one()
+    if isinstance(node, Product) and len(node.factors) == 2:
+        lit, power = node.factors
+        if isinstance(lit, Lit) and isinstance(power, Pow):
+            c = _coefficient(ring, lit)
+            return _exponent_elem(monoid, power), c
+    return None
 
 
 def eval_laurent(node: Node, ring: Ring) -> TruncatedLaurent:

@@ -238,20 +238,13 @@ def cutoff_violation_pairs(monoid: OrderedMonoid, w, window: Iterable) -> tuple[
     the identity; each listed pair is a conclusive counterexample.
     """
     monoid.check_elem(w)
-    elems = list(window)
     lt, add = monoid.lt, monoid.add
-    drop_in, escape = [], []
-    for u in elems:
-        u_below = lt(u, w)
-        for v in elems:
-            v_below = lt(v, w)
-            s_below = lt(add(u, v), w)
-            if u_below and v_below:
-                if not s_below:
-                    escape.append((u, v))
-            elif not u_below and not v_below:
-                if s_below:
-                    drop_in.append((u, v))
+    kept, killed = [], []
+    for v in window:
+        (kept if lt(v, w) else killed).append(v)
+    # a pair with one element on each side can never be an obstruction
+    escape = [(u, v) for u in kept for v in kept if not lt(add(u, v), w)]
+    drop_in = [(u, v) for u in killed for v in killed if lt(add(u, v), w)]
     key = monoid.sort_key
     drop_in.sort(key=lambda p: (key(p[0]), key(p[1])))
     escape.sort(key=lambda p: (key(p[0]), key(p[1])))

@@ -36,10 +36,12 @@ class Ring:
     Subclasses set `modulus`: None for Z and Q, m for Z/m. Sums and products
     of ring values are computed on the bare values and brought back into the
     ring by `reduce`; the series kernels read `modulus` to reduce once per
-    output term.
+    output term, and `fractional` (True only for Q) to multiply integer
+    numerators over one denominator per factor.
     """
 
     modulus: int | None
+    fractional = False
 
     def zero(self):
         return self.from_int(0)
@@ -96,6 +98,7 @@ class IntegerRing(Ring):
 @dataclass(frozen=True)
 class RationalRing(Ring):
     modulus = None
+    fractional = True
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)

@@ -14,6 +14,8 @@ order is only partial.
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .monoids import MonoidMismatch, OrderedMonoid
@@ -52,9 +54,11 @@ class Series:
     def _raw(monoid: OrderedMonoid, ring: Ring, terms: dict) -> "Series":
         """Trusted constructor: terms already checked and zero-free."""
         out = object.__new__(Series)
-        object.__setattr__(out, "monoid", monoid)
-        object.__setattr__(out, "ring", ring)
-        object.__setattr__(out, "_terms", terms)
+        # the slots' own setters: half the cost of object.__setattr__, and
+        # every product, sum and projection builds its result here
+        _set_monoid(out, monoid)
+        _set_ring(out, ring)
+        _set_terms(out, terms)
         return out
 
     def coeff(self, s):
@@ -108,33 +112,64 @@ class Series:
         return self.mul(other)
 
     def mul(self, other: "Series", below: int | None = None) -> "Series":
-        """The convolution product: the one convolution loop of the package.
+        """The convolution product, on one of two exact paths.
 
-        With integer exponents, below drops every exponent >= below without
-        forming the pairs that would land there.
+        Over Q, when both factors have two or more terms, each factor is
+        first cleared to integer numerators with one lcm of its
+        denominators, and each output term is one Fraction over the product
+        of the two. The product then runs as one packed big-int product
+        (`_packed`) when the monoid has int exponents, the smaller factor
+        has at least PACK_MIN_TERMS terms and the pairs cover the product's
+        exponent span at least PACK_DENSITY times over, once more for every
+        16 bytes of slot (`slot_bytes`); every other product runs the dict
+        loop, which adds each pair product into a map keyed by the exponent
+        sum.
+
+        With integer exponents, below drops every exponent >= below: each
+        factor is first trimmed to the terms that can land below it.
         """
         self._check_peer(other)
-        add = self.monoid.add
-        g = other._terms.items()
-        if below is not None:
-            g = sorted(g)
-            keys = [v for v, _ in g]
-        acc: dict = {}
-        for u, cu in self._terms.items():
-            for v, cv in g if below is None else g[: bisect_left(keys, below - u)]:
-                s = add(u, v)
-                if s in acc:
-                    acc[s] += cu * cv
-                else:
-                    acc[s] = cu * cv
-        m = self.ring.modulus
-        if m:
-            acc = {s: r for s, c in acc.items() if (r := c % m)}
-        elif len(acc) < len(self._terms) * len(other._terms):
-            # over Z and Q a product of nonzero terms is nonzero, so a zero
-            # sum needs two pairs landing on the same exponent
-            acc = {s: c for s, c in acc.items() if c}
-        return Series._raw(self.monoid, self.ring, acc)
+        monoid, ring = self.monoid, self.ring
+        f, g = self._terms, other._terms
+        if below is not None and f and g:
+            f_lo, g_lo = min(f), min(g)
+            f = {u: c for u, c in f.items() if u < below - g_lo}
+            g = {v: c for v, c in g.items() if v < below - f_lo}
+        m, d, nb = ring.modulus, None, 0
+        if len(f) > 1 and len(g) > 1:
+            # with a one-term factor each pair is its own output term, so
+            # neither clearing denominators nor packing could save anything
+            if ring.fractional:
+                df = lcm(*(c.denominator for c in f.values()))
+                dg = lcm(*(c.denominator for c in g.values()))
+                f = {u: c.numerator * (df // c.denominator) for u, c in f.items()}
+                g = {v: c.numerator * (dg // c.denominator) for v, c in g.items()}
+                d = df * dg
+            nb = slot_bytes(monoid, f, g, m)
+        if nb:
+            acc = _packed(f, g, m, below, nb)
+        else:
+            add, pairs = monoid.add, g.items()
+            if below is not None:
+                pairs = sorted(pairs)
+                keys = [v for v, _ in pairs]
+            acc = {}
+            for u, cu in f.items():
+                for v, cv in pairs if below is None else pairs[: bisect_left(keys, below - u)]:
+                    s = add(u, v)
+                    if s in acc:
+                        acc[s] += cu * cv
+                    else:
+                        acc[s] = cu * cv
+            if m:
+                acc = {s: r for s, c in acc.items() if (r := c % m)}
+            elif len(acc) < len(f) * len(g):
+                # over Z and Q a product of nonzero terms is nonzero, so a
+                # zero sum needs two pairs landing on the same exponent
+                acc = {s: c for s, c in acc.items() if c}
+        if d is not None:
+            acc = {s: Fraction(c, d) for s, c in acc.items()}
+        return Series._raw(monoid, ring, acc)
 
     def below(self, bound: int) -> "Series":
         """The terms at integer exponents < bound."""
@@ -186,6 +221,77 @@ class Series:
                 for s, c in sorted(self._terms.items(), key=lambda kv: self.monoid.sort_key(kv[0]))
             ],
         }
+
+
+_set_monoid, _set_ring, _set_terms = (Series.__dict__[name].__set__ for name in Series.__slots__)
+
+
+# The packed product beats the dict loop once the smaller factor has this
+# many terms and the pairs cover the product's exponent span this many times
+# over, once more for every 16 bytes of slot (README, "Packed products").
+PACK_MIN_TERMS = 12
+PACK_DENSITY = 4
+
+
+def slot_bytes(monoid: OrderedMonoid, f: dict, g: dict, m: int | None) -> int:
+    """The slot size of the packed product of two term maps, 0 for the dict loop.
+
+    Every output coefficient is a sum of at most min(|f|, |g|) pair products,
+    so its size is at most bound = max|f| * max|g| * min(|f|, |g|); a slot of
+    whole bytes holds bound, plus a sign bit over Z.
+    """
+    n = min(len(f), len(g))
+    if not monoid.int_exponents or n < PACK_MIN_TERMS:
+        return 0
+    bound = max(map(abs, f.values())) * max(map(abs, g.values())) * n
+    nb = (bound.bit_length() + (not m) + 7) // 8
+    span = max(f) - min(f) + max(g) - min(g) + 1
+    return nb if PACK_DENSITY * (1 + nb // 16) * span <= len(f) * len(g) else 0
+
+
+def _biased(nb: int, n: int) -> int:
+    """Half the range of an nb-byte slot, in each of n slots."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * n, "little")
+
+
+def _pack(terms: dict, lo: int, nb: int, signed: bool) -> int:
+    """sum of c * 2^(8 nb (s - lo)) over the terms, joined from nb-byte slots.
+
+    Signed coefficients go into the slots biased by half the slot range, and
+    the bias comes off the joined integer in one subtraction.
+    """
+    half = 1 << (8 * nb - 1) if signed else 0
+    slots = [half] * (max(terms) - lo + 1)
+    for s, c in terms.items():
+        slots[s - lo] = c + half
+    packed = int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in slots]), "little")
+    return packed - _biased(nb, len(slots)) if signed else packed
+
+
+def _packed(f: dict, g: dict, m: int | None, below: int | None, nb: int) -> dict:
+    """Kronecker substitution: one big-int product, decoded slot by slot.
+
+    Each factor becomes one integer with coefficient c of x^s in the nb-byte
+    slot s - min; slots of slot_bytes never carry into each other. Over Z a
+    bias of half the slot range in every slot makes each slot a nonnegative
+    digit, so all digits come out of one to_bytes with no shift of the big
+    product; over Z/m the residues are nonnegative already, and each digit
+    is reduced mod m once.
+    """
+    f_lo, g_lo = min(f), min(g)
+    signed = not m
+    width = max(f) - f_lo + max(g) - g_lo + 1
+    h = _pack(f, f_lo, nb, signed) * _pack(g, g_lo, nb, signed)
+    if signed:
+        h += _biased(nb, width)
+    base = f_lo + g_lo
+    n = width if below is None else min(width, below - base)
+    buf = h.to_bytes(nb * width, "little")
+    digits = [int.from_bytes(buf[i : i + nb], "little") for i in range(0, nb * n, nb)]
+    if m:
+        return {base + i: r for i, c in enumerate(digits) if (r := c % m)}
+    half = 1 << (8 * nb - 1)
+    return {base + i: c - half for i, c in enumerate(digits) if c != half}
 
 
 def zero_series(monoid: OrderedMonoid, ring: Ring) -> Series:

@@ -6,6 +6,7 @@ divisors, so a product of nonzero terms can vanish without any collision.
 """
 
 from fractions import Fraction
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from gpsrb import (
     zero_laurent,
     zero_series,
 )
+
+from gpsrb.series import slot_bytes
 
 from conftest import naive_convolve
 
@@ -155,3 +158,114 @@ def test_membership_checks_at_constructors(ring, bad):
         Series(M, ring, {0: ring.one()}).scale(bad)
     with pytest.raises(TypeError):
         TruncatedLaurent(ring, 0, [ring.one()]).scale(bad)
+
+
+# Products large and dense enough for the packed big-int path, and products
+# just short of it, against the same oracle. Coefficients reach 10^40 so the
+# slot size grows past the sizes the density rule scales with.
+PACK_RINGS = [ZZ, QQ, Zmod(2), Z12, Zmod(2**61 - 1)]
+
+
+@st.composite
+def straddling_pairs(draw):
+    ring = draw(st.sampled_from(PACK_RINGS))
+    top = draw(st.sampled_from([9, 10**6, 10**40]))
+    if ring is ZZ:
+        values = st.integers(-top, top)
+    elif ring is QQ:
+        den = st.integers(1, draw(st.sampled_from([1, 12, 10**6])))
+        values = st.builds(Fraction, st.integers(-top, top), den)
+    else:
+        values = st.integers(1, ring.modulus - 1)
+    # dense factors of 12 or more terms sit on both sides of the packing
+    # threshold, by size and by slot bytes; wide ones keep the dict loop
+    dense = draw(st.booleans())
+
+    def one():
+        n = draw(st.integers(12 if dense else 0, 48))
+        lo = draw(st.integers(-40, 10))
+        width = n + n // 2 + 1 if dense else 20 * n + 1
+        exps = st.integers(lo, lo + width - 1)
+        return Series(M, ring, [(s, draw(values)) for s in draw(st.lists(exps, min_size=n, max_size=n, unique=True))])
+
+    return one(), one(), draw(st.integers(-90, 60))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=straddling_pairs())
+def test_products_on_both_sides_of_the_packing_threshold(case):
+    f, g, below = case
+    want = naive_convolve(f, g)
+    h = f.mul(g)
+    assert_canonical_series(h)
+    assert h == want
+    cut = f.mul(g, below=below)
+    assert_canonical_series(cut)
+    assert cut == want.below(below)
+
+
+def packed(f: Series, g: Series) -> bool:
+    """Does f * g take the packed path (over Q, on the cleared numerators)?"""
+
+    def numerators(h):
+        d = lcm(*(Fraction(c).denominator for _, c in h.items()))
+        return {s: int(c * d) for s, c in h.items()}
+
+    return bool(slot_bytes(f.monoid, numerators(f), numerators(g), f.ring.modulus))
+
+
+# top is the largest coefficient with 16 * top^2 below 2^bits
+TOP_48, TOP_49 = isqrt((2**48 - 1) // 16), isqrt((2**49 - 1) // 16)
+
+
+@pytest.mark.parametrize("ring,sign", [(ZZ, 1), (ZZ, -1), (Zmod(TOP_49 + 1), 1)])
+def test_every_output_slot_at_the_slot_bound(ring, sign):
+    # f and g have n terms of the largest magnitude, all of one sign, so the
+    # middle output coefficient is n * top^2, the slot bound itself; it needs
+    # every bit of its whole-byte slot: 48 bits and a sign bit over Z, 49
+    # bits over Z/m, 7 bytes either way
+    n = 16
+    bits, top = (48, TOP_48) if ring is ZZ else (49, TOP_49)
+    bound = n * top * top
+    assert bound.bit_length() == bits
+    f = Series(M, ring, {i: top for i in range(n)})
+    g = Series(M, ring, {i: sign * top if ring is ZZ else top for i in range(-3, n - 3)})
+    assert packed(f, g)
+    h = f * g
+    assert h == naive_convolve(f, g)
+    assert h.coeff(n - 4) == ring.reduce(sign * bound)
+    assert f.mul(g, below=n - 3) == naive_convolve(f, g).below(n - 3)
+
+
+def test_below_cuts_inside_both_operands():
+    f = Series(M, ZZ, {i: (1 - 2 * (i % 2)) * (i + 1) for i in range(-10, 30)})
+    g = Series(M, ZZ, {i: 3 - i for i in range(-5, 25) if i != 3})
+    assert packed(f, g)
+    below = 12  # keeps f below 17 and g below 22, of 30 and 25
+    want = naive_convolve(f, g).below(below)
+    assert f.mul(g, below=below) == want
+    assert f.mul(g, below=below) == g.mul(f, below=below)
+
+
+def test_laurent_product_cut_inside_an_operand():
+    # the result is known below min(30 + -5, 40 + -10) = 25, so g is used
+    # only below 35 of its 40: a Laurent bound cuts one operand at a time
+    f = TruncatedLaurent(QQ, -10, [Fraction(i % 7 - 3, i % 5 + 1) for i in range(40)], exact=False)
+    g = TruncatedLaurent(QQ, -5, [Fraction(2 - i % 3, 7) for i in range(45)], exact=False)
+    assert packed(f.series, g.series)
+    h = f * g
+    assert (h.ord, h.trunc, h.exact) == (-15, 25, False)
+    want = naive_convolve(to_series(as_exact(f), M), to_series(as_exact(g), M))
+    assert all(h.coeff(n) == want.coeff(n) for n in range(-20, 25))
+
+
+def test_z12_slots_that_vanish_only_after_reduction():
+    # every pair product is 12, so each packed slot holds a nonzero multiple
+    # of 12, and only the term at 20 survives its reduction
+    f = Series(M, Z12, {i: 6 for i in range(16)})
+    g = Series(M, Z12, {**{i: 2 for i in range(16)}, 20: 1})
+    assert packed(f, g)
+    h = f * g
+    assert dict(h.items()) == {s: 6 for s in range(20, 36)}
+    assert h == naive_convolve(f, g)
+    assert (f * Series(M, Z12, {i: 4 for i in range(16)})).is_zero()

@@ -21,6 +21,7 @@ from gpsrb import (
     to_series,
     zero_laurent,
 )
+from gpsrb.cli import main
 
 one = QQ.one()
 
@@ -202,3 +203,23 @@ def test_pole_plus_nonneg_is_identity_on_window(f):
     assert p.exact
     if p.coeffs:
         assert p.trunc <= 0
+
+
+def test_sparse_products_over_wide_exponents_stay_on_the_dict_loop(capsys):
+    # 20 terms a factor over 0..10^6: a packed product would allocate slots
+    # for the whole span, megabytes, where the dict loop needs 400 terms
+    exps = [k * 50_000 + k * k for k in range(20)]
+    f_text = " + ".join(f"{k + 1}*e^{s}" for k, s in enumerate(exps))
+    g_text = " + ".join(f"{20 - k}*e^{s}" for k, s in enumerate(reversed(exps)))
+    f, g = parse_series(f_text, IntLine(), ZZ), parse_series(g_text, IntLine(), ZZ)
+    tracemalloc.start()
+    try:
+        h = f * g
+        code = main(["mul", f_text, g_text, "--laurent"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert max(exps) > 900_000 and len(dict(h.items())) == 210
+    assert capsys.readouterr().out.strip() == render_laurent(TruncatedLaurent.from_series(h))
+    assert peak < 1_000_000

@@ -211,3 +211,34 @@ def test_one_pass_sum_keeps_error_position():
     with pytest.raises(ParseError) as err:
         parse_series("e + O(e^3) + f", M, QQ, laurent=True)
     assert (err.value.line, err.value.col) == (1, 14)
+
+
+@pytest.mark.parametrize(
+    "text,monoid,ring,message,col",
+    [
+        ("1 + 1/2*e^3", M, ZZ, "1/2 is not an integer", 5),
+        ("1 + 1/2*e", M, Zmod(4), "denominator 2 not invertible mod 4", 5),
+        ("2*e^(1,2)", M, ZZ, "tuple exponent needs a vector monoid, not Z", 3),
+        ("1 + 2*e^(1,2)", M, ZZ, "tuple exponent needs a vector monoid, not Z", 7),
+        ("3*e^-1", IntLine(nonneg=True), ZZ, "not a natural number: -1", 3),
+        ("1 - 3*e^-1 + 1/0", IntLine(nonneg=True), ZZ, "not a natural number: -1", 7),
+        ("1 + 1/0*e^-1", IntLine(nonneg=True), ZZ, "1/0", 5),
+    ],
+)
+def test_monomial_parts_report_errors_where_they_start(text, monoid, ring, message, col):
+    with pytest.raises(ParseError) as err:
+        parse_series(text, monoid, ring)
+    assert str(err.value) == f"{message} (line 1, column {col})"
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(2), Zmod(12)])
+def test_monomial_parts_equal_their_products(ring):
+    # c*e^k*1 is a three-factor product, so it takes the general evaluator
+    text = "3*e^2 - 5*e^-1 + 7 - e^2 + e - 1/5*e^4 - (-2*e^3)"
+    slow = "3*e^2*1 - 5*e^-1*1 + 7*1 - e^2*1 + e*1 - 1/5*e^4*1 - (-2*e^3*1)"
+    if ring is ZZ:
+        text, slow = text.replace("1/5", "5"), slow.replace("1/5", "5")
+    assert parse_series(text, M, ring) == parse_series(slow, M, ring)
+    laurent = parse_series(text + " + O(e^9)", M, ring, laurent=True)
+    assert laurent == parse_series(slow + " + O(e^9)", M, ring, laurent=True)
