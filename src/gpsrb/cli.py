@@ -7,7 +7,8 @@ seeded end-to-end run of the pole-part projector.
 
 Exit codes: 0 all checks passed (window-limited passes are flagged in the
 output), 1 a counterexample was found, 2 usage or input error (including an
-rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs, or a Laurent
+rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs, a product of
+parsed series above parsing.PRODUCT_BUDGET coefficient pairs, or a Laurent
 --json window above LAURENT_JSON_BUDGET coefficients), 3 internal
 fault: the structural and semantic routes of cutoff-scan disagreed, or an
 unexpected exception escaped (its traceback goes to stderr); either means a
@@ -46,7 +47,14 @@ from .oracles import (
     verify_theorem_decomposition,
 )
 from .outcomes import CheckOutcome
-from .parsing import ParseError, parse_series, render_laurent, render_series
+from .parsing import (
+    ParseError,
+    check_var,
+    over_product_budget,
+    parse_series,
+    render_laurent,
+    render_series,
+)
 from .projectors import (
     Complement,
     CutoffProjector,
@@ -237,9 +245,17 @@ def _outcome_text(oc: CheckOutcome) -> str:
 
 
 def _parse(args, text: str, monoid: OrderedMonoid, ring: Ring, laurent: bool = False):
-    if args.var == "O":
-        raise UsageError('variable name "O" collides with the tail marker')
+    try:
+        check_var(args.var)
+    except ValueError as exc:  # not one name, or the tail marker
+        raise UsageError(str(exc)) from None
     return parse_series(text, monoid, ring, var=args.var, laurent=laurent)
+
+
+def _check_product(f, g) -> None:
+    refusal = over_product_budget(f, g)
+    if refusal:
+        raise UsageError(refusal)
 
 
 def _printable(fmt, *args):
@@ -256,7 +272,11 @@ def cmd_arith(args, op: str) -> int:
         raise UsageError("--laurent needs --monoid Z")
     f = _parse(args, args.expr1, monoid, ring, args.laurent)
     g = _parse(args, args.expr2, monoid, ring, args.laurent)
-    out = f * g if op == "mul" else f + g
+    if op == "mul":
+        _check_product(f, g)
+        out = f * g
+    else:
+        out = f + g
     if args.json and args.laurent and out.trunc - out.ord > LAURENT_JSON_BUDGET:
         raise UsageError(
             f"--json would list the {out.trunc - out.ord} coefficients of [{out.ord}, {out.trunc}), "
@@ -279,6 +299,7 @@ def cmd_rb_check(args) -> int:
     if args.f is not None:
         f = _parse(args, args.f, monoid, ring)
         g = _parse(args, args.g, monoid, ring)
+        _check_product(f, g)  # rb_defect forms four products of at most |f| x |g| pairs
         d = rb_defect(P, f, g)
         if args.json:
             print(json.dumps({"decomposition": split.label, "defect": _printable(d.to_json)}))

@@ -122,6 +122,9 @@ class TruncatedLaurent:
     def known_zero_on_window(self) -> bool:
         return self.series.is_zero()
 
+    def term_count(self) -> int:
+        return self.series.term_count()
+
     def items(self) -> list:
         """The nonzero terms, (exponent, coefficient) by increasing exponent."""
         return sorted(self.series.items())
@@ -173,7 +176,7 @@ class TruncatedLaurent:
         return {
             "ring": str(ring),
             "ord": lo,
-            "coeffs": [ring.fmt(c) for c in window],
+            "coeffs": list(map(ring.fmt, window)),
             "trunc": lo + len(window),
             "exact": self.exact,
         }

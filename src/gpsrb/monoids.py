@@ -14,6 +14,7 @@ partial.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Sequence
@@ -186,21 +187,21 @@ class IntVector(OrderedMonoid):
         return (0,) * self.dim
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(operator.add, a, b))
 
     def leq(self, a, b) -> bool:
         # tuple comparison is lexicographic
-        return a <= b if self.lex else all(x <= y for x, y in zip(a, b))
+        return a <= b if self.lex else all(map(operator.le, a, b))
 
     def lt(self, a, b) -> bool:
-        return a < b if self.lex else a != b and all(x <= y for x, y in zip(a, b))
+        return a < b if self.lex else a != b and all(map(operator.le, a, b))
 
     def check_elem(self, x) -> None:
         if not (isinstance(x, tuple) and len(x) == self.dim and all(_is_int(c) for c in x)):
             raise BadElement(f"not a Z^{self.dim} vector: {x!r}")
 
     def elem_repr(self, x) -> str:
-        return "(" + ",".join(str(c) for c in x) + ")"
+        return "(" + ",".join(map(str, x)) + ")"
 
     def parse_elem(self, text: str):
         return _parse_vector(text, self.dim)

@@ -15,13 +15,20 @@ Laurent mode, to a truncated Laurent series where the tail marker sets the
 order of validity. Coefficients left unstated inside the valid window are
 zero.
 
+The lexer makes one regex split per line, so it takes a constant number of
+Python steps per lexeme, not per character; the parser indexes the lexeme
+list. Positions are exact: a column counts characters from 1 within its
+line, and only "\n" starts a new line.
+
 Renderers produce strings this grammar parses back to an equal value
 (modular coefficients print as their canonical residue).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Union
 
 from .laurent import TruncatedLaurent
@@ -37,62 +44,75 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int", "name", or the symbol itself
-    text: str
-    line: int
-    col: int
+# In sre, \d is str.isdecimal and \w is str.isalnum or "_". They match the
+# grammar's classes on every character except the numerals that are neither
+# decimal digits nor letters, such as "²" or "½", so _lexeme_pattern checks
+# the non-ASCII word characters of each input with the string methods.
+_NON_ASCII_WORD = re.compile(r"[^\W\d\x00-\x7f]")
 
 
-_SYMBOLS = set("+-*/^(),")
+def _lexeme_pattern(text: str) -> str:
+    """The lexeme regex for text: an INT run, a name, or a symbol.
+
+    An INT is a run of str.isdigit characters and a name starts with
+    str.isalpha or "_" and goes on with str.isalnum or "_". Of the numerals
+    in text that are neither decimal digits nor letters, the digits extend
+    an INT and none starts a name.
+    """
+    odd = sorted(set(_NON_ASCII_WORD.findall(text)))
+    digits = "".join(c for c in odd if c.isdigit())
+    not_start = "".join(c for c in odd if not c.isalpha())
+    return rf"[\d{digits}]+|[^\W\d{not_start}]\w*|[-+*/^(),]"
 
 
-def tokenize(text: str) -> list[Token]:
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        start_col = col
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    return tokens
+def _is_name(lexeme: str) -> bool:
+    lead = lexeme[:1]
+    return lead == "_" or lead.isalpha()
+
+
+def _lex(text: str) -> tuple[list[str], list[int], list[int]]:
+    """The lexemes of text, with the line and the column each one starts at.
+
+    One regex split per line: the lexemes are parts[1::2], and the gaps
+    between them, parts[::2], must be blank. Columns count characters from 1
+    within a line, and only "\n" starts a new line. The lists end with a
+    sentinel "" just past the last lexeme, where running out of input is
+    reported.
+    """
+    pattern = _lexeme_pattern(text)
+    split = re.compile(f"({pattern})").split
+    words: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    for line, row in enumerate(text.split("\n"), 1):
+        parts = split(row)
+        if "".join(parts[::2]).strip():
+            col = re.match(rf"(?:\s|{pattern})*", row).end() + 1
+            raise ParseError(f"unexpected character {row[col - 1]!r}", line, col)
+        words += parts[1::2]
+        lines += [line] * (len(parts) // 2)
+        cols += list(accumulate(map(len, parts[:-1]), initial=1))[1::2]
+    if words:
+        lines.append(lines[-1])
+        cols.append(cols[-1] + len(words[-1]))
+        words.append("")
+    return words, lines, cols
+
+
+def check_var(var: str) -> None:
+    """Raise ValueError unless var lexes as one name, other than the tail marker "O"."""
+    if var == "O":
+        raise ValueError('variable name "O" collides with the tail marker')
+    if not (_is_name(var) and re.fullmatch(_lexeme_pattern(var), var)):
+        raise ValueError(
+            f"variable name {var!r} is not a name: a letter or _, then letters, digits or _"
+        )
 
 
 # AST nodes; every node keeps the position it started at for later errors.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit:
     num: int
     den: int
@@ -100,35 +120,35 @@ class Lit:
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow:
     exponent: int | tuple  # k, or (k1, ..., kd) when written as a tuple
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     inner: "Node"
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     parts: tuple
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     factors: tuple
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruncMarker:
     exponent: int
     line: int
@@ -143,144 +163,165 @@ Node = Union[Lit, Pow, Neg, Sum, Product, TruncMarker]
 MAX_NESTING = 200
 
 
-def _int(tok: Token) -> int:
-    try:
-        return int(tok.text)
-    except ValueError as exc:  # more digits than int() converts
-        raise ParseError(str(exc), tok.line, tok.col) from None
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token], var: str):
-        if var == "O":
-            raise ValueError('variable name "O" collides with the tail marker')
-        self.tokens = tokens
+    """Recursive descent over the lexeme list; self.i indexes the next lexeme.
+
+    The list ends with the sentinel "", so looking ahead is an index and a
+    string compare, and only consuming the sentinel reports the end.
+    """
+
+    def __init__(self, words: list[str], lines: list[int], cols: list[int], var: str):
+        self.words, self.lines, self.cols = words, lines, cols
         self.var = var
-        self.pos = 0
+        self.i = 0
         self.depth = 0  # open parentheses around the current factor
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self.lines[i], self.cols[i])
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
-            raise ParseError("unexpected end of input", last.line, last.col + len(last.text))
-        self.pos += 1
-        return tok
+    def expected(self, kind: str, i: int) -> ParseError:
+        found = self.words[i]
+        if not found:
+            return self.error("unexpected end of input", i)
+        return self.error(f"expected {kind!r}, found {found!r}", i)
 
-    def expect(self, kind: str) -> Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
+    def expect(self, symbol: str) -> None:
+        i = self.i
+        if self.words[i] != symbol:
+            raise self.expected(symbol, i)
+        self.i = i + 1
+
+    def int_at(self, i: int) -> int:
+        """The INT lexeme at index i as an int."""
+        text = self.words[i]
+        if not text[:1].isdigit():
+            raise self.expected("int", i)
+        try:
+            return int(text)
+        except ValueError as exc:  # more digits than int() converts
+            raise self.error(str(exc), i) from None
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        rest = self.words[self.i]
+        if rest:
+            raise self.error(f"trailing input {rest!r}", self.i)
         return node
 
     def expr(self) -> Node:
-        first = self.peek()
-        parts = []
-        sign = "+"
-        if first is not None and first.kind in "+-":
-            sign = self.next().kind
+        words = self.words
+        sign = words[self.i]
+        if sign == "+" or sign == "-":
+            self.i += 1
         node = self.term()
-        parts.append(Neg(node, node.line, node.col) if sign == "-" else node)
-        while (tok := self.peek()) is not None and tok.kind in "+-":
-            op = self.next()
+        parts = [Neg(node, node.line, node.col) if sign == "-" else node]
+        while (op := words[self.i]) == "+" or op == "-":
+            at = self.i
+            self.i = at + 1
             node = self.term()
-            parts.append(Neg(node, op.line, op.col) if op.kind == "-" else node)
+            parts.append(Neg(node, self.lines[at], self.cols[at]) if op == "-" else node)
         if len(parts) == 1:
             return parts[0]
         return Sum(tuple(parts), parts[0].line, parts[0].col)
 
     def term(self) -> Node:
-        factors = [self.factor()]
-        while (tok := self.peek()) is not None and tok.kind == "*":
-            self.next()
+        node = self.factor()
+        if self.words[self.i] != "*":
+            return node
+        factors = [node]
+        while self.words[self.i] == "*":
+            self.i += 1
             factors.append(self.factor())
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors), factors[0].line, factors[0].col)
+        return Product(tuple(factors), node.line, node.col)
 
     def factor(self) -> Node:
-        tok = self.next()
-        if tok.kind == "int":
-            num = _int(tok)
+        words, i = self.words, self.i
+        text = words[i]
+        if not text:
+            raise self.error("unexpected end of input", i)
+        self.i = i + 1
+        line, col = self.lines[i], self.cols[i]
+        if text[0].isdigit():
+            num = self.int_at(i)
             den = 1
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "/":
-                self.next()
-                den = _int(self.expect("int"))
-            return Lit(num, den, tok.line, tok.col)
-        if tok.kind == "name":
-            if tok.text == "O":
-                self.expect("(")
-                var_tok = self.expect("name")
-                if var_tok.text != self.var:
-                    raise ParseError(
-                        f"unknown variable {var_tok.text!r} (expected {self.var!r})",
-                        var_tok.line,
-                        var_tok.col,
-                    )
-                self.expect("^")
-                n = self.signed_int()
-                self.expect(")")
-                return TruncMarker(n, tok.line, tok.col)
-            if tok.text != self.var:
-                raise ParseError(
-                    f"unknown variable {tok.text!r} (expected {self.var!r})", tok.line, tok.col
-                )
-            nxt = self.peek()
-            exponent = 1
-            if nxt is not None and nxt.kind == "^":
-                self.next()
-                exponent = self.exponent()
-            return Pow(exponent, tok.line, tok.col)
-        if tok.kind == "(":
+            if words[i + 1] == "/":
+                self.i = i + 3
+                den = self.int_at(i + 2)
+            return Lit(num, den, line, col)
+        if text == self.var:
+            if words[i + 1] != "^":
+                return Pow(1, line, col)
+            self.i = i + 2
+            if words[i + 2] == "(":
+                return Pow(self.coords(), line, col)
+            return Pow(self.signed_int(), line, col)
+        if text == "O":
+            self.expect("(")
+            at = self.i
+            name = words[at]
+            if not _is_name(name):
+                raise self.expected("name", at)
+            if name != self.var:
+                raise self.error(f"unknown variable {name!r} (expected {self.var!r})", at)
+            self.i = at + 1
+            self.expect("^")
+            n = self.signed_int()
+            self.expect(")")
+            return TruncMarker(n, line, col)
+        if _is_name(text):
+            raise self.error(f"unknown variable {text!r} (expected {self.var!r})", i)
+        if text == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nest deeper than {MAX_NESTING} levels", tok.line, tok.col
-                )
+                raise self.error(f"parentheses nest deeper than {MAX_NESTING} levels", i)
             self.depth += 1
             node = self.expr()
             self.expect(")")
             self.depth -= 1
             return node
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        raise self.error(f"unexpected {text!r}", i)
 
     def signed_int(self) -> int:
-        tok = self.peek()
-        neg = False
-        if tok is not None and tok.kind == "-":
-            self.next()
-            neg = True
-        val = _int(self.expect("int"))
-        return -val if neg else val
+        i = self.i
+        if self.words[i] == "-":
+            self.i = i + 2
+            return -self.int_at(i + 1)
+        self.i = i + 1
+        return self.int_at(i)
 
-    def exponent(self) -> int | tuple:
-        tok = self.peek()
-        if tok is not None and tok.kind == "(":
-            self.next()
-            coords = [self.signed_int()]
-            while (nxt := self.peek()) is not None and nxt.kind == ",":
-                self.next()
-                coords.append(self.signed_int())
-            self.expect(")")
-            return tuple(coords)
-        return self.signed_int()
+    def coords(self) -> tuple:
+        """A tuple exponent: signed INTs in parentheses."""
+        self.i += 1
+        coords = [self.signed_int()]
+        while self.words[self.i] == ",":
+            self.i += 1
+            coords.append(self.signed_int())
+        self.expect(")")
+        return tuple(coords)
 
 
 def parse_expr(text: str, var: str = "e") -> Node:
-    tokens = tokenize(text)
-    if not tokens:
+    words, lines, cols = _lex(text)
+    if not words:
         raise ParseError("empty expression", 1, 1)
-    return _Parser(tokens, var).parse()
+    check_var(var)
+    return _Parser(words, lines, cols, var).parse()
+
+
+# coefficient pairs one product of parsed series may form, decided from the
+# term counts before any pair is formed: 11x the largest benchmark product
+# (600 x 300 dense terms). A `gpsrb mul` at the budget took 0.07-0.08 s with
+# dense factors on Z (packed), and 9-11.5 s at a peak RSS of 0.77-0.81 GB
+# when all 2,000,000 pair sums differ (sparse on Q, or Z^2), on one core of a
+# shared 2-vCPU x86 host with Python 3.11
+PRODUCT_BUDGET = 2_000_000
+
+
+def over_product_budget(f, g) -> str | None:
+    """Why f * g is refused, or None when its |f| x |g| coefficient pairs fit PRODUCT_BUDGET."""
+    m, n = f.term_count(), g.term_count()
+    if m * n <= PRODUCT_BUDGET:
+        return None
+    return f"product of {m} x {n} terms = {m * n} coefficient pairs, above the budget of {PRODUCT_BUDGET}"
 
 
 def _exponent_elem(monoid: OrderedMonoid, node: Pow):
@@ -313,7 +354,11 @@ def eval_series(node: Node, monoid: OrderedMonoid, ring: Ring, laurent: bool = F
     if isinstance(node, Product):
         acc = eval_series(node.factors[0], monoid, ring, laurent)
         for factor in node.factors[1:]:
-            acc = acc * eval_series(factor, monoid, ring, laurent)
+            value = eval_series(factor, monoid, ring, laurent)
+            refusal = over_product_budget(acc, value)
+            if refusal:
+                raise ParseError(refusal, factor.line, factor.col)
+            acc = acc * value
         return acc
     if isinstance(node, TruncMarker):
         if not laurent:
@@ -368,48 +413,38 @@ def parse_series(
     return eval_series(node, monoid, ring)
 
 
-def _exp_str(monoid: OrderedMonoid, s, var: str) -> str | None:
-    """Exponent suffix for one term, or None when s is the neutral element."""
-    if s == monoid.zero():
-        return None
-    return f"{var}^{monoid.elem_repr(s)}"
+def _join_terms(terms, var: str, zero, rep) -> str:
+    """Text of sorted (exponent, coefficient) terms, each built in one pass.
 
-
-def _join_terms(parts: list[tuple[str, str]]) -> str:
-    """parts: (sign, magnitude) pairs; first sign '-' attaches without spaces."""
-    if not parts:
+    The coefficient prints as str(c), so Z/m residues print bare; a leading
+    minus attaches to the first term and spaces out as " - " after it.
+    """
+    out = []
+    for s, c in terms:
+        text = str(c)
+        sign = " + "
+        if text[0] == "-":
+            sign, text = " - ", text[1:]
+        if s == zero:
+            out.append(sign + text)
+        elif text == "1":
+            out.append(f"{sign}{var}^{rep(s)}")
+        else:
+            out.append(f"{sign}{text}*{var}^{rep(s)}")
+    if not out:
         return "0"
-    sign, mag = parts[0]
-    out = [mag if sign == "+" else f"-{mag}"]
-    out.extend(f"{sign} {mag}" for sign, mag in parts[1:])
-    return " ".join(out)
-
-
-def _term_parts(coeff, exp_suffix: str | None) -> tuple[str, str]:
-    # bare values print as the grammar reads them; Z/m residues print bare
-    cs = str(coeff)
-    sign = "+"
-    if cs.startswith("-"):
-        sign = "-"
-        cs = cs[1:]
-    if exp_suffix is None:
-        return sign, cs
-    if cs == "1":
-        return sign, exp_suffix
-    return sign, f"{cs}*{exp_suffix}"
+    joined = "".join(out)
+    return joined[3:] if joined[1] == "+" else "-" + joined[3:]
 
 
 def render_series(f: Series, var: str = "e") -> str:
-    key = f.monoid.sort_key
-    terms = sorted(f.items(), key=lambda kv: key(kv[0]))
-    return _join_terms([_term_parts(c, _exp_str(f.monoid, s, var)) for s, c in terms])
+    monoid = f.monoid
+    return _join_terms(f.sorted_items(), var, monoid.zero(), monoid.elem_repr)
 
 
 def render_laurent(f: TruncatedLaurent, var: str = "e") -> str:
-    parts = [_term_parts(c, None if n == 0 else f"{var}^{n}") for n, c in f.items()]
+    text = _join_terms(f.items(), var, 0, str)
     if f.exact:
-        return _join_terms(parts)
+        return text
     tail = f"O({var}^{f.trunc})"
-    if not parts:
-        return tail
-    return f"{_join_terms(parts)} + {tail}"
+    return tail if f.known_zero_on_window() else f"{text} + {tail}"

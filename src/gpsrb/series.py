@@ -71,6 +71,14 @@ class Series:
     def items(self):
         return self._terms.items()
 
+    def sorted_items(self) -> list:
+        """The (exponent, coefficient) terms in the monoid's display order."""
+        terms = self._terms
+        return [(s, terms[s]) for s in sorted(terms, key=self.monoid.sort_key)]
+
+    def term_count(self) -> int:
+        return len(self._terms)
+
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -205,8 +213,7 @@ class Series:
         if not self._terms:
             return "0"
         rep, fmt = self.monoid.elem_repr, self.ring.fmt
-        parts = [f"{fmt(c)} @ {rep(s)}" for s, c in sorted(self._terms.items(), key=lambda kv: self.monoid.sort_key(kv[0]))]
-        return " + ".join(parts)
+        return " + ".join([f"{fmt(c)} @ {rep(s)}" for s, c in self.sorted_items()])
 
     def __repr__(self) -> str:
         return f"Series({self.monoid}, {self.ring}, {self!s})"
@@ -216,10 +223,7 @@ class Series:
         return {
             "monoid": str(self.monoid),
             "ring": str(self.ring),
-            "terms": [
-                {"exp": rep(s), "coeff": fmt(c)}
-                for s, c in sorted(self._terms.items(), key=lambda kv: self.monoid.sort_key(kv[0]))
-            ],
+            "terms": [{"exp": rep(s), "coeff": fmt(c)} for s, c in self.sorted_items()],
         }
 
 

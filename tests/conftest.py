@@ -6,13 +6,16 @@ Series multiplication. The pair oracle calls rb_defect once per single-term
 pair, with none of the row packing of projectors.nonzero_defect_pairs. The
 sweep oracle runs both closure checks and that pairwise scan on every
 decomposition, with none of the witness-first shortcuts of
-verify_theorem_decomposition. GPS_RB_SEED pins the plain-random
-sampling used by the bulk acceptance checks; the default keeps runs
-reproducible without the env var set.
+verify_theorem_decomposition. The parser oracle is the character-stepping
+tokenizer and peek/next parser that gpsrb.parsing used before its regex
+lexer. GPS_RB_SEED pins the plain-random sampling used by the bulk
+acceptance checks; the default keeps runs reproducible without the env var
+set.
 """
 
 import os
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -30,6 +33,17 @@ from gpsrb import (
     closed_under_addition,
     indicator,
     rb_defect,
+)
+from gpsrb.parsing import (
+    MAX_NESTING,
+    Lit,
+    Neg,
+    Node,
+    ParseError,
+    Pow,
+    Product,
+    Sum,
+    TruncMarker,
 )
 
 DEFAULT_SEED = 20260814
@@ -165,3 +179,203 @@ def random_int_series(rng: random.Random, max_support=8, exp_lo=-10, exp_hi=10) 
     for _ in range(n):
         terms[rng.randint(exp_lo, exp_hi)] = random_rat(rng)
     return Series(IntLine(), QQ, terms)
+
+
+# ---------------------------------------------------------------- parser oracle
+# The character-stepping tokenizer and the peek/next recursive-descent parser
+# that gpsrb.parsing used before its lexer became one regex split per line.
+# They build the same AST node classes, so reference_parse_expr(text, var)
+# and gpsrb.parsing.parse_expr(text, var) must return equal nodes or raise
+# the same ParseError (message, line and column).
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "int", "name", or the symbol itself
+    text: str
+    line: int
+    col: int
+
+
+_SYMBOLS = set("+-*/^(),")
+
+
+def tokenize(text: str) -> list[Token]:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        start_col = col
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append(Token("int", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(Token("name", text[i:j], line, start_col))
+            col += j - i
+            i = j
+            continue
+        if ch in _SYMBOLS:
+            tokens.append(Token(ch, ch, line, start_col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    return tokens
+
+
+def _int(tok: Token) -> int:
+    try:
+        return int(tok.text)
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(str(exc), tok.line, tok.col) from None
+
+
+class _Parser:
+    def __init__(self, tokens: list[Token], var: str):
+        if var == "O":
+            raise ValueError('variable name "O" collides with the tail marker')
+        self.tokens = tokens
+        self.var = var
+        self.pos = 0
+        self.depth = 0  # open parentheses around the current factor
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> Token:
+        tok = self.peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else Token("", "", 1, 1)
+            raise ParseError("unexpected end of input", last.line, last.col + len(last.text))
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> Token:
+        tok = self.next()
+        if tok.kind != kind:
+            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
+        return tok
+
+    def parse(self) -> Node:
+        node = self.expr()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        return node
+
+    def expr(self) -> Node:
+        first = self.peek()
+        parts = []
+        sign = "+"
+        if first is not None and first.kind in "+-":
+            sign = self.next().kind
+        node = self.term()
+        parts.append(Neg(node, node.line, node.col) if sign == "-" else node)
+        while (tok := self.peek()) is not None and tok.kind in "+-":
+            op = self.next()
+            node = self.term()
+            parts.append(Neg(node, op.line, op.col) if op.kind == "-" else node)
+        if len(parts) == 1:
+            return parts[0]
+        return Sum(tuple(parts), parts[0].line, parts[0].col)
+
+    def term(self) -> Node:
+        factors = [self.factor()]
+        while (tok := self.peek()) is not None and tok.kind == "*":
+            self.next()
+            factors.append(self.factor())
+        if len(factors) == 1:
+            return factors[0]
+        return Product(tuple(factors), factors[0].line, factors[0].col)
+
+    def factor(self) -> Node:
+        tok = self.next()
+        if tok.kind == "int":
+            num = _int(tok)
+            den = 1
+            nxt = self.peek()
+            if nxt is not None and nxt.kind == "/":
+                self.next()
+                den = _int(self.expect("int"))
+            return Lit(num, den, tok.line, tok.col)
+        if tok.kind == "name":
+            if tok.text == "O":
+                self.expect("(")
+                var_tok = self.expect("name")
+                if var_tok.text != self.var:
+                    raise ParseError(
+                        f"unknown variable {var_tok.text!r} (expected {self.var!r})",
+                        var_tok.line,
+                        var_tok.col,
+                    )
+                self.expect("^")
+                n = self.signed_int()
+                self.expect(")")
+                return TruncMarker(n, tok.line, tok.col)
+            if tok.text != self.var:
+                raise ParseError(
+                    f"unknown variable {tok.text!r} (expected {self.var!r})", tok.line, tok.col
+                )
+            nxt = self.peek()
+            exponent = 1
+            if nxt is not None and nxt.kind == "^":
+                self.next()
+                exponent = self.exponent()
+            return Pow(exponent, tok.line, tok.col)
+        if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nest deeper than {MAX_NESTING} levels", tok.line, tok.col
+                )
+            self.depth += 1
+            node = self.expr()
+            self.expect(")")
+            self.depth -= 1
+            return node
+        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+
+    def signed_int(self) -> int:
+        tok = self.peek()
+        neg = False
+        if tok is not None and tok.kind == "-":
+            self.next()
+            neg = True
+        val = _int(self.expect("int"))
+        return -val if neg else val
+
+    def exponent(self) -> int | tuple:
+        tok = self.peek()
+        if tok is not None and tok.kind == "(":
+            self.next()
+            coords = [self.signed_int()]
+            while (nxt := self.peek()) is not None and nxt.kind == ",":
+                self.next()
+                coords.append(self.signed_int())
+            self.expect(")")
+            return tuple(coords)
+        return self.signed_int()
+
+
+def reference_parse_expr(text: str, var: str = "e"):
+    tokens = tokenize(text)
+    if not tokens:
+        raise ParseError("empty expression", 1, 1)
+    return _Parser(tokens, var).parse()

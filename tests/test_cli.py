@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,9 +18,11 @@ from gpsrb.cli import (
     parse_window_spec,
 )
 from gpsrb import FiniteTable, IntLine, IntVector, TooLarge, zero_series
-from gpsrb.parsing import MAX_NESTING
+import gpsrb.parsing
+from gpsrb.parsing import MAX_NESTING, PRODUCT_BUDGET
 
-TABLES = Path(__file__).resolve().parent.parent / "tables"
+ROOT = Path(__file__).resolve().parent.parent
+TABLES = ROOT / "tables"
 
 
 def run(capsys, *argv):
@@ -295,6 +300,14 @@ def test_deep_parentheses_exit_two(capsys):
          "invalid literal for int() with base 0: 'zz'"),
         (["rb-check", "--monoid", "TABLE", "--decomp", "mask:0x10"], "mask 0x10 out of range for n=4"),
         (["mul", "e", "e", "--var", "O"], 'variable name "O" collides with the tail marker'),
+        (["mul", "e", "1", "--var", "1"],
+         "variable name '1' is not a name: a letter or _, then letters, digits or _"),
+        (["add", "1", "1", "--var", ""],
+         "variable name '' is not a name: a letter or _, then letters, digits or _"),
+        (["mul", "1", "1", "--var", "x y"],
+         "variable name 'x y' is not a name: a letter or _, then letters, digits or _"),
+        (["rb-check", "--decomp", "odds", "--f", "1", "--g", "1", "--var", "x-1"],
+         "variable name 'x-1' is not a name: a letter or _, then letters, digits or _"),
     ],
 )
 def test_user_input_value_errors_exit_two(capsys, argv, message):
@@ -379,3 +392,35 @@ def test_runs_at_and_over_the_pair_budget(capsys, monkeypatch):
     )
     code, out, err = run(capsys, "cutoff-scan", "--monoid", "Z^8:product", "--w-range", "0..0", "--window", "-9..9")
     assert (code, out) == (2, "") and err.startswith(f"error: 1 threshold(s) x {19**8}^2 window elements")
+
+
+def test_products_above_the_budget_exit_two(capsys, monkeypatch):
+    # 2000 x 1001 dense terms is just past the budget; 2000 x 1000 is at it
+    wide = " + ".join(f"{k % 7 + 1}*e^{k}" for k in range(2000))
+    for g_terms, code in ((1001, 2), (1000, 0)):
+        g = " + ".join(f"e^{k}" for k in range(g_terms))
+        got, out, err = run(capsys, "mul", wide, g, "--ring", "Z")
+        assert got == code
+        if code == 2:
+            pairs = 2000 * g_terms
+            assert (out, err) == ("", f"error: product of 2000 x {g_terms} terms = {pairs} "
+                                      f"coefficient pairs, above the budget of {PRODUCT_BUDGET}\n")
+    assert run(capsys, "add", wide, wide)[0] == 0  # sums form no pairs
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 3)
+    argv = ["rb-check", "--decomp", "negatives", "--f", "e^-2 + e", "--g", "e^-1 + e^3"]
+    assert run(capsys, *argv) == (
+        2, "", "error: product of 2 x 2 terms = 4 coefficient pairs, above the budget of 3\n"
+    )
+    code, _, err = run(capsys, "mul", "(1 + e) * (1 + e^2)", "1")
+    assert code == 2 and err.endswith("above the budget of 3 (line 1, column 12)\n")
+    code, _, err = run(capsys, "mul", "1 + e + O(e^2)", "1 + e^5", "--laurent")
+    assert code == 2 and "2 x 2 terms" in err
+
+
+def test_python_dash_m_gpsrb_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "gpsrb", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: gpsrb")

@@ -66,6 +66,28 @@ def test_vector_lex_total_order():
             assert M.leq(a, b) or M.leq(b, a)
 
 
+def _lex_leq(a, b) -> bool:
+    for x, y in zip(a, b):
+        if x != y:
+            return x < y
+    return True
+
+
+@given(
+    pair=st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.tuples(*[st.tuples(*[st.integers(-3, 3)] * d)] * 2)
+    ),
+    lex=st.booleans(),
+)
+def test_vector_ops_match_their_componentwise_definitions(pair, lex):
+    a, b = pair
+    M = IntVector(len(a), lex=lex)
+    assert M.add(a, b) == tuple(x + y for x, y in zip(a, b))
+    leq = _lex_leq(a, b) if lex else all(x <= y for x, y in zip(a, b))
+    assert M.leq(a, b) is leq
+    assert M.lt(a, b) is (leq and a != b)
+
+
 @given(a=vecs2, b=vecs2, t=vecs2)
 def test_product_order_strict_compat(a, b, t):
     M = IntVector(2)

@@ -18,6 +18,7 @@ from gpsrb import (
     render_series,
 )
 
+import gpsrb.parsing
 from gpsrb.parsing import MAX_NESTING, Sum, eval_laurent, eval_series, parse_expr
 
 from conftest import int_series, vec2_series
@@ -242,3 +243,27 @@ def test_monomial_parts_equal_their_products(ring):
     assert parse_series(text, M, ring) == parse_series(slow, M, ring)
     laurent = parse_series(text + " + O(e^9)", M, ring, laurent=True)
     assert laurent == parse_series(slow + " + O(e^9)", M, ring, laurent=True)
+
+
+def test_product_budget_refuses_a_factor_where_it_starts(monkeypatch):
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 6)
+    assert parse_series("(1 + e + e^2) * (1 - e)", M, ZZ) == parse_series("1 - e^3", M, ZZ)
+    with pytest.raises(ParseError) as err:
+        parse_series("(1 + e + e^2) * 2 *\n (1 - e + e^5)", M, ZZ)
+    assert str(err.value) == (
+        "product of 3 x 3 terms = 9 coefficient pairs, above the budget of 6 (line 2, column 3)"
+    )
+    # Laurent products count stored terms, before any truncation
+    with pytest.raises(ParseError):
+        parse_series("(1 + e + e^2 + O(e^3)) * (e + e^2 + e^3)", M, QQ, laurent=True)
+
+
+def test_doubling_product_stops_at_the_budget():
+    # (1 + e)(1 + e^2)(1 + e^4)... doubles its support with each factor, so
+    # factor i meets 2^i terms: 2^(i + 1) pairs, past the budget from i = 20
+    factors = [f"(1 + e^{2 ** k})" for k in range(24)]
+    with pytest.raises(ParseError) as err:
+        parse_series("*".join(factors), M, ZZ)
+    i = gpsrb.parsing.PRODUCT_BUDGET.bit_length() - 1
+    assert str(err.value).startswith(f"product of {2 ** i} x 2 terms = {2 ** (i + 1)} coefficient pairs")
+    assert (err.value.line, err.value.col) == (1, len("*".join(factors[:i])) + 3)
