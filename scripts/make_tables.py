@@ -1,4 +1,8 @@
-"""Regenerate the JSON monoid tables shipped in tables/."""
+"""Regenerate the JSON monoid tables shipped in tables/.
+
+Run as `python scripts/make_tables.py`. Importing the module builds TABLES
+and writes nothing.
+"""
 
 import json
 import os
@@ -19,17 +23,20 @@ def table_json(t):
     }
 
 
+# file name in tables/ -> the table it holds
+TABLES = {
+    "z3.json": cyclic_table(3),
+    "z4.json": cyclic_table(4),
+    "z6.json": cyclic_table(6),
+    "trunc4.json": truncated_addition_table(4),
+    "idem2.json": idempotent_pair_table(),
+}
+
+
 def main():
     out_dir = os.path.join(os.path.dirname(__file__), "..", "tables")
     os.makedirs(out_dir, exist_ok=True)
-    tables = {
-        "z3.json": cyclic_table(3),
-        "z4.json": cyclic_table(4),
-        "z6.json": cyclic_table(6),
-        "trunc4.json": truncated_addition_table(4),
-        "idem2.json": idempotent_pair_table(),
-    }
-    for fname, t in tables.items():
+    for fname, t in TABLES.items():
         outcome = validate_monoid(t)
         assert outcome.verdict == "pass", (fname, outcome)
         path = os.path.join(out_dir, fname)

@@ -26,7 +26,7 @@ import traceback
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import TruncatedLaurent, defect_terms
+from .laurent import TruncatedLaurent, pole_part
 from .monoids import (
     BadElement,
     BadTable,
@@ -60,6 +60,7 @@ from .projectors import (
     CutoffProjector,
     Decomposition,
     DecompositionProjector,
+    defect_terms,
     indicator_pair_scan,
     is_subsemigroup,
     rb_defect,
@@ -265,14 +266,14 @@ def _printable(fmt, *args):
         raise UsageError(str(exc)) from None
 
 
-def cmd_arith(args, op: str) -> int:
+def cmd_arith(args) -> int:
     monoid = parse_monoid_spec(args.monoid)
     ring = parse_ring_spec(args.ring)
     if args.laurent and monoid != IntLine():
         raise UsageError("--laurent needs --monoid Z")
     f = _parse(args, args.expr1, monoid, ring, args.laurent)
     g = _parse(args, args.expr2, monoid, ring, args.laurent)
-    if op == "mul":
+    if args.command == "mul":
         _check_product(f, g)
         out = f * g
     else:
@@ -419,7 +420,7 @@ def cmd_laurent_demo(args) -> int:
     for k in range(args.count):
         f = _random_laurent(rng, ring)
         g = _random_laurent(rng, ring)
-        t1, t2, t3, t4 = defect_terms(f, g)
+        t1, t2, t3, t4 = defect_terms(pole_part, f, g)
         terms = {
             "pole(f)*pole(g)": t1,
             "pole(f*pole(g))": t2,
@@ -473,6 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("expr1")
         p.add_argument("expr2")
         common(p, laurent_flag=True)
+        p.set_defaults(run=cmd_arith)
 
     p = sub.add_parser("rb-check", help="test the weight -1 identity for a decomposition")
     p.add_argument("--decomp", required=True, help="vocabulary name, below(w), mask:<int>, or file")
@@ -480,22 +482,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", default=None, help="explicit series (with --g)")
     p.add_argument("--g", default=None)
     common(p)
+    p.set_defaults(run=cmd_rb_check)
 
     p = sub.add_parser("cutoff-scan", help="classify cutoff thresholds over a window")
     p.add_argument("--w-range", required=True, dest="w_range", help="a..b")
     p.add_argument("--window", default=None, help="a..b")
     common(p)
+    p.set_defaults(run=cmd_cutoff_scan)
 
     p = sub.add_parser("theorem-verify", help="exhaustive decomposition sweep on a finite table")
     p.add_argument("--table", required=True, help="JSON table file")
     p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE, dest="max_size")
     p.add_argument("--ring", default="Z")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_theorem_verify)
 
     p = sub.add_parser("laurent-demo", help="seeded pole-part projector walkthrough")
     p.add_argument("--ring", default="Q")
     p.add_argument("--count", type=int, default=3)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=cmd_laurent_demo)
     return parser
 
 
@@ -523,19 +529,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_normalize_argv(argv))
     try:
-        if args.command == "add":
-            return cmd_arith(args, "add")
-        if args.command == "mul":
-            return cmd_arith(args, "mul")
-        if args.command == "rb-check":
-            return cmd_rb_check(args)
-        if args.command == "cutoff-scan":
-            return cmd_cutoff_scan(args)
-        if args.command == "theorem-verify":
-            return cmd_theorem_verify(args)
-        if args.command == "laurent-demo":
-            return cmd_laurent_demo(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (
         UsageError,
         ParseError,

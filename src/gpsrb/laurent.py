@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .monoids import IntLine
+from .projectors import rb_defect
 from .scalars import Ring
 from .series import Series, zero_series
 
@@ -217,21 +218,9 @@ def nonneg_part(f: TruncatedLaurent) -> TruncatedLaurent:
     return f - p
 
 
-def defect_terms(f: TruncatedLaurent, g: TruncatedLaurent) -> tuple[TruncatedLaurent, ...]:
-    """P(f)P(g), P(f P(g)), P(P(f) g) and P(f g) for the pole-part projection P.
-
-    The four terms are computed independently; each application of P yields
-    an exact value, so they are exact whenever none raises
-    InsufficientPrecision.
-    """
-    pf, pg = pole_part(f), pole_part(g)
-    return pf * pg, pole_part(f * pg), pole_part(pf * g), pole_part(f * g)
-
-
 def tl_rb_defect(f: TruncatedLaurent, g: TruncatedLaurent) -> TruncatedLaurent:
-    """P(f)P(g) - P(f P(g)) - P(P(f) g) + P(f g) for the pole-part projection P."""
-    t1, t2, t3, t4 = defect_terms(f, g)
-    return t1 - t2 - t3 + t4
+    """The weight -1 defect for the pole-part projection; see projectors.rb_defect."""
+    return rb_defect(pole_part, f, g)
 
 
 def to_series(f: TruncatedLaurent, monoid, ring: Ring | None = None):

@@ -315,8 +315,8 @@ class FiniteTable(OrderedMonoid):
         return f"{self.name}(n={self.n})"
 
 
-def load_table(path: str, validate: bool = True) -> FiniteTable:
-    """Load a finite monoid from JSON; by default reject tables failing the axioms.
+def load_table(path: str) -> FiniteTable:
+    """Load a finite monoid from JSON; reject tables failing the axioms.
 
     Expected keys: "n", "neutral", "add" (n x n ints), optional "leq"
     (n x n bools, default identity), optional "name".
@@ -338,10 +338,9 @@ def load_table(path: str, validate: bool = True) -> FiniteTable:
         leq=data.get("leq"),
         name=data.get("name", path),
     )
-    if validate:
-        outcome = validate_monoid(table)
-        if not outcome:
-            raise BadTable(f"table file {path} fails monoid axioms: {outcome.witness}")
+    outcome = validate_monoid(table)
+    if not outcome:
+        raise BadTable(f"table file {path} fails monoid axioms: {outcome.witness}")
     return table
 
 

@@ -38,10 +38,6 @@ class Decomposition:
     def killed(self, window: Iterable) -> list:
         return [s for s in window if not self.member(s)]
 
-    def complement(self) -> "Decomposition":
-        member = self.member
-        return Decomposition(self.monoid, lambda s: not member(s), f"not({self.label})")
-
     @staticmethod
     def from_mask(monoid: FiniteTable, mask: int, label: str | None = None) -> "Decomposition":
         """Kept part of a finite carrier given as a bitmask over element indices."""
@@ -128,10 +124,20 @@ class Complement(Projector):
         return f"not({self.inner.label()})"
 
 
-def rb_defect(P: Projector, f: Series, g: Series) -> Series:
-    """P(f)P(g) - P(f P(g)) - P(P(f) g) + P(f g), all four terms computed independently."""
+def defect_terms(P: Callable, f, g) -> tuple:
+    """P(f)P(g), P(f P(g)), P(P(f) g) and P(f g), each computed independently.
+
+    P is any projector callable on values with +, - and *: a Projector on
+    Series, or laurent.pole_part on TruncatedLaurent values.
+    """
     pf, pg = P(f), P(g)
-    return pf * pg - P(f * pg) - P(pf * g) + P(f * g)
+    return pf * pg, P(f * pg), P(pf * g), P(f * g)
+
+
+def rb_defect(P: Callable, f, g):
+    """P(f)P(g) - P(f P(g)) - P(P(f) g) + P(f g), the signed sum of defect_terms."""
+    t1, t2, t3, t4 = defect_terms(P, f, g)
+    return t1 - t2 - t3 + t4
 
 
 def closed_under_addition(monoid: OrderedMonoid, subset: Iterable, window: Iterable) -> CheckOutcome:
