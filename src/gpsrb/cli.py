@@ -8,8 +8,9 @@ seeded end-to-end run of the pole-part projector.
 Exit codes: 0 all checks passed (window-limited passes are flagged in the
 output), 1 a counterexample was found, 2 usage or input error (including an
 rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs, a product of
-parsed series above parsing.PRODUCT_BUDGET coefficient pairs, or a Laurent
---json window above LAURENT_JSON_BUDGET coefficients), 3 internal
+parsed series above parsing.PRODUCT_BUDGET coefficient pairs, a Laurent
+--json window above LAURENT_JSON_BUDGET coefficients, Z^d with d above MAX_DIM,
+or laurent-demo --count above MAX_DEMO_COUNT), 3 internal
 fault: the structural and semantic routes of cutoff-scan disagreed, or an
 unexpected exception escaped (its traceback goes to stderr); either means a
 bug. The env var GPS_RB_SEED fixes the demo RNG seed.
@@ -56,13 +57,10 @@ from .parsing import (
     render_series,
 )
 from .projectors import (
-    Complement,
-    CutoffProjector,
-    Decomposition,
-    DecompositionProjector,
+    Projector,
+    closed_under_addition,
     defect_terms,
     indicator_pair_scan,
-    is_subsemigroup,
     rb_defect,
 )
 from .scalars import QQ, Ring, ZZ, Zmod
@@ -84,6 +82,17 @@ PAIR_BUDGET = 250_000
 # peak RSS of 97 MB (one core of a shared 2-vCPU x86 host, Python 3.11)
 LAURENT_JSON_BUDGET = 1_000_000
 
+# largest d of Z^d, checked before any d-tuple is built: 2^8 = 256 is the
+# largest box with two points per axis under PAIR_BUDGET; on Z^8 a run at the
+# pair budget takes 0.24-1.9 s, and a product of half PRODUCT_BUDGET with all
+# sums distinct 5.1 s at 437 MB, against 4.2 s at 336 MB on Z^2 (same host)
+MAX_DIM = 8
+
+# pairs one laurent-demo may show, checked before the first is built: every
+# record is kept until the output is written; at the cap a run takes 1.8-3.5 s
+# and a peak RSS of 40-98 MB, the most over Q with --json (same host)
+MAX_DEMO_COUNT = 10_000
+
 
 def parse_monoid_spec(spec: str) -> OrderedMonoid:
     """"Z", "N", "Z^d:product", "Z^d:lex", or "table:<path>"."""
@@ -100,8 +109,8 @@ def parse_monoid_spec(spec: str) -> OrderedMonoid:
             d = int(d_text)
         except ValueError:
             raise UsageError(f"bad dimension in {spec!r}") from None
-        if d < 1:
-            raise UsageError(f"dimension must be >= 1 in {spec!r}")
+        if not 1 <= d <= MAX_DIM:
+            raise UsageError(f"dimension must be in 1..{MAX_DIM} in {spec!r}")
         if order in ("product", "lex"):
             return IntVector(d, lex=order == "lex")
         raise UsageError(f"unknown vector order {order!r} (want product or lex)")
@@ -166,7 +175,7 @@ def check_pair_budget(monoid: OrderedMonoid, window: str | None, w_range: str | 
 _PLAIN_VOCAB = ("negatives", "nonnegatives", "positives", "nonpositives", "evens", "odds")
 
 
-def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Decomposition:
+def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Projector:
     """Named vocabulary, below(w)/notbelow(w), mask:<int>, or a JSON file path.
 
     The kept part is the set the argument names; its complement is the killed part.
@@ -177,7 +186,7 @@ def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Decomposition:
     if spec in _PLAIN_VOCAB:
         if spec in ("evens", "odds") and not isinstance(monoid, IntLine):
             raise UsageError(f"{spec!r} needs an integer line monoid")
-        member = {
+        keeps = {
             "negatives": lambda s: monoid.lt(s, zero),
             "nonnegatives": lambda s: not monoid.lt(s, zero),
             "positives": lambda s: monoid.lt(zero, s),
@@ -185,18 +194,18 @@ def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Decomposition:
             "evens": lambda s: s % 2 == 0,
             "odds": lambda s: s % 2 == 1,
         }[spec]
-        return Decomposition(monoid, member, spec)
+        return Projector(monoid, keeps, spec)
     if spec.startswith("below(") and spec.endswith(")"):
         w = monoid.parse_elem(spec[len("below(") : -1])
-        return CutoffProjector(monoid, w).decomposition()
+        return Projector.cutoff(monoid, w)
     if spec.startswith("notbelow(") and spec.endswith(")"):
         w = monoid.parse_elem(spec[len("notbelow(") : -1])
-        return Complement(CutoffProjector(monoid, w)).decomposition()
+        return Projector.cutoff(monoid, w).complement()
     if spec.startswith("mask:"):
         if not isinstance(monoid, FiniteTable):
             raise UsageError("mask decompositions need a finite table monoid")
         try:
-            return Decomposition.from_mask(monoid, int(spec[len("mask:") :], 0))
+            return Projector.from_mask(monoid, int(spec[len("mask:") :], 0))
         except ValueError as exc:  # not an integer, or out of range
             raise UsageError(str(exc)) from None
     if spec.endswith(".json") and os.path.exists(spec):
@@ -214,7 +223,7 @@ def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Decomposition:
     )
 
 
-def _decomposition_from_json(table: FiniteTable, data, spec: str) -> Decomposition:
+def _decomposition_from_json(table: FiniteTable, data, spec: str) -> Projector:
     """{"mask": <int>} or {"kept": [<element index>, ...]} from a decomposition file."""
     if not isinstance(data, dict) or not ("mask" in data or "kept" in data):
         raise UsageError(
@@ -226,14 +235,14 @@ def _decomposition_from_json(table: FiniteTable, data, spec: str) -> Decompositi
             raise UsageError(
                 f"decomposition file {spec}: 'mask' must be an integer in 0..{(1 << table.n) - 1}"
             )
-        return Decomposition.from_mask(table, mask, label=spec)
+        return Projector.from_mask(table, mask, label=spec)
     kept = data["kept"]
     if not (isinstance(kept, list) and all(_is_int(k) for k in kept)):
         raise UsageError(f"decomposition file {spec}: 'kept' must be a list of element indices")
     for k in kept:
         table.check_elem(k)
     kept_set = set(kept)
-    return Decomposition(table, lambda s: s in kept_set, label=spec)
+    return Projector(table, lambda s: s in kept_set, label=spec)
 
 
 def _outcome_text(oc: CheckOutcome) -> str:
@@ -293,8 +302,7 @@ def cmd_rb_check(args) -> int:
     ring = parse_ring_spec(args.ring)
     check_pair_budget(monoid, args.window)
     window = parse_window_spec(monoid, args.window)
-    split = parse_decomposition(monoid, args.decomp)
-    P = DecompositionProjector(split)
+    P = parse_decomposition(monoid, args.decomp)
     if (args.f is None) != (args.g is None):
         raise UsageError("--f and --g go together")
     if args.f is not None:
@@ -303,20 +311,20 @@ def cmd_rb_check(args) -> int:
         _check_product(f, g)  # rb_defect forms four products of at most |f| x |g| pairs
         d = rb_defect(P, f, g)
         if args.json:
-            print(json.dumps({"decomposition": split.label, "defect": _printable(d.to_json)}))
+            print(json.dumps({"decomposition": P.label, "defect": _printable(d.to_json)}))
         else:
-            print(f"decomposition: {split.label} on {monoid}")
+            print(f"decomposition: {P.label} on {monoid}")
             print(f"defect: {_printable(render_series, d, args.var)}")
         return 0 if d.is_zero() else 1
 
-    kept = is_subsemigroup(split, "kept", window)
-    killed = is_subsemigroup(split, "killed", window)
-    scan = indicator_pair_scan(split, window, ring)
+    kept = closed_under_addition(monoid, P.kept(window), window)
+    killed = closed_under_addition(monoid, P.killed(window), window)
+    scan = indicator_pair_scan(P, window, ring)
     if args.json:
         print(
             json.dumps(
                 {
-                    "decomposition": split.label,
+                    "decomposition": P.label,
                     "monoid": str(monoid),
                     "kept_closed": kept.to_json(),
                     "killed_closed": killed.to_json(),
@@ -325,7 +333,7 @@ def cmd_rb_check(args) -> int:
             )
         )
     else:
-        print(f"decomposition: {split.label} on {monoid}")
+        print(f"decomposition: {P.label} on {monoid}")
         print(f"kept part closed under addition:   {_outcome_text(kept)}")
         print(f"killed part closed under addition: {_outcome_text(killed)}")
         print(f"defect scan on single-term pairs:  {_outcome_text(scan)}")
@@ -412,8 +420,8 @@ def cmd_laurent_demo(args) -> int:
         seed = int(seed_text)
     except ValueError:
         raise UsageError(f"GPS_RB_SEED must be an integer, got {seed_text!r}") from None
-    if args.count < 1:
-        raise UsageError(f"--count must be at least 1, got {args.count}")
+    if not 1 <= args.count <= MAX_DEMO_COUNT:
+        raise UsageError(f"--count must be in 1..{MAX_DEMO_COUNT}, got {args.count}")
     rng = random.Random(seed)
     records = []
     all_zero = True
@@ -499,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laurent-demo", help="seeded pole-part projector walkthrough")
     p.add_argument("--ring", default="Q")
-    p.add_argument("--count", type=int, default=3)
+    p.add_argument("--count", type=int, default=3, help=f"pairs to show, 1..{MAX_DEMO_COUNT}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_laurent_demo)
     return parser

@@ -18,14 +18,7 @@ from typing import Any, Iterable, Sequence
 
 from .monoids import FiniteTable, OrderedMonoid
 from .outcomes import CheckOutcome, outcome_fail, outcome_on_window, outcome_pass
-from .projectors import (
-    CutoffProjector,
-    Decomposition,
-    DecompositionProjector,
-    cutoff_violation_pairs,
-    nonzero_defect_pairs,
-    rb_defect,
-)
+from .projectors import Projector, cutoff_violation_pairs, nonzero_defect_pairs, rb_defect
 from .scalars import Ring, ZZ
 from .series import indicator
 
@@ -128,7 +121,7 @@ def verify_theorem_decomposition(
     closed_masks = 0
     defect_evals = 0
     for mask in range(1 << n):
-        P = DecompositionProjector(Decomposition.from_mask(monoid, mask))
+        P = Projector.from_mask(monoid, mask)
         witness = closure_witness(monoid, mask)
         structural = witness is None
         if structural:
@@ -179,7 +172,7 @@ def scan_cutoffs(
     for w in w_set:
         drop_in, escape = cutoff_violation_pairs(monoid, w, elems)
         flagged = set(drop_in) | set(escape)
-        P = CutoffProjector(monoid, w)
+        P = Projector.cutoff(monoid, w)
         nonzero = set(nonzero_defect_pairs(P, elems, ring))
         if nonzero != flagged:
             u, v = next(p for p in product(elems, elems) if (p in nonzero) != (p in flagged))

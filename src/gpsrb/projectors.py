@@ -1,9 +1,11 @@
 """Coefficient-killing projectors on series and the weight -1 defect functional.
 
-A decomposition splits the monoid carrier into a kept part and a killed part;
-the induced linear operator zeroes every coefficient whose exponent falls in
-the killed part. The central question downstream is when such an operator P
-satisfies the weight -1 identity
+A Projector(monoid, keeps, label) splits the monoid carrier into a kept part
+{s : keeps(s)} and a killed part, its complement, and zeroes every
+coefficient whose exponent falls in the killed part. Projector.cutoff keeps
+the exponents strictly below a threshold, Projector.from_mask a bitmask of a
+finite carrier, and complement() swaps the two parts. The central question
+downstream is when such an operator P satisfies the weight -1 identity
 
     P(f) P(g) = P(f P(g)) + P(P(f) g) - P(f g)
 
@@ -25,41 +27,16 @@ from .series import Series, indicator
 
 
 @dataclass(frozen=True)
-class Decomposition:
-    """Split of the carrier into kept = {member true} and killed = complement."""
-
-    monoid: OrderedMonoid
-    member: Callable[[object], bool]
-    label: str = "custom"
-
-    def kept(self, window: Iterable) -> list:
-        return [s for s in window if self.member(s)]
-
-    def killed(self, window: Iterable) -> list:
-        return [s for s in window if not self.member(s)]
-
-    @staticmethod
-    def from_mask(monoid: FiniteTable, mask: int, label: str | None = None) -> "Decomposition":
-        """Kept part of a finite carrier given as a bitmask over element indices."""
-        if not isinstance(monoid, FiniteTable):
-            raise TypeError("bitmask decompositions need a finite carrier")
-        if mask < 0 or mask >> monoid.n:
-            raise ValueError(f"mask {mask:#x} out of range for n={monoid.n}")
-        if label is None:
-            label = f"mask:{mask:#x}"
-        return Decomposition(monoid, lambda s: bool(mask >> s & 1), label)
-
-
 class Projector:
-    """Linear operator on series determined by which exponents it keeps."""
+    """Linear operator on series that keeps the exponents s with keeps(s), kills the rest.
+
+    The kept subset of the carrier determines the projector; the killed
+    subset is its complement.
+    """
 
     monoid: OrderedMonoid
-
-    def keeps(self, s) -> bool:
-        raise NotImplementedError
-
-    def label(self) -> str:
-        raise NotImplementedError
+    keeps: Callable[[object], bool]
+    label: str = "custom"
 
     def __call__(self, f: Series) -> Series:
         if f.monoid is not self.monoid and f.monoid != self.monoid:
@@ -67,61 +44,38 @@ class Projector:
         keeps = self.keeps
         return Series._raw(f.monoid, f.ring, {s: c for s, c in f.items() if keeps(s)})
 
-    def decomposition(self) -> Decomposition:
-        return Decomposition(self.monoid, self.keeps, self.label())
+    def kept(self, window: Iterable) -> list:
+        return [s for s in window if self.keeps(s)]
 
+    def killed(self, window: Iterable) -> list:
+        return [s for s in window if not self.keeps(s)]
 
-@dataclass(frozen=True)
-class DecompositionProjector(Projector):
-    split: Decomposition
+    def complement(self) -> "Projector":
+        """id - P: keeps exactly what this projector kills."""
+        keeps = self.keeps
+        return Projector(self.monoid, lambda s: not keeps(s), f"not({self.label})")
 
-    @property
-    def monoid(self) -> OrderedMonoid:
-        return self.split.monoid
+    @staticmethod
+    def cutoff(monoid: OrderedMonoid, w) -> "Projector":
+        """Keep exponents strictly below the threshold w, kill the rest.
 
-    def keeps(self, s) -> bool:
-        return self.split.member(s)
+        "Not below w" is evaluated literally as not(s < w); under a partial
+        order that is weaker than w <= s, and the two must not be conflated.
+        """
+        monoid.check_elem(w)
+        lt = monoid.lt
+        return Projector(monoid, lambda s: lt(s, w), f"below({monoid.elem_repr(w)})")
 
-    def label(self) -> str:
-        return self.split.label
-
-
-@dataclass(frozen=True)
-class CutoffProjector(Projector):
-    """Keep exponents strictly below the threshold w, kill the rest.
-
-    "Not below w" is evaluated literally as not(s < w); under a partial order
-    that is weaker than w <= s, and the two must not be conflated.
-    """
-
-    monoid: OrderedMonoid
-    w: object
-
-    def __post_init__(self):
-        self.monoid.check_elem(self.w)
-
-    def keeps(self, s) -> bool:
-        return self.monoid.lt(s, self.w)
-
-    def label(self) -> str:
-        return f"below({self.monoid.elem_repr(self.w)})"
-
-
-@dataclass(frozen=True)
-class Complement(Projector):
-    """id - P: keeps exactly what the wrapped projector kills."""
-
-    inner: Projector
-
-    @property
-    def monoid(self) -> OrderedMonoid:
-        return self.inner.monoid
-
-    def keeps(self, s) -> bool:
-        return not self.inner.keeps(s)
-
-    def label(self) -> str:
-        return f"not({self.inner.label()})"
+    @staticmethod
+    def from_mask(monoid: FiniteTable, mask: int, label: str | None = None) -> "Projector":
+        """Kept part of a finite carrier given as a bitmask over element indices."""
+        if not isinstance(monoid, FiniteTable):
+            raise TypeError("bitmask decompositions need a finite carrier")
+        if mask < 0 or mask >> monoid.n:
+            raise ValueError(f"mask {mask:#x} out of range for n={monoid.n}")
+        if label is None:
+            label = f"mask:{mask:#x}"
+        return Projector(monoid, lambda s: bool(mask >> s & 1), label)
 
 
 def defect_terms(P: Callable, f, g) -> tuple:
@@ -159,18 +113,6 @@ def closed_under_addition(monoid: OrderedMonoid, subset: Iterable, window: Itera
                 rep = monoid.elem_repr
                 return outcome_fail({"u": rep(u), "v": rep(v), "u+v": rep(s)}, desc)
     return outcome_pass(desc) if monoid.covers(window_set) else outcome_on_window(desc)
-
-
-def is_subsemigroup(split: Decomposition, part: str, window: Iterable) -> CheckOutcome:
-    """Closure check for one side of a decomposition; part is "kept" or "killed"."""
-    elems = list(window)
-    if part == "kept":
-        subset = split.kept(elems)
-    elif part == "killed":
-        subset = split.killed(elems)
-    else:
-        raise ValueError(f"part must be 'kept' or 'killed', got {part!r}")
-    return closed_under_addition(split.monoid, subset, elems)
 
 
 def nonzero_defect_pairs(P: Projector, window: Iterable, ring: Ring) -> Iterator[tuple[Any, Any]]:
@@ -211,7 +153,7 @@ def nonzero_defect_pairs(P: Projector, window: Iterable, ring: Ring) -> Iterator
             yield u, elems[j]
 
 
-def indicator_pair_scan(split: Decomposition, window: Iterable, ring: Ring) -> CheckOutcome:
+def indicator_pair_scan(P: Projector, window: Iterable, ring: Ring) -> CheckOutcome:
     """Evaluate the defect on every pair of single-term series from the window.
 
     This is the semantic test of the weight -1 identity. Single-term series
@@ -220,9 +162,8 @@ def indicator_pair_scan(split: Decomposition, window: Iterable, ring: Ring) -> C
     certifies the window only.
     """
     elems = list(window)
-    monoid = split.monoid
+    monoid = P.monoid
     desc = f"{len(elems)}^2 single-term pairs"
-    P = DecompositionProjector(split)
     first = next(nonzero_defect_pairs(P, elems, ring), None)
     if first is not None:
         u, v = first

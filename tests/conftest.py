@@ -22,11 +22,10 @@ import pytest
 from hypothesis import strategies as st
 
 from gpsrb import (
-    Decomposition,
-    DecompositionProjector,
     FiniteTable,
     IntLine,
     IntVector,
+    Projector,
     QQ,
     Series,
     ZZ,
@@ -92,12 +91,11 @@ def reference_sweep(monoid: FiniteTable, ring=ZZ) -> dict:
     rb_masks, mismatches = [], []
     closed_masks = 0
     for mask in range(1 << monoid.n):
-        split = Decomposition.from_mask(monoid, mask)
-        structural = bool(closed_under_addition(monoid, split.kept(elems), elems)) and bool(
-            closed_under_addition(monoid, split.killed(elems), elems)
+        P = Projector.from_mask(monoid, mask)
+        structural = bool(closed_under_addition(monoid, P.kept(elems), elems)) and bool(
+            closed_under_addition(monoid, P.killed(elems), elems)
         )
         closed_masks += structural
-        P = DecompositionProjector(split)
         semantic = next(pairwise_defect_pairs(P, elems, ring), None) is None
         if semantic:
             rb_masks.append(mask)

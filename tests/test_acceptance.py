@@ -10,13 +10,10 @@ import json
 import time
 
 from gpsrb import (
-    Complement,
-    CutoffProjector,
-    Decomposition,
-    DecompositionProjector,
     FiniteTable,
     IntLine,
     IntVector,
+    Projector,
     QQ,
     Series,
     TruncatedLaurent,
@@ -88,9 +85,8 @@ def test_c03_violation_witness_defect_is_exactly_one():
         elems = list(table.carrier())
         one = ZZ.one()
         for mask in range(1 << table.n):
-            split = Decomposition.from_mask(table, mask)
-            P = DecompositionProjector(split)
-            kept, killed = set(split.kept(elems)), set(split.killed(elems))
+            P = Projector.from_mask(table, mask)
+            kept, killed = set(P.kept(elems)), set(P.killed(elems))
             for u in elems:
                 for v in elems:
                     s = table.add(u, v)
@@ -100,7 +96,7 @@ def test_c03_violation_witness_defect_is_exactly_one():
                         assert d.coeff(s) == one
                         checked_kept += 1
                     if u in killed and v in killed and s not in killed:
-                        d = rb_defect(Complement(P), eu, ev)
+                        d = rb_defect(P.complement(), eu, ev)
                         assert d.coeff(s) == one
                         checked_killed += 1
     assert checked_kept > 0 and checked_killed > 0
@@ -108,7 +104,7 @@ def test_c03_violation_witness_defect_is_exactly_one():
 
 def test_c04_identity_holds_for_pole_decomposition_bulk(rng):
     """1000 random rational series pairs, kept part {n < 0}: defect identically zero."""
-    P = DecompositionProjector(Decomposition(M, lambda s: s < 0, "negatives"))
+    P = Projector(M, lambda s: s < 0, "negatives")
     t0 = time.perf_counter()
     for _ in range(1000):
         f = random_int_series(rng, max_support=8, exp_lo=-10, exp_hi=10)
@@ -121,17 +117,16 @@ def test_c04_identity_holds_for_pole_decomposition_bulk(rng):
 def test_c05_defect_bilinearity_double_sum(rng):
     """200 random (P, f, g): defect equals the coefficient-weighted basis double sum."""
     menu = [
-        Decomposition(M, lambda s: s < 0, "negatives"),
-        Decomposition(M, lambda s: s % 2 == 1, "odds"),
-        Decomposition(M, lambda s: s % 2 == 0, "evens"),
-        Decomposition(M, lambda s: not (s < 0), "nonnegatives"),
-        CutoffProjector(M, 2).decomposition(),
-        CutoffProjector(M, 0).decomposition(),
-        Decomposition(M, lambda s: s % 3 == 0, "multiples-of-3"),
+        Projector(M, lambda s: s < 0, "negatives"),
+        Projector(M, lambda s: s % 2 == 1, "odds"),
+        Projector(M, lambda s: s % 2 == 0, "evens"),
+        Projector(M, lambda s: not (s < 0), "nonnegatives"),
+        Projector.cutoff(M, 2),
+        Projector.cutoff(M, 0),
+        Projector(M, lambda s: s % 3 == 0, "multiples-of-3"),
     ]
     for _ in range(200):
-        split = rng.choice(menu)
-        P = DecompositionProjector(split)
+        P = rng.choice(menu)
         f = random_int_series(rng, max_support=5, exp_lo=-6, exp_hi=6)
         g = random_int_series(rng, max_support=5, exp_lo=-6, exp_hi=6)
         total = zero_series(M, QQ)
@@ -143,8 +138,8 @@ def test_c05_defect_bilinearity_double_sum(rng):
 
 def test_c06_projectors_commute_bulk(rng):
     """P = negatives, Q = evens: P(Q(f)) = Q(P(f)) on 500 random series."""
-    P = DecompositionProjector(Decomposition(M, lambda s: s < 0, "negatives"))
-    Q = DecompositionProjector(Decomposition(M, lambda s: s % 2 == 0, "evens"))
+    P = Projector(M, lambda s: s < 0, "negatives")
+    Q = Projector(M, lambda s: s % 2 == 0, "evens")
     for _ in range(500):
         f = random_int_series(rng, max_support=8, exp_lo=-10, exp_hi=10)
         assert commute_check(P, Q, f)
@@ -169,7 +164,7 @@ def test_c07_obstruction_sets_agree_with_defect_scan():
             drop_in, escape = cutoff_violation_pairs(monoid, w, window)
             sets_empty = not drop_in and not escape
             scan = indicator_pair_scan(
-                CutoffProjector(monoid, w).decomposition(), window, ZZ
+                Projector.cutoff(monoid, w), window, ZZ
             )
             assert bool(scan) == sets_empty, (monoid, w)
             scanned += 1

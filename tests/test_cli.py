@@ -8,6 +8,8 @@ import pytest
 
 from gpsrb.cli import (
     LAURENT_JSON_BUDGET,
+    MAX_DEMO_COUNT,
+    MAX_DIM,
     PAIR_BUDGET,
     UsageError,
     check_pair_budget,
@@ -186,6 +188,35 @@ def test_laurent_demo_rejects_empty_count(capsys):
         assert "--count" in err and out == ""
 
 
+def test_laurent_demo_count_cap_refuses_before_building(capsys, monkeypatch):
+    import gpsrb.cli
+
+    def never(*args):
+        raise AssertionError("series built")
+
+    monkeypatch.setattr(gpsrb.cli, "_random_laurent", never)
+    code, out, err = run(capsys, "laurent-demo", "--count", str(MAX_DEMO_COUNT + 1))
+    assert code == 2
+    assert f"1..{MAX_DEMO_COUNT}" in err and out == ""
+
+
+def test_dimension_cap_refuses_before_building(capsys, monkeypatch):
+    import gpsrb.cli
+
+    assert parse_monoid_spec(f"Z^{MAX_DIM}:lex") == IntVector(MAX_DIM, lex=True)
+
+    def never(*args, **kwargs):
+        raise AssertionError("IntVector built")
+
+    monkeypatch.setattr(gpsrb.cli, "IntVector", never)
+    with pytest.raises(UsageError, match=f"1..{MAX_DIM}"):
+        parse_monoid_spec(f"Z^{MAX_DIM + 1}:product")
+    argv = ["rb-check", "--monoid", "Z^1000000000:product", "--decomp", "negatives", "--window", "0..0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "Z^1000000000:product" in err and out == ""
+
+
 def test_bad_inputs_exit_two(capsys):
     assert run(capsys, "mul", "e^", "e^1")[0] == 2
     assert run(capsys, "rb-check", "--decomp", "nonsense")[0] == 2
@@ -216,24 +247,35 @@ def test_window_spec_parsing():
     assert parse_window_spec(table, "1..9") == [1, 2, 3]
 
 
-def test_decomposition_vocab():
+def test_decomposition_vocab(tmp_path):
     M = IntLine()
     below = parse_decomposition(M, "below(2)")
     assert below.kept([0, 1, 2, 3]) == [0, 1]
+    assert below.label == "below(2)"
     notbelow = parse_decomposition(M, "notbelow(2)")
     assert notbelow.kept([0, 1, 2, 3]) == [2, 3]
+    assert notbelow.label == "not(below(2))"
     V = IntVector(2)
     vb = parse_decomposition(V, "below((0,0))")
-    assert vb.member((-1, -1)) and not vb.member((1, -5))
+    assert vb.keeps((-1, -1)) and not vb.keeps((1, -5))
     pos = parse_decomposition(M, "positives")
     assert pos.kept([-1, 0, 1]) == [1]
+    assert pos.label == "positives"
     nonneg = parse_decomposition(M, "nonnegatives")
     assert nonneg.kept([-1, 0, 1]) == [0, 1]
     # incomparable elements count as "non-negative" under the literal reading
-    assert parse_decomposition(V, "nonnegatives").member((1, -1))
+    assert parse_decomposition(V, "nonnegatives").keeps((1, -1))
     table = parse_monoid_spec(f"table:{TABLES / 'idem2.json'}")
     m = parse_decomposition(table, "mask:0x2")
     assert m.kept([0, 1]) == [1]
+    assert m.label == "mask:0x2"
+    # a file split is labelled by its path, whichever key it uses
+    for name, payload in (("kept.json", {"kept": [1]}), ("mask.json", {"mask": 2})):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        split = parse_decomposition(table, str(path))
+        assert split.kept([0, 1]) == [1]
+        assert split.label == str(path)
     with pytest.raises(Exception):
         parse_decomposition(V, "odds")
 

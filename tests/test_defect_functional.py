@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpsrb import (
-    CutoffProjector,
     InsufficientPrecision,
     IntLine,
+    Projector,
     QQ,
     ZZ,
     Zmod,
@@ -28,7 +28,7 @@ from conftest import rat_scalars
 
 M = IntLine()
 Z7 = Zmod(7)
-P0 = CutoffProjector(M, 0)
+P0 = Projector.cutoff(M, 0)
 
 
 def exact_laurents(ring):

@@ -6,7 +6,6 @@ import gpsrb.oracles
 import gpsrb.projectors
 from conftest import DEFAULT_SEED, direct_product_table, reference_sweep, relabel_table
 from gpsrb import (
-    Decomposition,
     FiniteTable,
     IntLine,
     IntVector,

@@ -12,12 +12,9 @@ import gpsrb.laurent
 import gpsrb.projectors
 from conftest import direct_product_table, pairwise_defect_pairs
 from gpsrb import (
-    Complement,
-    CutoffProjector,
-    Decomposition,
-    DecompositionProjector,
     IntLine,
     IntVector,
+    Projector,
     QQ,
     Series,
     ZZ,
@@ -53,7 +50,7 @@ def test_every_mask_of_finite_tables(table, ring):
     elems = list(table.carrier())
     flagged = 0
     for mask in range(1 << table.n):
-        P = DecompositionProjector(Decomposition.from_mask(table, mask))
+        P = Projector.from_mask(table, mask)
         flagged += bool(assert_routes_agree(P, elems, ring))
     # only some masks are closed, so both verdicts occur
     assert 0 < flagged < 1 << table.n
@@ -71,9 +68,9 @@ def test_every_mask_of_finite_tables(table, ring):
 def test_cutoffs_on_lines(monoid, ws, window, ring):
     hits = 0
     for w in ws:
-        P = CutoffProjector(monoid, w)
+        P = Projector.cutoff(monoid, w)
         hits += len(assert_routes_agree(P, window, ring))
-        assert_routes_agree(Complement(P), window, ring)
+        assert_routes_agree(P.complement(), window, ring)
     assert hits > 0
 
 
@@ -83,13 +80,13 @@ def test_cutoffs_on_the_plane(lex, ring):
     monoid = IntVector(2, lex=lex)
     window = vector_window(-2, 1, 2)
     for w in [(0, 0), (1, 1), (0, 1), (-1, -1), (2, -1)]:
-        assert_routes_agree(CutoffProjector(monoid, w), window, ring)
+        assert_routes_agree(Projector.cutoff(monoid, w), window, ring)
 
 
 def test_rows_with_several_hits_decode_every_term():
     # below(-2) on Z: the killed u = -2 drops into the kept part with both
     # v = -2 and v = -1, so its packed defect carries two terms
-    P = CutoffProjector(IntLine(), -2)
+    P = Projector.cutoff(IntLine(), -2)
     pairs = assert_routes_agree(P, int_window(-3, 3), ZZ)
     assert pairs == [(-2, -2), (-2, -1), (-1, -2)]
 
@@ -110,15 +107,15 @@ def count_defect_calls(monkeypatch) -> list:
 def test_one_defect_call_per_row(monkeypatch):
     calls = count_defect_calls(monkeypatch)
     window = int_window(-6, 6)
-    list(nonzero_defect_pairs(CutoffProjector(IntLine(), -2), window, QQ))
+    list(nonzero_defect_pairs(Projector.cutoff(IntLine(), -2), window, QQ))
     assert calls == [len(window)] * len(window)
 
 
 def test_first_pair_stops_at_first_failing_row(monkeypatch):
     calls = count_defect_calls(monkeypatch)
     # odds kept: -3 + -3 = -6 is killed, so the first row already fails
-    split = Decomposition(IntLine(), lambda s: s % 2 == 1, "odds")
-    first = next(nonzero_defect_pairs(DecompositionProjector(split), int_window(-3, 3), ZZ))
+    P = Projector(IntLine(), lambda s: s % 2 == 1, "odds")
+    first = next(nonzero_defect_pairs(P, int_window(-3, 3), ZZ))
     assert first == (-3, -3)
     assert len(calls) == 1
 
@@ -129,7 +126,7 @@ def test_digits_are_reduced_mod_m(monkeypatch):
     monkeypatch.setattr(
         gpsrb.projectors, "rb_defect", lambda P, f, g: Series(f.monoid, f.ring, {0: 2 - 16})
     )
-    P = CutoffProjector(IntLine(), 0)
+    P = Projector.cutoff(IntLine(), 0)
     window = int_window(-1, 1)
     assert list(nonzero_defect_pairs(P, window, Zmod(2))) == []
     for ring in (ZZ, QQ, Zmod(7)):
@@ -138,15 +135,15 @@ def test_digits_are_reduced_mod_m(monkeypatch):
 
 
 def test_repeated_window_element_is_refused():
-    split = Decomposition(IntLine(), lambda s: s < 0, "negatives")
+    P = Projector(IntLine(), lambda s: s < 0, "negatives")
     with pytest.raises(ValueError, match="window repeats 1"):
-        indicator_pair_scan(split, [1, 1, 2], ZZ)
+        indicator_pair_scan(P, [1, 1, 2], ZZ)
 
 
 def test_scan_witness_defect_is_over_the_callers_ring():
-    split = Decomposition(IntLine(), lambda s: s % 2 == 1, "odds")
+    P = Projector(IntLine(), lambda s: s % 2 == 1, "odds")
     for ring, coeff in ((QQ, "1"), (Zmod(7), "1 mod 7")):
-        out = indicator_pair_scan(split, int_window(-2, 2), ring)
+        out = indicator_pair_scan(P, int_window(-2, 2), ring)
         assert out.witness == {"u": "-1", "v": "-1", "defect": [{"exp": "-2", "coeff": coeff}]}
 
 
