@@ -19,6 +19,7 @@ bug. The env var GPS_RB_SEED fixes the demo RNG seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -88,9 +89,9 @@ LAURENT_JSON_BUDGET = 1_000_000
 # sums distinct 5.1 s at 437 MB, against 4.2 s at 336 MB on Z^2 (same host)
 MAX_DIM = 8
 
-# pairs one laurent-demo may show, checked before the first is built: every
-# record is kept until the output is written; at the cap a run takes 1.8-3.5 s
-# and a peak RSS of 40-98 MB, the most over Q with --json (same host)
+# pairs one laurent-demo may show, checked before the first is built: at the
+# cap a run takes 1.9-3.2 s at a peak RSS of 17-18 MB, or 67-71 MB with
+# --json, which keeps every pair until the one document is written (same host)
 MAX_DEMO_COUNT = 10_000
 
 
@@ -423,9 +424,13 @@ def cmd_laurent_demo(args) -> int:
     if not 1 <= args.count <= MAX_DEMO_COUNT:
         raise UsageError(f"--count must be in 1..{MAX_DEMO_COUNT}, got {args.count}")
     rng = random.Random(seed)
-    records = []
+    # only --json, one document, needs every pair at once; the text output
+    # prints each pair as it is made
+    pairs = []
+    if not args.json:
+        print(f"seed: {seed}")
     all_zero = True
-    for k in range(args.count):
+    for k in range(1, args.count + 1):
         f = _random_laurent(rng, ring)
         g = _random_laurent(rng, ring)
         t1, t2, t3, t4 = defect_terms(pole_part, f, g)
@@ -437,32 +442,36 @@ def cmd_laurent_demo(args) -> int:
         }
         defect = t1 - t2 - t3 + t4
         all_zero = all_zero and defect.is_zero()
-        records.append((f, g, terms, defect))
+        if args.json:
+            pairs.append(
+                {
+                    "f": f.to_json(),
+                    "g": g.to_json(),
+                    "terms": {label: v.to_json() for label, v in terms.items()},
+                    "defect": defect.to_json(),
+                }
+            )
+            continue
+        print(f"pair {k}:")
+        print(f"  f = {render_laurent(f)}")
+        print(f"  g = {render_laurent(g)}")
+        for label, value in terms.items():
+            print(f"  {label:17s} = {render_laurent(value)}")
+        print(f"  defect            = {render_laurent(defect)}")
     if args.json:
-        out = [
-            {
-                "f": f.to_json(),
-                "g": g.to_json(),
-                "terms": {k: v.to_json() for k, v in terms.items()},
-                "defect": defect.to_json(),
-            }
-            for f, g, terms, defect in records
-        ]
-        print(json.dumps({"seed": seed, "pairs": out, "all_defects_zero": all_zero}))
+        print(json.dumps({"seed": seed, "pairs": pairs, "all_defects_zero": all_zero}))
     else:
-        print(f"seed: {seed}")
-        for k, (f, g, terms, defect) in enumerate(records, 1):
-            print(f"pair {k}:")
-            print(f"  f = {render_laurent(f)}")
-            print(f"  g = {render_laurent(g)}")
-            for label, value in terms.items():
-                print(f"  {label:17s} = {render_laurent(value)}")
-            print(f"  defect            = {render_laurent(defect)}")
         print(f"all defects zero: {'yes' if all_zero else 'NO'}")
     return 0 if all_zero else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
+
+    Building it costs about 30x a parse (argparse reads the terminal size on
+    every add_argument), and parse_args leaves the parser unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="gpsrb",
         description="Series over ordered monoids and their coefficient-killing projectors",

@@ -133,14 +133,15 @@ class TruncatedLaurent:
     def __add__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         if not isinstance(other, TruncatedLaurent):
             return NotImplemented
-        tails = [t.tail for t in (self, other) if t.tail is not None]
-        return TruncatedLaurent.from_series(self.series + other.series, min(tails, default=None))
+        return TruncatedLaurent.from_series(self.series + other.series, _min_tail(self, other))
 
     def __neg__(self) -> "TruncatedLaurent":
         return TruncatedLaurent._raw(-self.series, self.tail)
 
     def __sub__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
-        return self + (-other)
+        if not isinstance(other, TruncatedLaurent):
+            return NotImplemented
+        return TruncatedLaurent.from_series(self.series - other.series, _min_tail(self, other))
 
     def __mul__(self, other):
         if not isinstance(other, TruncatedLaurent):
@@ -181,6 +182,12 @@ class TruncatedLaurent:
             "trunc": lo + len(window),
             "exact": self.exact,
         }
+
+
+def _min_tail(f: TruncatedLaurent, g: TruncatedLaurent) -> int | None:
+    """The tail bound of a sum or difference: the lower of the two, None when both are exact."""
+    tails = [t.tail for t in (f, g) if t.tail is not None]
+    return min(tails, default=None)
 
 
 def zero_laurent(ring: Ring) -> TruncatedLaurent:

@@ -115,42 +115,55 @@ def closed_under_addition(monoid: OrderedMonoid, subset: Iterable, window: Itera
     return outcome_pass(desc) if monoid.covers(window_set) else outcome_on_window(desc)
 
 
+# Digits of one packed rb_defect call in nonzero_defect_pairs: a block of
+# max(1, BLOCK_DIGITS // n) rows of an n-element window (README, "The defect
+# scan").
+BLOCK_DIGITS = 256
+
+
 def nonzero_defect_pairs(P: Projector, window: Iterable, ring: Ring) -> Iterator[tuple[Any, Any]]:
     """Yield (u, v) for each window pair whose single-term defect is nonzero over ring.
 
     Pairs come in window order, u outer and v inner, so the first item is
     the first failing pair a nested scan would meet.
 
-    One rb_defect call decides a whole row u. P keeps or kills each term, so
-    each of the four terms of D(e_u, e_v) is 0 or +-e_{u+v}, and every
-    coefficient of it lies in [-2, 2]. The defect is bilinear, so over Z
-    with G = sum_j 8^j e_{v_j} every coefficient of D(e_u, G) is a base-8
-    number whose balanced digit j is the coefficient of D(e_u, e_{v_j}),
-    even when several v_j share one u + v_j. Reduction mod m is a ring map,
-    so a digit reduced mod m is the Z/m coefficient; Q contains Z.
+    One rb_defect call decides a whole block of rows u_0, u_1, ... of an
+    n-element window. P keeps or kills each term, so each of the four terms
+    of D(e_u, e_v) is 0 or +-e_{u+v}, and every coefficient of it lies in
+    [-2, 2]. The defect is bilinear, so over Z with F = sum_i 8^(n i) e_{u_i}
+    and G = sum_j 8^j e_{v_j} the pair (i, j) lands only at u_i + v_j, in
+    digit n i + j, and every coefficient of D(F, G) is a base-8 number whose
+    balanced digit n i + j is the coefficient of D(e_{u_i}, e_{v_j}), even
+    when several pairs share one sum. Reduction mod m is a ring map, so a
+    digit reduced mod m is the Z/m coefficient; Q contains Z. A block holds
+    max(1, BLOCK_DIGITS // n) rows, which caps the digits of one call.
     """
     elems = list(window)
     if len(set(elems)) != len(elems):
         dup = next(s for i, s in enumerate(elems) if s in elems[:i])
         raise ValueError(f"window repeats {P.monoid.elem_repr(dup)}")
-    monoid, m = P.monoid, ring.modulus
-    packed = Series._raw(monoid, ZZ, {v: 1 << 3 * j for j, v in enumerate(elems)})  # 8^j
-    for u in elems:
+    monoid, m, n = P.monoid, ring.modulus, len(elems)
+    rows = max(1, BLOCK_DIGITS // max(n, 1))
+    right = Series._raw(monoid, ZZ, {v: 1 << 3 * j for j, v in enumerate(elems)})  # 8^j
+    for start in range(0, n, rows):
+        block = elems[start : start + rows]
+        left = Series._raw(monoid, ZZ, {u: 1 << 3 * n * i for i, u in enumerate(block)})  # 8^(n i)
         hits = []
-        for _, c in rb_defect(P, indicator(monoid, u, ZZ), packed).items():
+        for _, c in rb_defect(P, left, right).items():
             while c:
-                # digit j occupies bits 3j..3j+2; the lowest set bit of c
+                # digit k occupies bits 3k..3k+2; the lowest set bit of c
                 # lies in its lowest nonzero digit
-                j = ((c & -c).bit_length() - 1) // 3
-                digit = (c >> 3 * j) % 8
+                k = ((c & -c).bit_length() - 1) // 3
+                digit = (c >> 3 * k) % 8
                 if digit > 3:
                     digit -= 8
-                c -= digit << 3 * j
+                c -= digit << 3 * k
                 if digit % m if m else digit:
-                    hits.append(j)
+                    hits.append(k)
         hits.sort()
-        for j in hits:
-            yield u, elems[j]
+        for k in hits:
+            i, j = divmod(k, n)
+            yield block[i], elems[j]
 
 
 def indicator_pair_scan(P: Projector, window: Iterable, ring: Ring) -> CheckOutcome:

@@ -112,7 +112,23 @@ class Series:
         return Series._raw(self.monoid, self.ring, neg)
 
     def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
+        if not isinstance(other, Series):
+            return NotImplemented
+        self._check_peer(other)
+        m = self.ring.modulus
+        acc = dict(self._terms)
+        for s, c in other._terms.items():
+            if s in acc:
+                c = acc[s] - c
+                if m:
+                    c %= m
+                if not c:
+                    del acc[s]
+                    continue
+                acc[s] = c
+            else:
+                acc[s] = m - c if m else -c
+        return Series._raw(self.monoid, self.ring, acc)
 
     def __mul__(self, other):
         if not isinstance(other, Series):

@@ -3,7 +3,7 @@
 The convolution oracle here deliberately computes coefficients the slow way
 (filter all support pairs per target exponent) so it shares no code path with
 Series multiplication. The pair oracle calls rb_defect once per single-term
-pair, with none of the row packing of projectors.nonzero_defect_pairs. The
+pair, with none of the block packing of projectors.nonzero_defect_pairs. The
 sweep oracle runs both closure checks and that pairwise scan on every
 decomposition, with none of the witness-first shortcuts of
 verify_theorem_decomposition. The parser oracle is the character-stepping
@@ -108,6 +108,16 @@ def reference_sweep(monoid: FiniteTable, ring=ZZ) -> dict:
         "mismatches": tuple(mismatches),
         "closed_masks": closed_masks,
     }
+
+
+def max_chain_table(n: int) -> FiniteTable:
+    """The chain semilattice on {0..n-1}, a + b = max(a, b), with the trivial order.
+
+    max(a, b) is a or b, so every subset is closed under addition: every
+    kept-part mask is closed on both sides and gets the full semantic scan.
+    """
+    add = [[max(i, j) for j in range(n)] for i in range(n)]
+    return FiniteTable.from_lists(n, 0, add, name=f"max({n})")
 
 
 def direct_product_table(a: FiniteTable, b: FiniteTable) -> FiniteTable:

@@ -12,6 +12,7 @@ from gpsrb.cli import (
     MAX_DIM,
     PAIR_BUDGET,
     UsageError,
+    build_parser,
     check_pair_budget,
     main,
     parse_decomposition,
@@ -20,6 +21,7 @@ from gpsrb.cli import (
     parse_window_spec,
 )
 from gpsrb import FiniteTable, IntLine, IntVector, TooLarge, zero_series
+import gpsrb.cli
 import gpsrb.parsing
 from gpsrb.parsing import MAX_NESTING, PRODUCT_BUDGET
 
@@ -466,3 +468,56 @@ def test_python_dash_m_gpsrb_runs_the_cli():
     )
     assert done.returncode == 0
     assert done.stdout.startswith("usage: gpsrb")
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process: a run after an argparse error or
+    # after another subcommand prints what a run on a fresh parser prints
+    argvs = [
+        ["theorem-verify", "--table", str(TABLES / "z4.json"), "--json"],
+        ["rb-check", "--decomp", "negatives", "--bogus"],
+        ["mul", "1 + e", "1 - e", "--ring", "Z/7"],
+        ["rb-check", "--monoid", "Z", "--decomp", "below(0)", "--window", "-2..2"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        out = capsys.readouterr()
+        if argv[0] == "theorem-verify":
+            return code, {**json.loads(out.out), "elapsed": None}, out.err
+        return code, out.out, out.err
+
+    assert build_parser() is build_parser()
+    shared = [outcome(argv) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert "--bogus" in shared[1][2]
+
+
+def test_laurent_demo_prints_each_pair_as_it_is_made(monkeypatch, capsys):
+    # without --json no record outlives its pair: pair k is printed before
+    # the series of pair k + 1 are drawn
+    real = gpsrb.cli._random_laurent
+    printed = []
+
+    def drawing(rng, ring):
+        printed.append(capsys.readouterr().out)
+        return real(rng, ring)
+
+    monkeypatch.setenv("GPS_RB_SEED", "5")
+    monkeypatch.setattr(gpsrb.cli, "_random_laurent", drawing)
+    assert main(["laurent-demo", "--count", "3", "--ring", "Z/7"]) == 0
+    printed.append(capsys.readouterr().out)
+    assert printed[0] == "seed: 5\n"
+    assert [p.split("\n", 1)[0] for p in printed[2::2]] == ["pair 1:", "pair 2:", "pair 3:"]
+    assert all(p == "" for p in printed[1::2])
+    monkeypatch.setattr(gpsrb.cli, "_random_laurent", real)
+    assert main(["laurent-demo", "--count", "3", "--ring", "Z/7"]) == 0
+    assert capsys.readouterr().out == "".join(printed)

@@ -12,6 +12,7 @@ from gpsrb import (
     Series,
     TruncatedLaurent,
     ZZ,
+    Zmod,
     make_laurent,
     nonneg_part,
     parse_series,
@@ -157,14 +158,16 @@ def test_memory_grows_with_terms_not_exponents():
 rat = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
 
 
-def laurents(min_ord=-4, max_hi=5):
+def laurents(min_ord=-4, max_hi=5, ring=QQ):
+    scalars = rat if ring is QQ else st.integers(-9, 9).map(ring.from_int)
+
     @st.composite
     def build(draw):
         lo = draw(st.integers(min_ord, 2))
         hi = draw(st.integers(lo, max_hi))
-        coeffs = [draw(rat) for _ in range(hi - lo)]
+        coeffs = [draw(scalars) for _ in range(hi - lo)]
         exact = draw(st.booleans())
-        return TruncatedLaurent(QQ, lo, coeffs, exact=exact, trunc=hi)
+        return TruncatedLaurent(ring, lo, coeffs, exact=exact, trunc=hi)
 
     return build()
 
@@ -203,6 +206,20 @@ def test_pole_plus_nonneg_is_identity_on_window(f):
     assert p.exact
     if p.coeffs:
         assert p.trunc <= 0
+
+
+@settings(max_examples=120)
+@given(
+    pair=st.one_of(
+        *(st.tuples(laurents(ring=r), laurents(ring=r)) for r in (ZZ, QQ, Zmod(2), Zmod(6)))
+    )
+)
+def test_subtraction_is_adding_the_negative(pair):
+    f, g = pair
+    assert f - g == f + (-g)
+    d = f - f
+    assert d.known_zero_on_window() and d.tail == f.tail
+    assert d.is_zero() == f.exact
 
 
 def test_sparse_products_over_wide_exponents_stay_on_the_dict_loop(capsys):

@@ -4,15 +4,23 @@ import pytest
 
 import gpsrb.oracles
 import gpsrb.projectors
-from conftest import DEFAULT_SEED, direct_product_table, reference_sweep, relabel_table
+from conftest import (
+    DEFAULT_SEED,
+    direct_product_table,
+    max_chain_table,
+    reference_sweep,
+    relabel_table,
+)
 from gpsrb import (
     FiniteTable,
     IntLine,
     IntVector,
     NotTotalOrder,
+    QQ,
     RouteDisagreement,
     TooLarge,
     ZZ,
+    Zmod,
     closed_under_addition,
     cyclic_table,
     default_corpus,
@@ -205,6 +213,21 @@ def test_sweep_defect_evals_one_per_unclosed_mask():
     assert report.defect_evals == 14 + 2 * 16
     j = report.to_json()
     assert (j["closed_masks"], j["defect_evals"]) == (2, 46)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sweep_of_chain_semilattice_scans_every_mask(n):
+    # every mask of max(n) is closed, so each one pays the full n^2 scan,
+    # the only path that can show a closed-but-defect mismatch
+    table = max_chain_table(n)
+    assert validate_monoid(table).verdict == "pass"
+    for ring in (ZZ, QQ, Zmod(2)):
+        report = verify_theorem_decomposition(table, ring)
+        expected = reference_sweep(table, ring)
+        assert report.rb_masks == expected["rb_masks"] == tuple(range(1 << n))
+        assert report.mismatches == expected["mismatches"] == ()
+        assert report.closed_masks == expected["closed_masks"] == 1 << n
+        assert report.defect_evals == (1 << n) * n * n
 
 
 def plant_defect(monkeypatch, fake):

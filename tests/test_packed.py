@@ -1,16 +1,16 @@
-"""The row-packed semantic route against the pairwise oracle.
+"""The block-packed semantic route against the pairwise oracle.
 
-projectors.nonzero_defect_pairs decides a whole window row with one
-rb_defect call on a base-8 packed right argument. These tests compare its
-pairs, in order, with conftest.pairwise_defect_pairs, which calls rb_defect
-once per single-term pair.
+projectors.nonzero_defect_pairs decides a block of window rows with one
+rb_defect call on base-8 packed arguments. These tests compare its pairs,
+in order, with conftest.pairwise_defect_pairs, which calls rb_defect once
+per single-term pair.
 """
 
 import pytest
 
 import gpsrb.laurent
 import gpsrb.projectors
-from conftest import direct_product_table, pairwise_defect_pairs
+from conftest import direct_product_table, max_chain_table, pairwise_defect_pairs
 from gpsrb import (
     IntLine,
     IntVector,
@@ -91,24 +91,48 @@ def test_rows_with_several_hits_decode_every_term():
     assert pairs == [(-2, -2), (-2, -1), (-1, -2)]
 
 
+def test_blocks_of_rows_match_the_pairwise_oracle(monkeypatch):
+    # small digit caps split n = 4, 5, 7 and 9 into blocks of 1 to 4 rows,
+    # most of which leave a shorter last block
+    line, lex = IntLine(), IntVector(2, lex=True)
+    cases = [(Projector.cutoff(line, w), int_window(-3, 3)) for w in (-2, 0, 2)]
+    cases += [(Projector.cutoff(line, w), int_window(-2, 2)) for w in (-1, 1)]
+    cases += [(Projector.cutoff(lex, w), vector_window(-1, 1, 2)) for w in ((0, 0), (1, -1))]
+    cases += [(Projector.cutoff(lex, w), vector_window(-1, 0, 2)) for w in ((0, 0), (-1, 0))]
+    # non-cancellative tables: several pairs of one block share a sum
+    for table in (truncated_addition_table(4), max_chain_table(4)):
+        cases += [(Projector.from_mask(table, mask), table.carrier()) for mask in range(1 << table.n)]
+    for block_digits in (4, 9, 16):
+        monkeypatch.setattr(gpsrb.projectors, "BLOCK_DIGITS", block_digits)
+        for ring in (ZZ, QQ, Zmod(2), Zmod(7)):
+            flagged = sum(bool(assert_routes_agree(P, window, ring)) for P, window in cases)
+            assert 0 < flagged < len(cases)
+
+
 def count_defect_calls(monkeypatch) -> list:
-    """Record the number of terms of the right argument of each rb_defect call."""
+    """Record the term counts (left, right) of the arguments of each rb_defect call."""
     calls = []
     real = gpsrb.projectors.rb_defect
 
     def counting(P, f, g):
-        calls.append(len(g.items()))
+        calls.append((len(f.items()), len(g.items())))
         return real(P, f, g)
 
     monkeypatch.setattr(gpsrb.projectors, "rb_defect", counting)
     return calls
 
 
-def test_one_defect_call_per_row(monkeypatch):
+def test_one_defect_call_per_block(monkeypatch):
     calls = count_defect_calls(monkeypatch)
     window = int_window(-6, 6)
-    list(nonzero_defect_pairs(Projector.cutoff(IntLine(), -2), window, QQ))
-    assert calls == [len(window)] * len(window)
+    n = len(window)
+    for block_digits, rows in ((256, 13), (40, 3), (26, 2), (9, 1)):
+        monkeypatch.setattr(gpsrb.projectors, "BLOCK_DIGITS", block_digits)
+        calls.clear()
+        list(nonzero_defect_pairs(Projector.cutoff(IntLine(), -2), window, QQ))
+        # ceil(n / rows) calls, each a block of rows rows but the last
+        assert len(calls) == -(-n // rows)
+        assert calls == [(min(rows, n - start), n) for start in range(0, n, rows)]
 
 
 def test_first_pair_stops_at_first_failing_row(monkeypatch):
@@ -122,16 +146,24 @@ def test_first_pair_stops_at_first_failing_row(monkeypatch):
 
 def test_digits_are_reduced_mod_m(monkeypatch):
     # the decoder relies only on the [-2, 2] bound: a planted digit of 2 at
-    # v = -1 (so -2 at the next digit, v = 0) vanishes over Z/2 alone
+    # v = -1 (so -2 at the next digit, v = 0) in every row vanishes over Z/2
+    # alone. The left argument is sum_i 8^(n i) e_{u_i}, so the sum of its
+    # coefficients times 2 - 16 plants that pair at digits n i and n i + 1
+    # for each row i of the block.
     monkeypatch.setattr(
-        gpsrb.projectors, "rb_defect", lambda P, f, g: Series(f.monoid, f.ring, {0: 2 - 16})
+        gpsrb.projectors,
+        "rb_defect",
+        lambda P, f, g: Series(f.monoid, f.ring, {0: (2 - 16) * sum(c for _, c in f.items())}),
     )
     P = Projector.cutoff(IntLine(), 0)
     window = int_window(-1, 1)
-    assert list(nonzero_defect_pairs(P, window, Zmod(2))) == []
-    for ring in (ZZ, QQ, Zmod(7)):
-        pairs = list(nonzero_defect_pairs(P, window, ring))
-        assert pairs == [(u, v) for u in window for v in (-1, 0)]
+    # one block of 3 rows, blocks of 2 and 1, and blocks of one row
+    for block_digits in (256, 6, 3):
+        monkeypatch.setattr(gpsrb.projectors, "BLOCK_DIGITS", block_digits)
+        assert list(nonzero_defect_pairs(P, window, Zmod(2))) == []
+        for ring in (ZZ, QQ, Zmod(7)):
+            pairs = list(nonzero_defect_pairs(P, window, ring))
+            assert pairs == [(u, v) for u in window for v in (-1, 0)]
 
 
 def test_repeated_window_element_is_refused():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from gpsrb import (
     QQ,
     Series,
     ZZ,
+    Zmod,
     closed_under_addition,
     commute_check,
     cutoff_violation_pairs,
@@ -17,10 +20,12 @@ from gpsrb import (
     indicator_pair_scan,
     int_window,
     rb_defect,
+    truncated_addition_table,
+    vector_window,
     zero_series,
 )
 
-from conftest import int_series, rat_scalars
+from conftest import int_series, max_chain_table, rat_scalars
 
 M = IntLine()
 NEG = Projector(M, lambda s: s < 0, "negatives")
@@ -215,3 +220,39 @@ def test_violation_witness_defect_value(P, u, v):
         C = P.complement()
         d = rb_defect(C, e(u), e(v))
         assert d.coeff(s) == QQ.one()
+
+
+def test_complement_has_the_same_defect(rng):
+    # weight -1: D_{id-P}(f, g) = D_P(f, g) for all f, g, by expanding
+    # (f - Pf)(g - Pg) and the three other terms (Guo, An Introduction to
+    # Rota-Baxter Algebra, 2012: -lambda id - P is Rota-Baxter with P)
+    nat, prod, lex = IntLine(nonneg=True), IntVector(2), IntVector(2, lex=True)
+    z5, cap4, max5 = cyclic_table(5), truncated_addition_table(4), max_chain_table(5)
+    cases = [
+        (M, int_window(-4, 4), [NEG, ODDS, Projector.cutoff(M, 2)]),
+        (nat, int_window(0, 6), [Projector.cutoff(nat, 3), Projector(nat, lambda s: s % 3 == 0)]),
+        (prod, vector_window(-2, 2, 2), [Projector.cutoff(prod, (0, 0)), Projector.cutoff(prod, (1, -1))]),
+        (lex, vector_window(-2, 2, 2), [Projector.cutoff(lex, (0, 1))]),
+        (z5, z5.carrier(), [Projector.from_mask(z5, 0b10110)]),
+        (cap4, cap4.carrier(), [Projector.from_mask(cap4, m) for m in (0b00011, 0b11010)]),
+        (max5, max5.carrier(), [Projector.from_mask(max5, 0b01101)]),
+    ]
+
+    def random_series(monoid, elems, ring):
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            c = rng.randint(-9, 9)
+            terms[rng.choice(elems)] = Fraction(c, rng.randint(1, 5)) if ring is QQ else ring.from_int(c)
+        return Series(monoid, ring, terms)
+
+    nonzero = 0
+    for ring in (ZZ, QQ, Zmod(2), Zmod(7)):
+        for monoid, window, projectors in cases:
+            elems = list(window)
+            for P in projectors:
+                for _ in range(8):
+                    f, g = random_series(monoid, elems, ring), random_series(monoid, elems, ring)
+                    d = rb_defect(P, f, g)
+                    assert rb_defect(P.complement(), f, g) == d
+                    nonzero += not d.is_zero()
+    assert nonzero > 0

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpsrb import (
     BadElement,
@@ -9,13 +10,14 @@ from gpsrb import (
     QQ,
     Series,
     ZZ,
+    Zmod,
     indicator,
     one_series,
     series_eq,
     zero_series,
 )
 
-from conftest import int_series, naive_convolve, vec2_series
+from conftest import int_series, naive_convolve, rat_scalars, vec2_series
 
 M = IntLine()
 
@@ -126,3 +128,33 @@ def test_no_stored_zero_coefficients(f, g):
 def test_support_of_sum_bounded_by_union(f, g):
     union = set(f.support()) | set(g.support())
     assert set((f + g).support()) <= union
+
+
+def ring_series(ring):
+    """Series over a short exponent range, so that two draws share exponents."""
+    scalars = rat_scalars if ring is QQ else st.integers(-12, 12).map(ring.from_int)
+    return int_series(ring, scalars, exp_lo=-3, exp_hi=3)
+
+
+@settings(max_examples=150)
+@given(
+    fgh=st.one_of(
+        *(st.tuples(*[ring_series(r)] * 3) for r in (ZZ, QQ, Zmod(2), Zmod(6)))
+    )
+)
+def test_subtraction_is_adding_the_negative(fgh):
+    f, g, h = fgh
+    assert f - g == f + (-g)
+    assert (f - f).is_zero()
+    # g + h shares the exponents of g, so terms of g cancel
+    assert (g + h) - g == h
+    assert all(c != 0 and f.ring.contains(c) for _, c in (f - g).items())
+
+
+def test_subtraction_mod_m_cancels_and_wraps():
+    Z6 = Zmod(6)
+    f = Series(M, Z6, {1: 2, 2: 5})
+    g = Series(M, Z6, {1: 2, 2: 1, 3: 1})
+    # 2 - 2 drops the term at 1; 0 - 1 = 5 mod 6 at 3
+    assert f - g == Series(M, Z6, {2: 4, 3: 5})
+    assert g - f == Series(M, Z6, {2: 2, 3: 1})
