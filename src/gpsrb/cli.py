@@ -11,9 +11,10 @@ rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs, a product of
 parsed series above parsing.PRODUCT_BUDGET coefficient pairs, a Laurent
 --json window above LAURENT_JSON_BUDGET coefficients, Z^d with d above MAX_DIM,
 or laurent-demo --count above MAX_DEMO_COUNT), 3 internal
-fault: the structural and semantic routes of cutoff-scan disagreed, or an
-unexpected exception escaped (its traceback goes to stderr); either means a
-bug. The env var GPS_RB_SEED fixes the demo RNG seed.
+fault: the structural and semantic routes of cutoff-scan or theorem-verify
+disagreed (theorem-verify still prints its report first), or an unexpected
+exception escaped (its traceback goes to stderr); either means a bug. The
+env var GPS_RB_SEED fixes the demo RNG seed.
 """
 
 from __future__ import annotations
@@ -395,7 +396,12 @@ def cmd_theorem_verify(args) -> int:
                 print(f"MISMATCH mask {mask:#x}: {direction}")
         print(f"mismatches: {len(report.mismatches)}")
         print(f"elapsed: {report.elapsed:.3f}s")
-    return 0 if not report.mismatches else 1
+    if report.mismatches:
+        (mask, direction), count = report.mismatches[0], len(report.mismatches)
+        raise RouteDisagreement(
+            f"routes disagree on {count} decompositions, first mask {mask:#x}: {direction}"
+        )
+    return 0
 
 
 def _random_laurent(rng: random.Random, ring: Ring) -> TruncatedLaurent:

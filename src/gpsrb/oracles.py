@@ -47,7 +47,9 @@ class TheoremReport:
     kept-part bitmasks, ascending) whose projector satisfies the identity.
     closed_masks counts the decompositions the structural route calls
     closed, and defect_evals the single-term pairs the semantic route
-    decided: one per witness evaluation, and one per pair a scan covered.
+    decided: one per unclosed mask, whether its witness defect was computed
+    or recalled from an earlier mask with the same local pattern, and one
+    per pair a scan covered.
     """
 
     monoid: str
@@ -107,6 +109,13 @@ def verify_theorem_decomposition(
     settles such a mask for both routes. A mask that is closed, or whose
     witness defect is zero, gets the full n^2 semantic scan, so a
     disagreement in either direction still shows.
+
+    Each witness defect is computed once per local pattern and recalled
+    after that. P acts term by term, so rb_defect(P, e_u, e_v) depends only
+    on (u, v) and on whether P keeps u, v and u + v. A witness has
+    k_u = k_v != k_{u+v}, so a dict local to this call, keyed on those five
+    values, makes at most 2 n^2 witness calls. The full scan depends on
+    every bit of the mask and is never recalled.
     """
     if not isinstance(monoid, FiniteTable):
         raise TypeError("exhaustive decomposition sweeps need a finite carrier")
@@ -120,8 +129,10 @@ def verify_theorem_decomposition(
     mismatches: list[tuple[int, str]] = []
     closed_masks = 0
     defect_evals = 0
+    add_table = monoid.add_table
+    # (u, v, k_u, k_v, k_{u+v}) -> is the witness defect zero?
+    witness_zero: dict[tuple[int, int, int, int, int], bool] = {}
     for mask in range(1 << n):
-        P = Projector.from_mask(monoid, mask)
         witness = closure_witness(monoid, mask)
         structural = witness is None
         if structural:
@@ -129,8 +140,14 @@ def verify_theorem_decomposition(
         else:
             u, v = witness
             defect_evals += 1
-            if not rb_defect(P, ones[u], ones[v]).is_zero():
+            key = (u, v, mask >> u & 1, mask >> v & 1, mask >> add_table[u][v] & 1)
+            zero = witness_zero.get(key)
+            if zero is None:
+                P = Projector.from_mask(monoid, mask)
+                zero = witness_zero[key] = rb_defect(P, ones[u], ones[v]).is_zero()
+            if not zero:
                 continue  # both routes say no
+        P = Projector.from_mask(monoid, mask)
         first = next(nonzero_defect_pairs(P, elems, ring), None)
         # elems is 0..n-1, so the scan stopped after pair u * n + v
         defect_evals += n * n if first is None else first[0] * n + first[1] + 1

@@ -6,7 +6,8 @@ Series multiplication. The pair oracle calls rb_defect once per single-term
 pair, with none of the block packing of projectors.nonzero_defect_pairs. The
 sweep oracle runs both closure checks and that pairwise scan on every
 decomposition, with none of the witness-first shortcuts of
-verify_theorem_decomposition. The parser oracle is the character-stepping
+verify_theorem_decomposition; commutative_monoid_tables lists every small
+commutative monoid for it to sweep. The parser oracle is the character-stepping
 tokenizer and peek/next parser that gpsrb.parsing used before its regex
 lexer. GPS_RB_SEED pins the plain-random sampling used by the bulk
 acceptance checks; the default keeps runs reproducible without the env var
@@ -17,6 +18,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import strategies as st
@@ -118,6 +120,34 @@ def max_chain_table(n: int) -> FiniteTable:
     """
     add = [[max(i, j) for j in range(n)] for i in range(n)]
     return FiniteTable.from_lists(n, 0, add, name=f"max({n})")
+
+
+def commutative_monoid_tables(n: int):
+    """Every commutative monoid on {0..n-1} with neutral 0, as labelled tables.
+
+    Brute force: each entry a + b with 1 <= a <= b < n is chosen freely, 0
+    is neutral, commutativity fills the rest, and tables that are not
+    associative are dropped. n = 1..4 gives 1, 2, 9 and 94 tables.
+    """
+    cells = [(a, b) for a in range(1, n) for b in range(a, n)]
+    inner = range(1, n)
+    for k, values in enumerate(product(range(n), repeat=len(cells))):
+        add = [[i + j for j in range(n)] if i == 0 else [i] + [0] * (n - 1) for i in range(n)]
+        for (a, b), s in zip(cells, values):
+            add[a][b] = add[b][a] = s
+        if all(add[add[a][b]][c] == add[a][add[b][c]] for a in inner for b in inner for c in inner):
+            yield FiniteTable.from_lists(n, 0, add, name=f"mon{n}#{k}")
+
+
+def null_semigroup_table(n: int) -> FiniteTable:
+    """The null semigroup on {1..n-1}, a + b = 1, with 0 adjoined as identity.
+
+    A part holding some a >= 1 holds a + a = 1, so at most one of the two
+    parts meets {1..n-1}: for n >= 2 both parts are closed only when the
+    kept part is {}, {0}, {1..n-1} or everything, 4 masks at every n.
+    """
+    add = [[i + j if i * j == 0 else 1 for j in range(n)] for i in range(n)]
+    return FiniteTable.from_lists(n, 0, add, name=f"null({n})")
 
 
 def direct_product_table(a: FiniteTable, b: FiniteTable) -> FiniteTable:

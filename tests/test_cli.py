@@ -325,6 +325,24 @@ def test_cutoff_scan_route_disagreement_exits_three(capsys, monkeypatch):
     assert err == "internal error: criteria disagree at w=-1, pair (-1, -1): defect zero but in an obstruction set\n"
 
 
+def test_theorem_verify_route_mismatch_exits_three(capsys, monkeypatch):
+    # with no defect anywhere, every unclosed split of Z/4 looks defect-free:
+    # the report still prints, and the disagreement is an internal fault
+    import gpsrb.oracles
+    import gpsrb.projectors
+
+    zero = lambda P, f, g: zero_series(f.monoid, f.ring)
+    for module in (gpsrb.projectors, gpsrb.oracles):
+        monkeypatch.setattr(module, "rb_defect", zero)
+    err_line = "internal error: routes disagree on 14 decompositions, first mask 0x1: defect-free-but-not-closed\n"
+    code, out, err = run(capsys, "theorem-verify", "--table", str(TABLES / "z4.json"))
+    assert (code, err) == (3, err_line)
+    assert "MISMATCH mask 0x1: defect-free-but-not-closed\n" in out and "mismatches: 14\n" in out
+    code, out, err = run(capsys, "theorem-verify", "--table", str(TABLES / "z4.json"), "--json")
+    assert (code, err) == (3, err_line)
+    assert len(json.loads(out)["mismatches"]) == 14
+
+
 def test_deep_parentheses_exit_two(capsys):
     n = MAX_NESTING
     assert run(capsys, "mul", "(" * n + "e" + ")" * n, "1") == (0, "e^1\n", "")

@@ -6,8 +6,10 @@ import gpsrb.oracles
 import gpsrb.projectors
 from conftest import (
     DEFAULT_SEED,
+    commutative_monoid_tables,
     direct_product_table,
     max_chain_table,
+    null_semigroup_table,
     reference_sweep,
     relabel_table,
 )
@@ -16,17 +18,21 @@ from gpsrb import (
     IntLine,
     IntVector,
     NotTotalOrder,
+    Projector,
     QQ,
     RouteDisagreement,
     TooLarge,
     ZZ,
     Zmod,
+    Series,
     closed_under_addition,
     cyclic_table,
     default_corpus,
     idempotent_pair_table,
+    indicator,
     int_window,
     one_series,
+    rb_defect,
     scan_cutoffs,
     truncated_addition_table,
     validate_monoid,
@@ -35,6 +41,8 @@ from gpsrb import (
     verify_total_order_threshold_rule,
     zero_series,
 )
+from gpsrb.oracles import closure_witness
+from gpsrb.projectors import BLOCK_DIGITS, nonzero_defect_pairs
 
 
 def test_sweep_z2_hand_count():
@@ -261,3 +269,187 @@ def test_scan_cutoffs_raises_on_planted_zero_defect(monkeypatch):
     plant_defect(monkeypatch, lambda P, f, g: zero_series(f.monoid, f.ring))
     with pytest.raises(RouteDisagreement, match=r"w=-1, pair \(-1, -1\): defect zero but in an"):
         scan_cutoffs(IntLine(), [-1], int_window(-2, 2))
+
+
+def count_rb_defect_calls(monkeypatch):
+    """Wrap rb_defect where plant_defect plants it; record each call's (P, f, g).
+
+    Calls through gpsrb.oracles are witness calls, calls through
+    gpsrb.projectors come from the defect scan.
+    """
+    calls = {"witness": [], "scan": []}
+    real = gpsrb.projectors.rb_defect
+
+    def counted(kind):
+        def call(P, f, g):
+            calls[kind].append((P, f, g))
+            return real(P, f, g)
+
+        return call
+
+    monkeypatch.setattr(gpsrb.oracles, "rb_defect", counted("witness"))
+    monkeypatch.setattr(gpsrb.projectors, "rb_defect", counted("scan"))
+    return calls
+
+
+def _memo_tables():
+    return [cyclic_table(n) for n in range(1, 9)] + [truncated_addition_table(m) for m in range(1, 8)]
+
+
+@pytest.mark.parametrize("table", _memo_tables(), ids=str)
+def test_sweep_computes_each_witness_defect_once(monkeypatch, table):
+    calls = count_rb_defect_calls(monkeypatch)
+    report = verify_theorem_decomposition(table)
+    n = table.n
+    keys = []
+    for P, f, g in calls["witness"]:
+        (u,), (v,) = f.support(), g.support()
+        keys.append((u, v, P.keeps(u), P.keeps(v), P.keeps(table.add(u, v))))
+    assert len(set(keys)) == len(keys)  # no witness pattern evaluated twice
+    unclosed = (1 << n) - report.closed_masks
+    assert len(keys) <= min(2 * n * n, unclosed)
+    assert report.defect_evals >= unclosed  # still one per unclosed mask
+    # a witness defect is never zero on a correct sweep, so only the closed
+    # masks are scanned in full, each in ceil(n / rows) block calls at most
+    scanned = {id(P) for P, _, _ in calls["scan"]}
+    assert len(scanned) == report.closed_masks
+    rows = max(1, BLOCK_DIGITS // n)
+    assert len(calls["scan"]) <= report.closed_masks * -(-n // rows)
+    assert report.rb_masks == reference_sweep(table)["rb_masks"]
+
+
+@pytest.mark.parametrize(
+    "table", [cyclic_table(5), truncated_addition_table(4), max_chain_table(4), null_semigroup_table(4)], ids=str
+)
+def test_single_term_defect_depends_only_on_the_local_pattern(table):
+    # the fact the witness memo rests on: two masks that agree on u, v and
+    # u + v give the same defect on (e_u, e_v), term for term
+    for ring in (ZZ, Zmod(2)):
+        ones = [indicator(table, s, ring) for s in table.carrier()]
+        for u in table.carrier():
+            for v in table.carrier():
+                s = table.add(u, v)
+                seen = {}
+                for mask in range(1 << table.n):
+                    d = rb_defect(Projector.from_mask(table, mask), ones[u], ones[v])
+                    local = (mask >> u & 1, mask >> v & 1, mask >> s & 1)
+                    assert seen.setdefault(local, d) == d
+
+
+def local_defect(zero_pattern, where=lambda u, v: True):
+    """A bilinear defect that reads P.keeps only at u, v and u + v, and vanishes on one pattern.
+
+    Each pair of terms a e_u, b e_v adds a b (k_u k_v - k_v k_s - k_u k_s +
+    k_s) at s = u + v, the true single-term defect, unless (k_u, k_v, k_s)
+    is zero_pattern and where(u, v) holds. It serves single-term and
+    block-packed calls alike.
+    """
+
+    def fake(P, f, g):
+        add, keeps, ring = f.monoid.add, P.keeps, f.ring
+        acc = {}
+        for u, a in f.items():
+            ku = int(keeps(u))
+            for v, b in g.items():
+                s = add(u, v)
+                kv, ks = int(keeps(v)), int(keeps(s))
+                if (ku, kv, ks) != zero_pattern or not where(u, v):
+                    acc[s] = acc.get(s, 0) + a * b * (ku * kv - kv * ks - ku * ks + ks)
+        return Series(f.monoid, ring, {s: ring.reduce(c) for s, c in acc.items()})
+
+    return fake
+
+
+def mask_by_mask_mismatches(table, ring):
+    """The witness-first sweep with no memo: one witness rb_defect call per unclosed mask."""
+    elems = list(table.carrier())
+    ones = [indicator(table, s, ring) for s in elems]
+    mismatches = []
+    for mask in range(1 << table.n):
+        P = Projector.from_mask(table, mask)
+        witness = closure_witness(table, mask)
+        if witness is not None:
+            u, v = witness
+            if not gpsrb.oracles.rb_defect(P, ones[u], ones[v]).is_zero():
+                continue
+        semantic = next(nonzero_defect_pairs(P, elems, ring), None) is None
+        if (witness is None) != semantic:
+            mismatches.append((mask, "defect-free-but-not-closed" if semantic else "closed-but-defect"))
+    return tuple(mismatches)
+
+
+@pytest.mark.parametrize("zero_pattern", [(1, 1, 0), (0, 0, 1)])
+@pytest.mark.parametrize(
+    "table",
+    [
+        cyclic_table(4),
+        truncated_addition_table(4),
+        relabel_table(direct_product_table(cyclic_table(2), cyclic_table(3)), random.Random(DEFAULT_SEED)),
+    ],
+    ids=str,
+)
+def test_memo_matches_mask_by_mask_sweep_under_a_local_fake(monkeypatch, table, zero_pattern):
+    # with the kept-side (1, 1, 0) or killed-side (0, 0, 1) violations
+    # silenced, a mask whose only violations are on that side looks
+    # defect-free: exactly those masks are mismatches
+    plant_defect(monkeypatch, local_defect(zero_pattern))
+    elems = list(table.carrier())
+    expected = []
+    for mask in range(1 << table.n):
+        P = Projector.from_mask(table, mask)
+        silenced, other = P.kept(elems), P.killed(elems)
+        if not zero_pattern[0]:
+            silenced, other = other, silenced
+        if closed_under_addition(table, other, elems) and not closed_under_addition(table, silenced, elems):
+            expected.append((mask, "defect-free-but-not-closed"))
+    assert expected
+    for ring in (ZZ, QQ, Zmod(2)):
+        report = verify_theorem_decomposition(table, ring)
+        assert report.mismatches == mask_by_mask_mismatches(table, ring) == tuple(expected)
+
+
+@pytest.mark.parametrize("zero_pattern", [(1, 1, 0), (0, 0, 1)])
+@pytest.mark.parametrize(
+    "table",
+    [
+        cyclic_table(3),
+        cyclic_table(5),
+        relabel_table(direct_product_table(cyclic_table(2), cyclic_table(3)), random.Random(DEFAULT_SEED)),
+    ],
+    ids=str,
+)
+def test_memo_keys_on_the_witness_pair_too(monkeypatch, table, zero_pattern):
+    # silenced off the diagonal only, the witness defect depends on (u, v)
+    # as well as on the three bits, and the memo must still match the
+    # plain sweep (a memo keyed on the bits alone recalls the diagonal
+    # witness of an earlier mask and misses a mismatch here)
+    plant_defect(monkeypatch, local_defect(zero_pattern, lambda u, v: u != v))
+    expected = mask_by_mask_mismatches(table, ZZ)
+    assert expected
+    assert verify_theorem_decomposition(table).mismatches == expected
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_sweep_of_every_small_commutative_monoid(n):
+    # every labelled commutative monoid on {0..n-1} with neutral 0
+    tables = list(commutative_monoid_tables(n))
+    assert len(tables) == [1, 2, 9, 94][n - 1]
+    for table in tables:
+        assert validate_monoid(table).verdict == "pass"
+        report = verify_theorem_decomposition(table)
+        expected = reference_sweep(table)
+        assert report.rb_masks == expected["rb_masks"]
+        assert report.mismatches == expected["mismatches"] == ()
+        assert report.closed_masks == expected["closed_masks"]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sweep_of_null_semigroup_with_identity(n):
+    table = null_semigroup_table(n)
+    assert validate_monoid(table).verdict == "pass"
+    report = verify_theorem_decomposition(table)
+    expected = reference_sweep(table)
+    full = (1 << n) - 1
+    assert report.rb_masks == expected["rb_masks"] == tuple(sorted({0, 1, full ^ 1, full}))
+    assert report.mismatches == expected["mismatches"] == ()
+    assert report.closed_masks == expected["closed_masks"]
