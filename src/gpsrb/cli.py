@@ -10,7 +10,8 @@ output), 1 a counterexample was found, 2 usage or input error (including an
 rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs, a product of
 parsed series above parsing.PRODUCT_BUDGET coefficient pairs, a Laurent
 --json window above LAURENT_JSON_BUDGET coefficients, Z^d with d above MAX_DIM,
-or laurent-demo --count above MAX_DEMO_COUNT), 3 internal
+theorem-verify --max-size above MAX_SWEEP_SIZE, or laurent-demo --count
+above MAX_DEMO_COUNT), 3 internal
 fault: the structural and semantic routes of cutoff-scan or theorem-verify
 disagreed (theorem-verify still prints its report first), or an unexpected
 exception escaped (its traceback goes to stderr); either means a bug. The
@@ -89,6 +90,12 @@ LAURENT_JSON_BUDGET = 1_000_000
 # pair budget takes 0.24-1.9 s, and a product of half PRODUCT_BUDGET with all
 # sums distinct 5.1 s at 437 MB, against 4.2 s at 336 MB on Z^2 (same host)
 MAX_DIM = 8
+
+# largest theorem-verify --max-size, checked before the table is read: the
+# sweep holds n + 2 mask sets of 2^n bits, about 3 MB at n = 20, where Z/20
+# sweeps in 0.11 s and raises the peak RSS by 5.6 MB; a table with every mask
+# closed, max(n), pays 2^n full scans instead (same host)
+MAX_SWEEP_SIZE = 20
 
 # pairs one laurent-demo may show, checked before the first is built: at the
 # cap a run takes 1.9-3.2 s at a peak RSS of 17-18 MB, or 67-71 MB with
@@ -381,6 +388,8 @@ def cmd_cutoff_scan(args) -> int:
 
 
 def cmd_theorem_verify(args) -> int:
+    if args.max_size > MAX_SWEEP_SIZE:
+        raise UsageError(f"--max-size must be at most {MAX_SWEEP_SIZE}, got {args.max_size}")
     table = load_table(args.table)
     ring = parse_ring_spec(args.ring)
     report = verify_theorem_decomposition(table, ring, max_size=args.max_size)
@@ -515,7 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theorem-verify", help="exhaustive decomposition sweep on a finite table")
     p.add_argument("--table", required=True, help="JSON table file")
-    p.add_argument("--max-size", type=int, default=DEFAULT_MAX_SIZE, dest="max_size")
+    p.add_argument(
+        "--max-size", type=int, default=DEFAULT_MAX_SIZE, dest="max_size",
+        help=f"largest table to sweep, at most {MAX_SWEEP_SIZE}",
+    )
     p.add_argument("--ring", default="Z")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_theorem_verify)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import merge
 from itertools import product
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .monoids import FiniteTable, OrderedMonoid
 from .outcomes import CheckOutcome, outcome_fail, outcome_on_window, outcome_pass
@@ -47,9 +48,9 @@ class TheoremReport:
     kept-part bitmasks, ascending) whose projector satisfies the identity.
     closed_masks counts the decompositions the structural route calls
     closed, and defect_evals the single-term pairs the semantic route
-    decided: one per unclosed mask, whether its witness defect was computed
-    or recalled from an earlier mask with the same local pattern, and one
-    per pair a scan covered.
+    decided: one per unclosed mask, by the witness defect that one
+    rb_defect call computes for every mask with the same witness pair and
+    side, and one per pair a scan covered.
     """
 
     monoid: str
@@ -76,19 +77,27 @@ class TheoremReport:
         }
 
 
-def closure_witness(monoid: FiniteTable, mask: int) -> tuple[int, int] | None:
-    """Structural verdict on a kept-part bitmask, by bit tests on the add table.
+def _keeping(u: int, n: int) -> int:
+    """The n-bit masks that keep u, as a bitset: bit `mask` is bit u of mask.
 
-    Returns the first pair (u, v), u outer, whose members lie on the same
-    side of the split while u + v lies on the other side; None when both
-    the kept part and the killed part are closed under addition.
+    The pattern is runs of 2^u clear and 2^u set bits, doubled in width
+    until it covers all 2^n masks (a closed form by division is quadratic
+    in 2^n).
     """
-    for u, row in enumerate(monoid.add_table):
-        side = mask >> u & 1
-        for v, s in enumerate(row):
-            if mask >> v & 1 == side and mask >> s & 1 != side:
-                return u, v
-    return None
+    bits, width = ((1 << (1 << u)) - 1) << (1 << u), 2 << u
+    while width < 1 << n:
+        bits |= bits << width
+        width <<= 1
+    return bits
+
+
+def _members(masks: int) -> Iterator[int]:
+    """The set bits of a bitset, ascending, found by str.find on its binary text."""
+    text = format(masks, "b")[::-1]
+    i = text.find("1")
+    while i >= 0:
+        yield i
+        i = text.find("1", i + 1)
 
 
 def verify_theorem_decomposition(
@@ -102,20 +111,23 @@ def verify_theorem_decomposition(
     direction of the disagreement; an empty mismatch list certifies the
     equivalence for this monoid.
 
-    The sweep is witness-first. When a part is not closed at (u, v), the
-    defect of the single-term pair (e_u, e_v) has coefficient
-    k_u k_v - k_v k_{u+v} - k_u k_{u+v} + k_{u+v} = 1 at e_{u+v}, where k_s
-    is 1 when s is kept. So one defect evaluation at the structural witness
-    settles such a mask for both routes. A mask that is closed, or whose
-    witness defect is zero, gets the full n^2 semantic scan, so a
-    disagreement in either direction still shows.
+    The structural route works on all masks at once. A set of masks is one
+    int of 2^n bits, and on[u] is the set of masks that keep u. The pairs
+    are walked u outer, v inner; the masks still unsettled whose u and v
+    lie on one side while u + v lies on the other have (u, v) as their first
+    violating pair, their witness. The masks no pair settles are the closed
+    ones. The bitsets take (n + 2) 2^n / 8 bytes.
 
-    Each witness defect is computed once per local pattern and recalled
-    after that. P acts term by term, so rb_defect(P, e_u, e_v) depends only
-    on (u, v) and on whether P keeps u, v and u + v. A witness has
-    k_u = k_v != k_{u+v}, so a dict local to this call, keyed on those five
-    values, makes at most 2 n^2 witness calls. The full scan depends on
-    every bit of the mask and is never recalled.
+    The semantic route is witness-first. At a witness (u, v), the defect of
+    the single-term pair (e_u, e_v) has coefficient
+    k_u k_v - k_v k_{u+v} - k_u k_{u+v} + k_{u+v} = 1 at e_{u+v}, where k_s
+    is 1 when s is kept. P acts term by term, so that defect depends only
+    on (u, v) and on whether P keeps u, v and u + v. The masks settled at
+    (u, v) split by side into at most two such patterns, and one rb_defect
+    call, at the lowest mask of each, decides all masks of that part: at
+    most 2 n^2 witness calls per sweep. A mask that is closed, or whose
+    witness defect is zero, gets the full n^2 semantic scan, in ascending
+    mask order, so a disagreement in either direction still shows.
     """
     if not isinstance(monoid, FiniteTable):
         raise TypeError("exhaustive decomposition sweeps need a finite carrier")
@@ -125,28 +137,29 @@ def verify_theorem_decomposition(
     elems = list(monoid.carrier())
     start = time.perf_counter()
     ones = [indicator(monoid, s, ring) for s in elems]
+    on = [_keeping(u, n) for u in elems]
+    unsettled = (1 << (1 << n)) - 1
+    rescan = 0  # unclosed masks whose witness defect is zero
+    defect_evals = 0
+    for u, row in enumerate(monoid.add_table):
+        on_u = on[u]
+        for v, s in enumerate(row):
+            hit = unsettled & (on_u ^ on[s]) & ~(on_u ^ on[v])
+            if not hit:
+                continue
+            unsettled ^= hit
+            defect_evals += hit.bit_count()
+            # the kept side (k_u, k_v, k_{u+v}) = (1, 1, 0), then the killed side
+            for part in (hit & on_u, hit & ~on_u):
+                if part:
+                    P = Projector.from_mask(monoid, (part & -part).bit_length() - 1)
+                    if rb_defect(P, ones[u], ones[v]).is_zero():
+                        rescan |= part
     rb_masks: list[int] = []
     mismatches: list[tuple[int, str]] = []
-    closed_masks = 0
-    defect_evals = 0
-    add_table = monoid.add_table
-    # (u, v, k_u, k_v, k_{u+v}) -> is the witness defect zero?
-    witness_zero: dict[tuple[int, int, int, int, int], bool] = {}
-    for mask in range(1 << n):
-        witness = closure_witness(monoid, mask)
-        structural = witness is None
-        if structural:
-            closed_masks += 1
-        else:
-            u, v = witness
-            defect_evals += 1
-            key = (u, v, mask >> u & 1, mask >> v & 1, mask >> add_table[u][v] & 1)
-            zero = witness_zero.get(key)
-            if zero is None:
-                P = Projector.from_mask(monoid, mask)
-                zero = witness_zero[key] = rb_defect(P, ones[u], ones[v]).is_zero()
-            if not zero:
-                continue  # both routes say no
+    closed = ((mask, True) for mask in _members(unsettled))
+    rescanned = ((mask, False) for mask in _members(rescan))
+    for mask, structural in merge(closed, rescanned):
         P = Projector.from_mask(monoid, mask)
         first = next(nonzero_defect_pairs(P, elems, ring), None)
         # elems is 0..n-1, so the scan stopped after pair u * n + v
@@ -165,7 +178,7 @@ def verify_theorem_decomposition(
         rb_count=len(rb_masks),
         rb_masks=tuple(rb_masks),
         mismatches=tuple(mismatches),
-        closed_masks=closed_masks,
+        closed_masks=unsettled.bit_count(),
         defect_evals=defect_evals,
         elapsed=elapsed,
     )

@@ -7,7 +7,10 @@ pair, with none of the block packing of projectors.nonzero_defect_pairs. The
 sweep oracle runs both closure checks and that pairwise scan on every
 decomposition, with none of the witness-first shortcuts of
 verify_theorem_decomposition; commutative_monoid_tables lists every small
-commutative monoid for it to sweep. The parser oracle is the character-stepping
+commutative monoid for it to sweep. memo_sweep is the witness-first sweep
+mask by mask, with the per-mask structural oracle closure_witness and a
+witness memo, where verify_theorem_decomposition settles all masks at once
+on bitsets. The parser oracle is the character-stepping
 tokenizer and peek/next parser that gpsrb.parsing used before its regex
 lexer. GPS_RB_SEED pins the plain-random sampling used by the bulk
 acceptance checks; the default keeps runs reproducible without the env var
@@ -23,6 +26,7 @@ from itertools import product
 import pytest
 from hypothesis import strategies as st
 
+import gpsrb.oracles
 from gpsrb import (
     FiniteTable,
     IntLine,
@@ -46,6 +50,7 @@ from gpsrb.parsing import (
     Sum,
     TruncMarker,
 )
+from gpsrb.projectors import nonzero_defect_pairs
 
 DEFAULT_SEED = 20260814
 
@@ -109,6 +114,71 @@ def reference_sweep(monoid: FiniteTable, ring=ZZ) -> dict:
         "rb_count": len(rb_masks),
         "mismatches": tuple(mismatches),
         "closed_masks": closed_masks,
+    }
+
+
+def closure_witness(monoid: FiniteTable, mask: int):
+    """Per-mask structural oracle: the first violating pair of a kept-part bitmask.
+
+    Returns the first pair (u, v), u outer, whose members lie on the same
+    side of the split while u + v lies on the other side, by bit tests on
+    the add table; None when both the kept part and the killed part are
+    closed under addition.
+    """
+    for u, row in enumerate(monoid.add_table):
+        side = mask >> u & 1
+        for v, s in enumerate(row):
+            if mask >> v & 1 == side and mask >> s & 1 != side:
+                return u, v
+    return None
+
+
+def memo_sweep(monoid: FiniteTable, ring=ZZ) -> dict:
+    """The witness-first sweep mask by mask, with a witness memo.
+
+    Each mask gets closure_witness. An unclosed mask's witness defect is
+    computed at the first mask with its local pattern (u, v, k_u, k_v,
+    k_{u+v}) and recalled after that; a closed mask, or one whose witness
+    defect is zero, gets the full scan of nonzero_defect_pairs. Witness calls
+    go through gpsrb.oracles.rb_defect, as the sweep's do, so a defect
+    planted there reaches both. Returns the report fields the bitset sweep
+    must reproduce, plus witness_calls, the (mask, u, v) of each witness
+    rb_defect call in the order made.
+    """
+    elems = list(monoid.carrier())
+    n = monoid.n
+    ones = [indicator(monoid, s, ring) for s in elems]
+    rb_masks, mismatches, witness_calls = [], [], []
+    closed_masks = defect_evals = 0
+    witness_zero = {}
+    for mask in range(1 << n):
+        witness = closure_witness(monoid, mask)
+        structural = witness is None
+        if structural:
+            closed_masks += 1
+        else:
+            u, v = witness
+            defect_evals += 1
+            key = (u, v, mask >> u & 1, mask >> v & 1, mask >> monoid.add(u, v) & 1)
+            if key not in witness_zero:
+                witness_calls.append((mask, u, v))
+                P = Projector.from_mask(monoid, mask)
+                witness_zero[key] = gpsrb.oracles.rb_defect(P, ones[u], ones[v]).is_zero()
+            if not witness_zero[key]:
+                continue
+        first = next(nonzero_defect_pairs(Projector.from_mask(monoid, mask), elems, ring), None)
+        defect_evals += n * n if first is None else first[0] * n + first[1] + 1
+        semantic = first is None
+        if semantic:
+            rb_masks.append(mask)
+        if structural != semantic:
+            mismatches.append((mask, "closed-but-defect" if structural else "defect-free-but-not-closed"))
+    return {
+        "rb_masks": tuple(rb_masks),
+        "mismatches": tuple(mismatches),
+        "closed_masks": closed_masks,
+        "defect_evals": defect_evals,
+        "witness_calls": witness_calls,
     }
 
 

@@ -10,6 +10,7 @@ from gpsrb.cli import (
     LAURENT_JSON_BUDGET,
     MAX_DEMO_COUNT,
     MAX_DIM,
+    MAX_SWEEP_SIZE,
     PAIR_BUDGET,
     UsageError,
     build_parser,
@@ -20,7 +21,15 @@ from gpsrb.cli import (
     parse_ring_spec,
     parse_window_spec,
 )
-from gpsrb import FiniteTable, IntLine, IntVector, TooLarge, zero_series
+from gpsrb import (
+    FiniteTable,
+    IntLine,
+    IntVector,
+    TooLarge,
+    load_table,
+    verify_theorem_decomposition,
+    zero_series,
+)
 import gpsrb.cli
 import gpsrb.parsing
 from gpsrb.parsing import MAX_NESTING, PRODUCT_BUDGET
@@ -150,6 +159,27 @@ def test_theorem_verify_too_large(capsys, tmp_path):
     code, _, err = run(capsys, "theorem-verify", "--table", str(p), "--max-size", "3")
     assert code == 2
     assert "error" in err
+
+
+def test_theorem_verify_max_size_ceiling(capsys, monkeypatch):
+    # checked before the table is read or a 2^64-bit mask set is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the --max-size check")
+
+    monkeypatch.setattr(gpsrb.cli, "load_table", unreachable)
+    monkeypatch.setattr(gpsrb.cli, "verify_theorem_decomposition", unreachable)
+    code, out, err = run(capsys, "theorem-verify", "--table", str(TABLES / "z4.json"), "--max-size", "64")
+    assert (code, out) == (2, "")
+    assert err == "error: --max-size must be at most 20, got 64\n"
+
+
+def test_theorem_verify_at_the_max_size_ceiling(capsys):
+    assert MAX_SWEEP_SIZE == 20
+    code, out, _ = run(capsys, "theorem-verify", "--table", str(TABLES / "z4.json"), "--max-size", "20")
+    assert code == 0
+    assert "identity holds for 2 decompositions (kept masks: 0x0, 0xf)" in out
+    # library callers keep no ceiling
+    assert verify_theorem_decomposition(load_table(str(TABLES / "z4.json")), max_size=64).rb_count == 2
 
 
 def test_theorem_verify_missing_file(capsys):

@@ -6,9 +6,11 @@ import gpsrb.oracles
 import gpsrb.projectors
 from conftest import (
     DEFAULT_SEED,
+    closure_witness,
     commutative_monoid_tables,
     direct_product_table,
     max_chain_table,
+    memo_sweep,
     null_semigroup_table,
     reference_sweep,
     relabel_table,
@@ -41,7 +43,6 @@ from gpsrb import (
     verify_total_order_threshold_rule,
     zero_series,
 )
-from gpsrb.oracles import closure_witness
 from gpsrb.projectors import BLOCK_DIGITS, nonzero_defect_pairs
 
 
@@ -318,12 +319,60 @@ def test_sweep_computes_each_witness_defect_once(monkeypatch, table):
     assert report.rb_masks == reference_sweep(table)["rb_masks"]
 
 
+def _witness_tables():
+    rng = random.Random(DEFAULT_SEED)
+    products = [
+        direct_product_table(cyclic_table(2), cyclic_table(3)),
+        direct_product_table(cyclic_table(2), cyclic_table(4)),
+        direct_product_table(cyclic_table(2), truncated_addition_table(3)),
+    ]
+    return _memo_tables() + [relabel_table(t, rng) for t in products]
+
+
+@pytest.mark.parametrize("table", _witness_tables(), ids=str)
+def test_bitset_sweep_makes_the_memo_loops_witness_calls(monkeypatch, table):
+    # each witness defect is evaluated at the mask the mask-by-mask memo
+    # loop evaluates it at: the lowest mask with that first violating pair
+    # on that side
+    expected = memo_sweep(table)["witness_calls"]
+    calls = count_rb_defect_calls(monkeypatch)
+    verify_theorem_decomposition(table)
+    made = []
+    for P, f, g in calls["witness"]:
+        (u,), (v,) = f.support(), g.support()
+        made.append((sum(1 << s for s in table.carrier() if P.keeps(s)), u, v))
+    assert len(set(made)) == len(made) == len(expected)
+    assert set(made) == set(expected)
+    for mask, u, v in made:
+        assert closure_witness(table, mask) == (u, v)
+
+
+def _bench_shaped_tables():
+    # the families of the sweep benchmark, n = 6..10, relabelled
+    rng = random.Random(DEFAULT_SEED)
+    bases = [cyclic_table(n) for n in range(6, 11)] + [truncated_addition_table(m) for m in range(5, 10)]
+    bases.append(direct_product_table(cyclic_table(2), cyclic_table(5)))
+    return [relabel_table(t, rng) for t in bases] + [max_chain_table(n) for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("table", _bench_shaped_tables(), ids=str)
+def test_bitset_sweep_counters_match_the_memo_loop(table):
+    for ring in (ZZ, QQ, Zmod(2)):
+        report = verify_theorem_decomposition(table, ring)
+        expected = memo_sweep(table, ring)
+        assert report.rb_masks == expected["rb_masks"]
+        assert report.mismatches == expected["mismatches"] == ()
+        assert report.closed_masks == expected["closed_masks"]
+        assert report.defect_evals == expected["defect_evals"]
+
+
 @pytest.mark.parametrize(
     "table", [cyclic_table(5), truncated_addition_table(4), max_chain_table(4), null_semigroup_table(4)], ids=str
 )
 def test_single_term_defect_depends_only_on_the_local_pattern(table):
-    # the fact the witness memo rests on: two masks that agree on u, v and
-    # u + v give the same defect on (e_u, e_v), term for term
+    # why one witness call settles all masks of one side: two masks that
+    # agree on u, v and u + v give the same defect on (e_u, e_v), term for
+    # term
     for ring in (ZZ, Zmod(2)):
         ones = [indicator(table, s, ring) for s in table.carrier()]
         for u in table.carrier():
@@ -406,6 +455,10 @@ def test_memo_matches_mask_by_mask_sweep_under_a_local_fake(monkeypatch, table, 
     for ring in (ZZ, QQ, Zmod(2)):
         report = verify_theorem_decomposition(table, ring)
         assert report.mismatches == mask_by_mask_mismatches(table, ring) == tuple(expected)
+        # the rescanned masks interleave with the closed ones in rb_masks
+        memo = memo_sweep(table, ring)
+        assert report.rb_masks == memo["rb_masks"]
+        assert (report.closed_masks, report.defect_evals) == (memo["closed_masks"], memo["defect_evals"])
 
 
 @pytest.mark.parametrize("zero_pattern", [(1, 1, 0), (0, 0, 1)])
@@ -420,9 +473,10 @@ def test_memo_matches_mask_by_mask_sweep_under_a_local_fake(monkeypatch, table, 
 )
 def test_memo_keys_on_the_witness_pair_too(monkeypatch, table, zero_pattern):
     # silenced off the diagonal only, the witness defect depends on (u, v)
-    # as well as on the three bits, and the memo must still match the
-    # plain sweep (a memo keyed on the bits alone recalls the diagonal
-    # witness of an earlier mask and misses a mismatch here)
+    # as well as on the three bits, and one witness call per pair and side
+    # must still match the plain sweep (a call shared by all masks with the
+    # same three bits would reuse the diagonal witness of an earlier mask
+    # and miss a mismatch here)
     plant_defect(monkeypatch, local_defect(zero_pattern, lambda u, v: u != v))
     expected = mask_by_mask_mismatches(table, ZZ)
     assert expected
