@@ -7,11 +7,12 @@ seeded end-to-end run of the pole-part projector.
 
 Exit codes: 0 all checks passed (window-limited passes are flagged in the
 output), 1 a counterexample was found, 2 usage or input error (including an
-rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs, a product of
-parsed series above parsing.PRODUCT_BUDGET coefficient pairs, a Laurent
+rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs, products of
+parsed series above parsing.PRODUCT_BUDGET coefficient pairs in all, a Laurent
 --json window above LAURENT_JSON_BUDGET coefficients, Z^d with d above MAX_DIM,
-theorem-verify --max-size above MAX_SWEEP_SIZE, or laurent-demo --count
-above MAX_DEMO_COUNT), 3 internal
+theorem-verify --max-size above MAX_SWEEP_SIZE or full scans above
+oracles.SCAN_PAIR_BUDGET single-term pairs, or laurent-demo --count above
+MAX_DEMO_COUNT), 3 internal
 fault: the structural and semantic routes of cutoff-scan or theorem-verify
 disagreed (theorem-verify still prints its report first), or an unexpected
 exception escaped (its traceback goes to stderr); either means a bug. The
@@ -26,7 +27,6 @@ import json
 import os
 import random
 import sys
-import traceback
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,8 +53,8 @@ from .oracles import (
 from .outcomes import CheckOutcome
 from .parsing import (
     ParseError,
+    ProductBudget,
     check_var,
-    over_product_budget,
     parse_series,
     render_laurent,
     render_series,
@@ -93,8 +93,8 @@ MAX_DIM = 8
 
 # largest theorem-verify --max-size, checked before the table is read: the
 # sweep holds n + 2 mask sets of 2^n bits, about 3 MB at n = 20, where Z/20
-# sweeps in 0.11 s and raises the peak RSS by 5.6 MB; a table with every mask
-# closed, max(n), pays 2^n full scans instead (same host)
+# sweeps in 0.11 s and raises the peak RSS by 5.6 MB (same host); the time
+# of its full scans is bounded by oracles.SCAN_PAIR_BUDGET
 MAX_SWEEP_SIZE = 20
 
 # pairs one laurent-demo may show, checked before the first is built: at the
@@ -263,16 +263,18 @@ def _outcome_text(oc: CheckOutcome) -> str:
     return "  ".join(bits)
 
 
-def _parse(args, text: str, monoid: OrderedMonoid, ring: Ring, laurent: bool = False):
+def _parse(
+    args, text: str, monoid: OrderedMonoid, ring: Ring, budget: ProductBudget, laurent: bool = False
+):
     try:
         check_var(args.var)
     except ValueError as exc:  # not one name, or the tail marker
         raise UsageError(str(exc)) from None
-    return parse_series(text, monoid, ring, var=args.var, laurent=laurent)
+    return parse_series(text, monoid, ring, var=args.var, laurent=laurent, budget=budget)
 
 
-def _check_product(f, g) -> None:
-    refusal = over_product_budget(f, g)
+def _charge_product(budget: ProductBudget, f, g) -> None:
+    refusal = budget.charge(f, g)
     if refusal:
         raise UsageError(refusal)
 
@@ -289,10 +291,11 @@ def cmd_arith(args) -> int:
     ring = parse_ring_spec(args.ring)
     if args.laurent and monoid != IntLine():
         raise UsageError("--laurent needs --monoid Z")
-    f = _parse(args, args.expr1, monoid, ring, args.laurent)
-    g = _parse(args, args.expr2, monoid, ring, args.laurent)
+    budget = ProductBudget()  # one for the products of both expressions and the final one
+    f = _parse(args, args.expr1, monoid, ring, budget, args.laurent)
+    g = _parse(args, args.expr2, monoid, ring, budget, args.laurent)
     if args.command == "mul":
-        _check_product(f, g)
+        _charge_product(budget, f, g)
         out = f * g
     else:
         out = f + g
@@ -315,9 +318,11 @@ def cmd_rb_check(args) -> int:
     if (args.f is None) != (args.g is None):
         raise UsageError("--f and --g go together")
     if args.f is not None:
-        f = _parse(args, args.f, monoid, ring)
-        g = _parse(args, args.g, monoid, ring)
-        _check_product(f, g)  # rb_defect forms four products of at most |f| x |g| pairs
+        budget = ProductBudget()
+        f = _parse(args, args.f, monoid, ring, budget)
+        g = _parse(args, args.g, monoid, ring, budget)
+        for _ in range(4):  # rb_defect forms four products of at most |f| x |g| pairs
+            _charge_product(budget, f, g)
         d = rb_defect(P, f, g)
         if args.json:
             print(json.dumps({"decomposition": P.label, "defect": _printable(d.to_json)}))
@@ -582,6 +587,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except Exception as exc:  # a bug, never a counterexample: not exit 1
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        import traceback  # only here: it costs every start-up a few ms
+
         traceback.print_exc()
         return 3
 

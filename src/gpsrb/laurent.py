@@ -128,7 +128,7 @@ class TruncatedLaurent:
 
     def items(self) -> list:
         """The nonzero terms, (exponent, coefficient) by increasing exponent."""
-        return sorted(self.series.items())
+        return self.series.sorted_items()
 
     def __add__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         if not isinstance(other, TruncatedLaurent):

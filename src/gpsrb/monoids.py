@@ -6,9 +6,8 @@ integers, the naturals, and integer vectors under the product or
 lexicographic order; arbitrary finite carriers load from JSON tables.
 
 Elements are plain hashable Python values (int for the lines, tuple of int
-for vectors, int index for tables). Each monoid supplies a sort_key so
-supports can be printed in a stable order even when the monoid order is
-partial.
+for vectors, int index for tables). Supports print sorted as those values,
+a stable order even when the monoid order is partial.
 """
 
 from __future__ import annotations
@@ -71,12 +70,9 @@ class OrderedMonoid:
         """Raise BadElement unless x belongs to the carrier."""
         raise NotImplementedError
 
-    def sort_key(self, x):
-        """Total key for display ordering; need not refine the monoid order."""
-        return x
-
-    def elem_repr(self, x) -> str:
-        return repr(x)
+    # the text of one element: the builtin itself, so printing a term costs no
+    # Python call around it
+    elem_repr = repr
 
     def parse_elem(self, text: str):
         raise NotImplementedError
@@ -201,7 +197,8 @@ class IntVector(OrderedMonoid):
             raise BadElement(f"not a Z^{self.dim} vector: {x!r}")
 
     def elem_repr(self, x) -> str:
-        return "(" + ",".join(map(str, x)) + ")"
+        # "(1,-2)": the tuple's repr without its spaces, and "(5)" for d = 1
+        return repr(x).replace(" ", "") if self.dim > 1 else f"({x[0]})"
 
     def parse_elem(self, text: str):
         return _parse_vector(text, self.dim)

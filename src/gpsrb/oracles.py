@@ -38,6 +38,14 @@ class RouteDisagreement(RuntimeError):
 
 DEFAULT_MAX_SIZE = 12  # 2^12 decompositions is the largest exhaustive sweep
 
+# single-term pairs the full scans of one sweep may cover: (closed +
+# rescanned masks) x n^2, known once the structural route has run and before
+# the first scan. max(12), whose 4,096 masks are all closed (589,824 pairs),
+# sweeps in 0.9-1.1 s; scans ran at 1.2-1.9 us a pair from max(12) to
+# max(14), so a sweep at the budget takes about 1.2-2 s, on one core of a
+# shared 2-vCPU x86 host with Python 3.11
+SCAN_PAIR_BUDGET = 1_000_000
+
 
 @dataclass(frozen=True)
 class TheoremReport:
@@ -127,7 +135,9 @@ def verify_theorem_decomposition(
     call, at the lowest mask of each, decides all masks of that part: at
     most 2 n^2 witness calls per sweep. A mask that is closed, or whose
     witness defect is zero, gets the full n^2 semantic scan, in ascending
-    mask order, so a disagreement in either direction still shows.
+    mask order, so a disagreement in either direction still shows. TooLarge
+    is raised before the first scan when those scans would cover more than
+    SCAN_PAIR_BUDGET single-term pairs.
     """
     if not isinstance(monoid, FiniteTable):
         raise TypeError("exhaustive decomposition sweeps need a finite carrier")
@@ -155,6 +165,13 @@ def verify_theorem_decomposition(
                     P = Projector.from_mask(monoid, (part & -part).bit_length() - 1)
                     if rb_defect(P, ones[u], ones[v]).is_zero():
                         rescan |= part
+    closed_count, rescan_count = unsettled.bit_count(), rescan.bit_count()
+    scan_pairs = (closed_count + rescan_count) * n * n
+    if scan_pairs > SCAN_PAIR_BUDGET:
+        raise TooLarge(
+            f"{closed_count} closed and {rescan_count} rescanned masks x {n}^2 = {scan_pairs} "
+            f"single-term pairs to scan, above the budget of {SCAN_PAIR_BUDGET}"
+        )
     rb_masks: list[int] = []
     mismatches: list[tuple[int, str]] = []
     closed = ((mask, True) for mask in _members(unsettled))
@@ -178,7 +195,7 @@ def verify_theorem_decomposition(
         rb_count=len(rb_masks),
         rb_masks=tuple(rb_masks),
         mismatches=tuple(mismatches),
-        closed_masks=unsettled.bit_count(),
+        closed_masks=closed_count,
         defect_evals=defect_evals,
         elapsed=elapsed,
     )
@@ -243,7 +260,7 @@ def verify_total_order_threshold_rule(
     """
     base = list(window)
     ws = list(w_set)
-    check_total_order(monoid, sorted(set(base) | set(ws), key=monoid.sort_key))
+    check_total_order(monoid, sorted(set(base) | set(ws)))
     zero = monoid.zero()
     rep = monoid.elem_repr
     for w in ws:

@@ -20,6 +20,15 @@ Python steps per lexeme, not per character; the parser indexes the lexeme
 list. Positions are exact: a column counts characters from 1 within its
 line, and only "\n" starts a new line.
 
+The commonest term, the monomial INT ['/' INT] '*' VAR '^' exponent, is a
+production of term read in one step (_Parser.monomial), with the nodes
+factor would build. AST nodes are tuples built by tuple.__new__, and a sum
+of monomials evaluates with one membership check per exponent and
+coefficient, where each is made, and one merge of all the terms. So
+parsing costs a fixed, small number of Python steps per monomial. All the
+products of one expression share one ProductBudget, and a command passes
+one budget to all of its parses and products.
+
 Renderers produce strings this grammar parses back to an equal value
 (modular coefficients print as their canonical residue).
 """
@@ -27,7 +36,7 @@ Renderers produce strings this grammar parses back to an equal value
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 from typing import Union
 
@@ -110,50 +119,60 @@ def check_var(var: str) -> None:
 
 
 # AST nodes; every node keeps the position it started at for later errors.
+# A node is a tuple of its fields: the parser builds one with tuple.__new__,
+# at C speed, and reads a field with a C-level getter (collections.namedtuple).
+# Otherwise a node acts as a frozen dataclass would: it is immutable and
+# hashable, it equals only a node of its own class with equal fields, and it
+# prints as Lit(num=3, den=1, line=1, col=1).
 
 
-@dataclass(frozen=True, slots=True)
-class Lit:
-    num: int
-    den: int
-    line: int
-    col: int
+class _Node(tuple):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class Pow:
-    exponent: int | tuple  # k, or (k1, ..., kd) when written as a tuple
-    line: int
-    col: int
+class Lit(namedtuple("Lit", "num den line col"), _Node):
+    """The scalar num/den (ints; den is 1 when no "/" is written)."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    inner: "Node"
-    line: int
-    col: int
+class Pow(namedtuple("Pow", "exponent line col"), _Node):
+    """VAR^exponent: an int k, or (k1, ..., kd) when written as a tuple."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Sum:
-    parts: tuple
-    line: int
-    col: int
+class Neg(namedtuple("Neg", "inner line col"), _Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Product:
-    factors: tuple
-    line: int
-    col: int
+class Sum(namedtuple("Sum", "parts line col"), _Node):
+    """parts is a tuple of two or more nodes; a subtracted part is a Neg."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class TruncMarker:
-    exponent: int
-    line: int
-    col: int
+class Product(namedtuple("Product", "factors line col"), _Node):
+    """factors is a tuple of two or more nodes."""
 
+    __slots__ = ()
+
+
+class TruncMarker(namedtuple("TruncMarker", "exponent line col"), _Node):
+    """O(VAR^exponent), the unknown tail from an int exponent on."""
+
+    __slots__ = ()
+
+
+_new = tuple.__new__
 
 Node = Union[Lit, Pow, Neg, Sum, Product, TruncMarker]
 
@@ -209,30 +228,77 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        words = self.words
+        words, lines, cols = self.words, self.lines, self.cols
         sign = words[self.i]
         if sign == "+" or sign == "-":
             self.i += 1
         node = self.term()
-        parts = [Neg(node, node.line, node.col) if sign == "-" else node]
+        parts = [_new(Neg, (node, node.line, node.col)) if sign == "-" else node]
         while (op := words[self.i]) == "+" or op == "-":
             at = self.i
             self.i = at + 1
             node = self.term()
-            parts.append(Neg(node, self.lines[at], self.cols[at]) if op == "-" else node)
+            parts.append(_new(Neg, (node, lines[at], cols[at])) if op == "-" else node)
         if len(parts) == 1:
             return parts[0]
-        return Sum(tuple(parts), parts[0].line, parts[0].col)
+        return _new(Sum, (tuple(parts), parts[0].line, parts[0].col))
 
     def term(self) -> Node:
-        node = self.factor()
-        if self.words[self.i] != "*":
-            return node
-        factors = [node]
-        while self.words[self.i] == "*":
+        words = self.words
+        factors = self.monomial(self.i)
+        if factors is None:
+            node = self.factor()
+            if words[self.i] != "*":
+                return node
+            factors = [node]
+        while words[self.i] == "*":
             self.i += 1
             factors.append(self.factor())
-        return Product(tuple(factors), node.line, node.col)
+        first = factors[0]
+        return _new(Product, (tuple(factors), first.line, first.col))
+
+    def monomial(self, i: int) -> list | None:
+        """[Lit, Pow] for the lexemes INT ['/' INT] '*' VAR '^' exponent at i, or None.
+
+        The commonest term in one step: it reads the lexemes factor would
+        read, builds the same two nodes and moves past them. Anything else,
+        every error included, is left to factor. int() takes an INT lexeme
+        exactly when int_at does and refuses every other lexeme, the
+        sentinel too, so each lexeme is checked before the next is read.
+        """
+        words = self.words
+        try:
+            num, den, k = int(words[i]), 1, i + 1
+            if words[k] == "/":
+                den = int(words[k + 1])
+                k += 2
+            if words[k] != "*" or words[k + 1] != self.var or words[k + 2] != "^":
+                return None
+            at, k = k + 1, k + 3
+            if words[k] == "(":
+                coords = []
+                sep = ","
+                while sep == ",":
+                    if words[k + 1] == "-":
+                        k += 1
+                        coords.append(-int(words[k + 1]))
+                    else:
+                        coords.append(int(words[k + 1]))
+                    k += 2
+                    sep = words[k]
+                if sep != ")":
+                    return None
+                exponent = tuple(coords)
+            elif words[k] == "-":
+                k += 1
+                exponent = -int(words[k])
+            else:
+                exponent = int(words[k])
+        except ValueError:
+            return None
+        self.i = k + 1
+        lines, cols = self.lines, self.cols
+        return [_new(Lit, (num, den, lines[i], cols[i])), _new(Pow, (exponent, lines[at], cols[at]))]
 
     def factor(self) -> Node:
         words, i = self.words, self.i
@@ -247,14 +313,14 @@ class _Parser:
             if words[i + 1] == "/":
                 self.i = i + 3
                 den = self.int_at(i + 2)
-            return Lit(num, den, line, col)
+            return _new(Lit, (num, den, line, col))
         if text == self.var:
             if words[i + 1] != "^":
-                return Pow(1, line, col)
+                return _new(Pow, (1, line, col))
             self.i = i + 2
             if words[i + 2] == "(":
-                return Pow(self.coords(), line, col)
-            return Pow(self.signed_int(), line, col)
+                return _new(Pow, (self.coords(), line, col))
+            return _new(Pow, (self.signed_int(), line, col))
         if text == "O":
             self.expect("(")
             at = self.i
@@ -267,7 +333,7 @@ class _Parser:
             self.expect("^")
             n = self.signed_int()
             self.expect(")")
-            return TruncMarker(n, line, col)
+            return _new(TruncMarker, (n, line, col))
         if _is_name(text):
             raise self.error(f"unknown variable {text!r} (expected {self.var!r})", i)
         if text == "(":
@@ -307,8 +373,8 @@ def parse_expr(text: str, var: str = "e") -> Node:
     return _Parser(words, lines, cols, var).parse()
 
 
-# coefficient pairs one product of parsed series may form, decided from the
-# term counts before any pair is formed: 11x the largest benchmark product
+# coefficient pairs the products of one command may form together, decided
+# from the term counts before each product: 11x the largest benchmark product
 # (600 x 300 dense terms). A `gpsrb mul` at the budget took 0.07-0.08 s with
 # dense factors on Z (packed), and 9-11.5 s at a peak RSS of 0.77-0.81 GB
 # when all 2,000,000 pair sums differ (sparse on Q, or Z^2), on one core of a
@@ -316,101 +382,146 @@ def parse_expr(text: str, var: str = "e") -> Node:
 PRODUCT_BUDGET = 2_000_000
 
 
-def over_product_budget(f, g) -> str | None:
-    """Why f * g is refused, or None when its |f| x |g| coefficient pairs fit PRODUCT_BUDGET."""
-    m, n = f.term_count(), g.term_count()
-    if m * n <= PRODUCT_BUDGET:
-        return None
-    return f"product of {m} x {n} terms = {m * n} coefficient pairs, above the budget of {PRODUCT_BUDGET}"
+class ProductBudget:
+    """The PRODUCT_BUDGET of one command, shared by all of its products.
+
+    Each product is charged |f| x |g| coefficient pairs from the term counts
+    before it is formed, so an expression of k products costs at most what
+    one product at the budget does, not k times that.
+    """
+
+    def __init__(self):
+        self.spent = 0
+
+    def charge(self, f, g) -> str | None:
+        """Charge the pairs of f * g; None when they fit, else why the product is refused."""
+        m, n = f.term_count(), g.term_count()
+        pairs = m * n
+        if self.spent + pairs <= PRODUCT_BUDGET:
+            self.spent += pairs
+            return None
+        refusal = f"product of {m} x {n} terms = {pairs} coefficient pairs, above the budget of {PRODUCT_BUDGET}"
+        if pairs <= PRODUCT_BUDGET:  # it would fit alone
+            refusal += f" with {self.spent} spent by earlier products"
+        return refusal
 
 
-def _exponent_elem(monoid: OrderedMonoid, node: Pow):
-    try:
-        return monoid.from_exponent(node.exponent)
-    except BadElement as exc:
-        raise ParseError(str(exc), node.line, node.col) from None
+def eval_series(
+    node: Node,
+    monoid: OrderedMonoid,
+    ring: Ring,
+    laurent: bool = False,
+    budget: ProductBudget | None = None,
+):
+    """Evaluate to a Series, or in Laurent mode (monoid Z) to a TruncatedLaurent.
 
-
-def eval_series(node: Node, monoid: OrderedMonoid, ring: Ring, laurent: bool = False):
-    """Evaluate to a Series, or in Laurent mode (monoid Z) to a TruncatedLaurent."""
-    if isinstance(node, Neg):
-        return -eval_series(node.inner, monoid, ring, laurent)
-    if isinstance(node, Sum):
+    Every product is charged to budget, a fresh ProductBudget when None.
+    """
+    if budget is None:
+        budget = ProductBudget()
+    kind = type(node)
+    if kind is Sum:
         # one pass: monomials become terms directly, every other part is
-        # evaluated, and the constructor merges all the terms
+        # evaluated, and the terms are merged once; each exponent and each
+        # coefficient was checked where it was made
         terms, tails = [], []
         for part in node.parts:
             term = _monomial(part, monoid, ring)
             if term is not None:
                 terms.append(term)
                 continue
-            value = eval_series(part, monoid, ring, laurent)
+            value = eval_series(part, monoid, ring, laurent, budget)
             terms.extend(value.items())
             if laurent and not value.exact:
                 tails.append(value.trunc)
-        total = Series(monoid, ring, terms)
+        total = Series._merged(monoid, ring, terms)
         # a Laurent sum is known below the smallest tail among its parts
         return TruncatedLaurent.from_series(total, min(tails, default=None)) if laurent else total
-    if isinstance(node, Product):
-        acc = eval_series(node.factors[0], monoid, ring, laurent)
-        for factor in node.factors[1:]:
-            value = eval_series(factor, monoid, ring, laurent)
-            refusal = over_product_budget(acc, value)
+    if kind is Neg:
+        return -eval_series(node.inner, monoid, ring, laurent, budget)
+    if kind is Product:
+        factors = node.factors
+        acc = eval_series(factors[0], monoid, ring, laurent, budget)
+        for factor in factors[1:]:
+            value = eval_series(factor, monoid, ring, laurent, budget)
+            refusal = budget.charge(acc, value)
             if refusal:
                 raise ParseError(refusal, factor.line, factor.col)
             acc = acc * value
         return acc
-    if isinstance(node, TruncMarker):
+    if kind is TruncMarker:
         if not laurent:
             raise ParseError("O(...) tail marker is only valid in Laurent mode", node.line, node.col)
         return TruncatedLaurent(ring, node.exponent, [], exact=False)
     term = _monomial(node, monoid, ring)
     if term is None:
         raise TypeError(f"unknown node {node!r}")
-    series = Series(monoid, ring, [term])
+    series = Series._merged(monoid, ring, [term])
     return TruncatedLaurent.from_series(series) if laurent else series
 
 
-def _coefficient(ring: Ring, node: Lit):
-    try:
-        return ring.from_ratio(node.num, node.den)
-    except (ValueError, ZeroDenominator) as exc:
-        raise ParseError(str(exc), node.line, node.col) from None
-
-
 def _monomial(node: Node, monoid: OrderedMonoid, ring: Ring):
-    """(exponent, coefficient) for c, e^k, c*e^k or the negation of one; else None.
+    """(exponent, coefficient) for c, e^k, c*e^k or a negation of one; else None.
 
-    Lit and Pow are read in the order eval_series evaluates them, so the
-    first bad literal or exponent raises the same ParseError it would.
+    The literal is read before the exponent, the order eval_series evaluates
+    them in, so the first bad literal or exponent raises the same ParseError
+    it would.
     """
-    if isinstance(node, Neg):
-        term = _monomial(node.inner, monoid, ring)
-        return None if term is None else (term[0], ring.reduce(-term[1]))
-    if isinstance(node, Lit):
-        return monoid.zero(), _coefficient(ring, node)
-    if isinstance(node, Pow):
-        return _exponent_elem(monoid, node), ring.one()
-    if isinstance(node, Product) and len(node.factors) == 2:
-        lit, power = node.factors
-        if isinstance(lit, Lit) and isinstance(power, Pow):
-            c = _coefficient(ring, lit)
-            return _exponent_elem(monoid, power), c
-    return None
+    negated = False
+    while type(node) is Neg:
+        node, negated = node.inner, not negated
+    kind = type(node)
+    if kind is Product:
+        factors = node.factors
+        if len(factors) != 2:
+            return None
+        lit, power = factors
+        if type(lit) is not Lit or type(power) is not Pow:
+            return None
+    elif kind is Lit:
+        lit, power = node, None
+    elif kind is Pow:
+        lit, power = None, node
+    else:
+        return None
+    if lit is None:
+        c = ring.one()
+    else:
+        try:
+            c = ring.from_ratio(lit.num, lit.den)
+        except (ValueError, ZeroDenominator) as exc:
+            raise ParseError(str(exc), lit.line, lit.col) from None
+    if power is None:
+        s = monoid.zero()
+    else:
+        try:
+            s = monoid.from_exponent(power.exponent)
+        except BadElement as exc:
+            raise ParseError(str(exc), power.line, power.col) from None
+    return s, ring.reduce(-c) if negated else c
 
 
-def eval_laurent(node: Node, ring: Ring) -> TruncatedLaurent:
-    return eval_series(node, IntLine(), ring, laurent=True)
+def eval_laurent(node: Node, ring: Ring, budget: ProductBudget | None = None) -> TruncatedLaurent:
+    return eval_series(node, IntLine(), ring, laurent=True, budget=budget)
 
 
 def parse_series(
-    text: str, monoid: OrderedMonoid, ring: Ring, var: str = "e", laurent: bool = False
+    text: str,
+    monoid: OrderedMonoid,
+    ring: Ring,
+    var: str = "e",
+    laurent: bool = False,
+    budget: ProductBudget | None = None,
 ):
-    """Parse and evaluate; Series normally, TruncatedLaurent in Laurent mode."""
+    """Parse and evaluate; Series normally, TruncatedLaurent in Laurent mode.
+
+    The products of the expression are charged to budget, a fresh
+    ProductBudget when None; a command passes one budget to all its parses.
+    """
     node = parse_expr(text, var)
     if laurent:
-        return eval_laurent(node, ring)
-    return eval_series(node, monoid, ring)
+        return eval_laurent(node, ring, budget)
+    return eval_series(node, monoid, ring, budget=budget)
 
 
 def _join_terms(terms, var: str, zero, rep) -> str:

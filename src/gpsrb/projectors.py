@@ -205,9 +205,8 @@ def cutoff_violation_pairs(monoid: OrderedMonoid, w, window: Iterable) -> tuple[
     # a pair with one element on each side can never be an obstruction
     escape = [(u, v) for u in kept for v in kept if not lt(add(u, v), w)]
     drop_in = [(u, v) for u in killed for v in killed if lt(add(u, v), w)]
-    key = monoid.sort_key
-    drop_in.sort(key=lambda p: (key(p[0]), key(p[1])))
-    escape.sort(key=lambda p: (key(p[0]), key(p[1])))
+    drop_in.sort()
+    escape.sort()
     return drop_in, escape
 
 

@@ -66,9 +66,9 @@ class Ring:
         """The ring element an integer (or rational) sum or product stands for."""
         return c
 
-    def fmt(self, c) -> str:
-        """Text of one coefficient, as `__str__` and `to_json` show it."""
-        return str(c)
+    # the text of one coefficient, as `__str__` and `to_json` show it: the
+    # builtin itself, so printing a term costs no Python call around it
+    fmt = str
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,9 @@ class Series:
                 acc[s] = c
             else:
                 acc.pop(s, None)
-        object.__setattr__(self, "monoid", monoid)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", acc)
+        _set_monoid(self, monoid)
+        _set_ring(self, ring)
+        _set_terms(self, acc)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -61,20 +61,39 @@ class Series:
         _set_terms(out, terms)
         return out
 
+    @staticmethod
+    def _merged(monoid: OrderedMonoid, ring: Ring, items: list) -> "Series":
+        """Trusted constructor from checked (exponent, coefficient) terms; zeros drop out.
+
+        Distinct exponents, the usual case, make one dict build at C speed.
+        An exponent that repeats goes through the public constructor, which
+        adds its coefficients up in order (and checks the terms again).
+        """
+        acc = dict(items)
+        if len(acc) < len(items):
+            return Series(monoid, ring, items)
+        if not all(acc.values()):
+            acc = {s: c for s, c in acc.items() if c}
+        return Series._raw(monoid, ring, acc)
+
     def coeff(self, s):
         self.monoid.check_elem(s)
         return self._terms.get(s, self.ring.zero())
 
     def support(self) -> list:
-        return sorted(self._terms, key=self.monoid.sort_key)
+        return sorted(self._terms)
 
     def items(self):
         return self._terms.items()
 
     def sorted_items(self) -> list:
-        """The (exponent, coefficient) terms in the monoid's display order."""
+        """The (exponent, coefficient) terms by increasing exponent, as printed.
+
+        Exponents sort as Python values (ints, or tuples of ints), which on
+        a partial order is a display order, not the monoid's.
+        """
         terms = self._terms
-        return [(s, terms[s]) for s in sorted(terms, key=self.monoid.sort_key)]
+        return [(s, terms[s]) for s in sorted(terms)]
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -235,11 +254,11 @@ class Series:
         return f"Series({self.monoid}, {self.ring}, {self!s})"
 
     def to_json(self) -> dict:
-        rep, fmt = self.monoid.elem_repr, self.ring.fmt
+        rep, fmt, terms = self.monoid.elem_repr, self.ring.fmt, self._terms
         return {
             "monoid": str(self.monoid),
             "ring": str(self.ring),
-            "terms": [{"exp": rep(s), "coeff": fmt(c)} for s, c in self.sorted_items()],
+            "terms": [{"exp": rep(s), "coeff": fmt(terms[s])} for s in sorted(terms)],
         }
 
 

@@ -12,7 +12,9 @@ mask by mask, with the per-mask structural oracle closure_witness and a
 witness memo, where verify_theorem_decomposition settles all masks at once
 on bitsets. The parser oracle is the character-stepping
 tokenizer and peek/next parser that gpsrb.parsing used before its regex
-lexer. GPS_RB_SEED pins the plain-random sampling used by the bulk
+lexer. The render oracles are the renderers and to_json methods as they
+were before elem_repr and fmt became the builtins repr and str and sort_key
+left the monoids. GPS_RB_SEED pins the plain-random sampling used by the bulk
 acceptance checks; the default keeps runs reproducible without the env var
 set.
 """
@@ -487,3 +489,90 @@ def reference_parse_expr(text: str, var: str = "e"):
     if not tokens:
         raise ParseError("empty expression", 1, 1)
     return _Parser(tokens, var).parse()
+
+
+# ---------------------------------------------------------------- render oracles
+# render_series, render_laurent, Series.to_json and TruncatedLaurent.to_json
+# as they were while monoids sorted supports by sort_key (the identity on
+# every monoid) and elem_repr and fmt were Python methods: IntVector joined
+# its coordinates, ModRing printed "k mod m", and every other monoid and
+# ring wrapped repr and str. They read only a series' items, so the output
+# of the package must match theirs byte for byte.
+
+
+def _reference_elem_repr(monoid):
+    if isinstance(monoid, IntVector):
+        return lambda x: "(" + ",".join(map(str, x)) + ")"
+    return repr
+
+
+def _reference_fmt(ring):
+    if ring.modulus:
+        return lambda c: f"{c} mod {ring.modulus}"
+    return str
+
+
+def _reference_sorted_items(f: Series) -> list:
+    terms = dict(f.items())
+    return [(s, terms[s]) for s in sorted(terms, key=lambda x: x)]
+
+
+def reference_join_terms(terms, var: str, zero, rep) -> str:
+    """Text of sorted (exponent, coefficient) terms, each built in one pass.
+
+    The coefficient prints as str(c), so Z/m residues print bare; a leading
+    minus attaches to the first term and spaces out as " - " after it.
+    """
+    out = []
+    for s, c in terms:
+        text = str(c)
+        sign = " + "
+        if text[0] == "-":
+            sign, text = " - ", text[1:]
+        if s == zero:
+            out.append(sign + text)
+        elif text == "1":
+            out.append(f"{sign}{var}^{rep(s)}")
+        else:
+            out.append(f"{sign}{text}*{var}^{rep(s)}")
+    if not out:
+        return "0"
+    joined = "".join(out)
+    return joined[3:] if joined[1] == "+" else "-" + joined[3:]
+
+
+def reference_render_series(f: Series, var: str = "e") -> str:
+    monoid = f.monoid
+    return reference_join_terms(_reference_sorted_items(f), var, monoid.zero(), _reference_elem_repr(monoid))
+
+
+def reference_render_laurent(f, var: str = "e") -> str:
+    text = reference_join_terms(sorted(f.series.items()), var, 0, str)
+    if f.exact:
+        return text
+    tail = f"O({var}^{f.trunc})"
+    return tail if f.known_zero_on_window() else f"{text} + {tail}"
+
+
+def reference_series_to_json(f: Series) -> dict:
+    rep, fmt = _reference_elem_repr(f.monoid), _reference_fmt(f.ring)
+    return {
+        "monoid": str(f.monoid),
+        "ring": str(f.ring),
+        "terms": [{"exp": rep(s), "coeff": fmt(c)} for s, c in _reference_sorted_items(f)],
+    }
+
+
+def reference_laurent_to_json(f) -> dict:
+    lo = f.ord
+    window = [f.ring.zero()] * (f.trunc - lo)
+    for n, c in f.series.items():
+        window[n - lo] = c
+    ring = f.ring
+    return {
+        "ring": str(ring),
+        "ord": lo,
+        "coeffs": list(map(_reference_fmt(ring), window)),
+        "trunc": lo + len(window),
+        "exact": f.exact,
+    }

@@ -32,7 +32,10 @@ from gpsrb import (
 )
 import gpsrb.cli
 import gpsrb.parsing
+from gpsrb.oracles import SCAN_PAIR_BUDGET
 from gpsrb.parsing import MAX_NESTING, PRODUCT_BUDGET
+
+from conftest import max_chain_table
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLES = ROOT / "tables"
@@ -180,6 +183,20 @@ def test_theorem_verify_at_the_max_size_ceiling(capsys):
     assert "identity holds for 2 decompositions (kept masks: 0x0, 0xf)" in out
     # library callers keep no ceiling
     assert verify_theorem_decomposition(load_table(str(TABLES / "z4.json")), max_size=64).rb_count == 2
+
+
+def test_theorem_verify_scan_budget_exits_two(capsys, tmp_path):
+    # max(13): all 8,192 masks closed, 8,192 x 13^2 scan pairs, refused
+    # after the structural route and before the first scan
+    table = max_chain_table(13)
+    p = tmp_path / "max13.json"
+    p.write_text(json.dumps({"n": 13, "neutral": 0, "add": [list(r) for r in table.add_table]}))
+    code, out, err = run(capsys, "theorem-verify", "--table", str(p), "--max-size", "13")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: 8192 closed and 0 rescanned masks x 13^2 = {8192 * 169} single-term pairs "
+        f"to scan, above the budget of {SCAN_PAIR_BUDGET}\n"
+    )
 
 
 def test_theorem_verify_missing_file(capsys):
@@ -507,6 +524,45 @@ def test_products_above_the_budget_exit_two(capsys, monkeypatch):
     assert code == 2 and err.endswith("above the budget of 3 (line 1, column 12)\n")
     code, _, err = run(capsys, "mul", "1 + e + O(e^2)", "1 + e^5", "--laurent")
     assert code == 2 and "2 x 2 terms" in err
+
+
+def test_all_products_of_one_command_share_the_budget(capsys, monkeypatch):
+    # 20 doubling factors: 19 products of 2^k x 2 terms (k = 1..19), 2^21 - 4
+    # pairs in all, so the last one is refused although each alone fits
+    doubling = "*".join(f"(1+e^{2 ** k})" for k in range(20))
+    code, out, err = run(capsys, "mul", doubling, "1", "--ring", "Z")
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"error: product of {2 ** 19} x 2 terms = {2 ** 20} coefficient pairs, above the budget "
+        f"of {PRODUCT_BUDGET} with {2 ** 20 - 4} spent by earlier products"
+    )
+    # four doubling factors spend 4 + 8 + 16 = 28 pairs, and mul's own
+    # product 16 x 2 more: 60 in all
+    four = "(1+e)*(1+e^2)*(1+e^4)*(1+e^8)"
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 60)
+    assert run(capsys, "mul", four, "1 + e^100", "--ring", "Z")[0] == 0
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 59)
+    assert run(capsys, "mul", four, "1 + e^100", "--ring", "Z") == (2, "", (
+        "error: product of 16 x 2 terms = 32 coefficient pairs, above the budget of 59 "
+        "with 28 spent by earlier products\n"
+    ))
+    # the second expression draws on what the first one left
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 30)
+    code, _, err = run(capsys, "mul", four, "(1 + e) * (1 + e^3)", "--ring", "Z")
+    assert code == 2 and err.endswith(
+        "product of 2 x 2 terms = 4 coefficient pairs, above the budget of 30 "
+        "with 28 spent by earlier products (line 1, column 12)\n"
+    )
+    # rb-check charges its four products at most |f| x |g| = 4 x 2 pairs each,
+    # after the 4 pairs of its --f: 36 in all
+    argv = ["rb-check", "--decomp", "negatives", "--f", "(e^-2 + e) * (1 + e^5)", "--g", "e^-1 + e^3"]
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 35)
+    assert run(capsys, *argv) == (2, "", (
+        "error: product of 4 x 2 terms = 8 coefficient pairs, above the budget of 35 "
+        "with 28 spent by earlier products\n"
+    ))
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 36)
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_python_dash_m_gpsrb_runs_the_cli():

@@ -239,6 +239,37 @@ def test_sweep_of_chain_semilattice_scans_every_mask(n):
         assert report.defect_evals == (1 << n) * n * n
 
 
+def test_sweep_scan_pairs_are_bounded_before_the_first_scan(monkeypatch):
+    # max(4) has 16 closed masks and no rescanned one: 16 x 4^2 = 256 scan pairs
+    table = max_chain_table(4)
+    monkeypatch.setattr(gpsrb.oracles, "SCAN_PAIR_BUDGET", 256)
+    assert verify_theorem_decomposition(table).closed_masks == 16
+    scans = []
+    real = gpsrb.oracles.nonzero_defect_pairs
+    monkeypatch.setattr(gpsrb.oracles, "nonzero_defect_pairs", lambda *a: scans.append(a) or real(*a))
+    monkeypatch.setattr(gpsrb.oracles, "SCAN_PAIR_BUDGET", 255)
+    with pytest.raises(TooLarge) as err:
+        verify_theorem_decomposition(table)
+    assert str(err.value) == (
+        "16 closed and 0 rescanned masks x 4^2 = 256 single-term pairs to scan, above the budget of 255"
+    )
+    assert scans == []
+    # rescanned masks count too: with every witness defect planted zero, all
+    # 2^3 - 2 unclosed masks of Z/3 are rescanned
+    monkeypatch.setattr(gpsrb.oracles, "rb_defect", lambda P, f, g: Series(f.monoid, f.ring))
+    monkeypatch.setattr(gpsrb.oracles, "SCAN_PAIR_BUDGET", 71)
+    with pytest.raises(TooLarge) as err:
+        verify_theorem_decomposition(cyclic_table(3))
+    assert str(err.value).startswith("2 closed and 6 rescanned masks x 3^2 = 72 single-term pairs")
+
+
+def test_scan_budget_admits_max_12_and_refuses_max_13(monkeypatch):
+    assert (1 << 12) * 12 * 12 <= gpsrb.oracles.SCAN_PAIR_BUDGET < (1 << 13) * 13 * 13
+    monkeypatch.setattr(gpsrb.oracles, "nonzero_defect_pairs", lambda *a: pytest.fail("scanned"))
+    with pytest.raises(TooLarge):
+        verify_theorem_decomposition(max_chain_table(13), max_size=13)
+
+
 def plant_defect(monkeypatch, fake):
     """Replace rb_defect in every module of the sweep that calls it."""
     for module in (gpsrb.projectors, gpsrb.oracles):

@@ -19,12 +19,52 @@ from gpsrb import (
 )
 
 import gpsrb.parsing
-from gpsrb.parsing import MAX_NESTING, Sum, eval_laurent, eval_series, parse_expr
+from gpsrb.parsing import (
+    MAX_NESTING,
+    Lit,
+    Neg,
+    Pow,
+    Product,
+    ProductBudget,
+    Sum,
+    TruncMarker,
+    eval_laurent,
+    eval_series,
+    parse_expr,
+)
 
 from conftest import int_series, vec2_series
 
 M = IntLine()
 V = IntVector(2)
+
+
+def test_ast_nodes_act_as_frozen_dataclasses():
+    lit, power = Lit(3, 1, 1, 2), Pow(5, 1, 4)
+    node = Neg(Product((lit, power), 1, 2), 1, 2)  # a leading minus takes its term's position
+    assert parse_expr("-3*e^5") == node
+    # keyword construction, field access
+    assert Lit(num=3, den=1, line=1, col=2) == lit
+    assert (lit.num, lit.den, lit.line, lit.col) == (3, 1, 1, 2)
+    assert (power.exponent, node.inner.factors) == (5, (lit, power))
+    # dataclass-style repr
+    assert repr(node) == (
+        "Neg(inner=Product(factors=(Lit(num=3, den=1, line=1, col=2), "
+        "Pow(exponent=5, line=1, col=4)), line=1, col=2), line=1, col=2)"
+    )
+    # == by class and fields: equal fields of another class, or a plain tuple, differ
+    assert Pow(2, 1, 1) != TruncMarker(2, 1, 1) and not Pow(2, 1, 1) == TruncMarker(2, 1, 1)
+    assert Neg(lit, 1, 1) != Sum(lit, 1, 1)
+    assert lit != (3, 1, 1, 2) and Lit(3, 1, 1, 3) != lit
+    # hashable, with equal nodes hashing alike
+    assert hash(Lit(3, 1, 1, 2)) == hash(lit)
+    assert len({Pow(2, 1, 1), TruncMarker(2, 1, 1), Pow(2, 1, 1)}) == 2
+    # immutable: no field can be set and no attribute added
+    with pytest.raises(AttributeError):
+        lit.num = 4
+    with pytest.raises(AttributeError):
+        lit.extra = 0
+    assert lit == Lit(3, 1, 1, 2)
 
 
 def test_flat_sum_over_int_line():
@@ -260,10 +300,40 @@ def test_product_budget_refuses_a_factor_where_it_starts(monkeypatch):
 
 def test_doubling_product_stops_at_the_budget():
     # (1 + e)(1 + e^2)(1 + e^4)... doubles its support with each factor, so
-    # factor i meets 2^i terms: 2^(i + 1) pairs, past the budget from i = 20
+    # factor i meets 2^i terms at 2^(i + 1) pairs, and factors 1..i spend
+    # 2^(i + 2) - 4 pairs together: past the budget of 2,000,000 from i = 19,
+    # where that product alone (2^20 pairs) would still fit
     factors = [f"(1 + e^{2 ** k})" for k in range(24)]
     with pytest.raises(ParseError) as err:
         parse_series("*".join(factors), M, ZZ)
-    i = gpsrb.parsing.PRODUCT_BUDGET.bit_length() - 1
-    assert str(err.value).startswith(f"product of {2 ** i} x 2 terms = {2 ** (i + 1)} coefficient pairs")
-    assert (err.value.line, err.value.col) == (1, len("*".join(factors[:i])) + 3)
+    budget = gpsrb.parsing.PRODUCT_BUDGET
+    i = next(i for i in range(1, 24) if 2 ** (i + 2) - 4 > budget)
+    assert i == 19
+    assert str(err.value) == (
+        f"product of {2 ** i} x 2 terms = {2 ** (i + 1)} coefficient pairs, above the budget of "
+        f"{budget} with {2 ** (i + 1) - 4} spent by earlier products (line 1, column "
+        f"{len('*'.join(factors[:i])) + 3})"
+    )
+    # with 19 factors the 18 products fit, and the budget passed in holds their pairs
+    spent = ProductBudget()
+    f = parse_series("*".join(factors[:19]), M, ZZ, budget=spent)
+    assert f.term_count() == 2 ** 19 and spent.spent == 2 ** 20 - 4
+
+
+def test_products_of_one_budget_add_up(monkeypatch):
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 10)
+    budget = ProductBudget()
+    f = parse_series("(1 + e) * (1 + e^2)", M, ZZ, budget=budget)  # 2 x 2 pairs
+    assert budget.spent == 4
+    with pytest.raises(ParseError) as err:
+        parse_series("(1 + e) * (e^2 + e^3) * (1 - e)", M, ZZ, budget=budget)  # 4 more, then 6
+    assert str(err.value) == (
+        "product of 3 x 2 terms = 6 coefficient pairs, above the budget of 10 with 8 spent by "
+        "earlier products (line 1, column 26)"
+    )
+    # without a budget each parse gets a fresh one
+    got = parse_series("(1 + e) * (e^2 + e^3) * (1 - e)", M, ZZ)
+    assert got == parse_series("e^2 + e^3 - e^4 - e^5", M, ZZ)
+    assert f == parse_series("1 + e + e^2 + e^3", M, ZZ)
+
+
