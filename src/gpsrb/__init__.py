@@ -7,11 +7,8 @@ from .laurent import (
     InsufficientPrecision,
     TruncatedLaurent,
     make_laurent,
-    nonneg_part,
     pole_part,
     tl_rb_defect,
-    to_series,
-    zero_laurent,
 )
 from .monoids import (
     BadElement,
@@ -27,7 +24,6 @@ from .monoids import (
     vector_window,
 )
 from .oracles import (
-    NotTotalOrder,
     RouteDisagreement,
     TheoremReport,
     TooLarge,
@@ -37,14 +33,12 @@ from .oracles import (
     scan_cutoffs,
     truncated_addition_table,
     verify_theorem_decomposition,
-    verify_total_order_threshold_rule,
 )
 from .outcomes import CheckOutcome
 from .parsing import ParseError, parse_expr, parse_series, render_laurent, render_series
 from .projectors import (
     Projector,
     closed_under_addition,
-    commute_check,
     cutoff_violation_pairs,
     indicator_pair_scan,
     rb_defect,
@@ -56,9 +50,8 @@ from .scalars import (
     ZeroDenominator,
     Zmod,
     ZZ,
-    make_rational,
 )
-from .series import Series, indicator, one_series, series_eq, zero_series
+from .series import Series, indicator, zero_series
 
 __all__ = [
     "CheckOutcome",
@@ -67,7 +60,6 @@ __all__ = [
     "IntLine",
     "IntVector",
     "MonoidMismatch",
-    "NotTotalOrder",
     "OrderedMonoid",
     "ParseError",
     "Projector",
@@ -85,7 +77,6 @@ __all__ = [
     "BadElement",
     "BadTable",
     "closed_under_addition",
-    "commute_check",
     "cutoff_violation_pairs",
     "cyclic_table",
     "default_corpus",
@@ -95,9 +86,6 @@ __all__ = [
     "int_window",
     "load_table",
     "make_laurent",
-    "make_rational",
-    "nonneg_part",
-    "one_series",
     "parse_expr",
     "parse_series",
     "pole_part",
@@ -105,14 +93,10 @@ __all__ = [
     "render_laurent",
     "render_series",
     "scan_cutoffs",
-    "series_eq",
     "tl_rb_defect",
-    "to_series",
     "truncated_addition_table",
     "validate_monoid",
     "vector_window",
     "verify_theorem_decomposition",
-    "verify_total_order_threshold_rule",
-    "zero_laurent",
     "zero_series",
 ]

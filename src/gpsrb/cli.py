@@ -10,13 +10,13 @@ output), 1 a counterexample was found, 2 usage or input error (including an
 rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs, products of
 parsed series above parsing.PRODUCT_BUDGET coefficient pairs in all, a Laurent
 --json window above LAURENT_JSON_BUDGET coefficients, Z^d with d above MAX_DIM,
-theorem-verify --max-size above MAX_SWEEP_SIZE or full scans above
-oracles.SCAN_PAIR_BUDGET single-term pairs, or laurent-demo --count above
-MAX_DEMO_COUNT), 3 internal
-fault: the structural and semantic routes of cutoff-scan or theorem-verify
-disagreed (theorem-verify still prints its report first), or an unexpected
-exception escaped (its traceback goes to stderr); either means a bug. The
-env var GPS_RB_SEED fixes the demo RNG seed.
+a table file above monoids.MAX_TABLE_SIZE elements, theorem-verify --max-size
+above MAX_SWEEP_SIZE or full scans above oracles.SCAN_PAIR_BUDGET single-term
+pairs, or laurent-demo --count above MAX_DEMO_COUNT), 3 internal fault: the
+structural and semantic routes of cutoff-scan or theorem-verify disagreed
+(theorem-verify still prints its report first), or an unexpected exception
+escaped (its traceback goes to stderr); either means a bug. The env var
+GPS_RB_SEED fixes the demo RNG seed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import TruncatedLaurent, pole_part
+from .laurent import TruncatedLaurent, make_laurent, pole_part
 from .monoids import (
     BadElement,
     BadTable,
@@ -44,7 +44,6 @@ from .monoids import (
 )
 from .oracles import (
     DEFAULT_MAX_SIZE,
-    NotTotalOrder,
     RouteDisagreement,
     TooLarge,
     scan_cutoffs,
@@ -431,7 +430,8 @@ def _random_laurent(rng: random.Random, ring: Ring) -> TruncatedLaurent:
             coeffs.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         else:
             coeffs.append(ring.from_int(rng.randint(-9, 9)))
-    return TruncatedLaurent(ring, lo, coeffs, exact=rng.random() < 0.3, trunc=hi)
+    exact = rng.random() < 0.3  # drawn last: a seed fixes its pairs by this order
+    return make_laurent(ring, zip(range(lo, hi), coeffs), None if exact else hi)
 
 
 def cmd_laurent_demo(args) -> int:
@@ -577,7 +577,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         BadTable,
         MonoidMismatch,
         TooLarge,
-        NotTotalOrder,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from typing import Iterable, Mapping
 from .monoids import IntLine
 from .projectors import rb_defect
 from .scalars import Ring
-from .series import Series, zero_series
+from .series import Series
 
 _LINE = IntLine()
 
@@ -41,24 +41,9 @@ class InsufficientPrecision(ArithmeticError):
 
 
 class TruncatedLaurent:
-    """Immutable truncated Laurent series over an exact coefficient ring."""
+    """Immutable truncated Laurent series over an exact coefficient ring; make_laurent builds one."""
 
     __slots__ = ("series", "tail")
-
-    def __init__(
-        self,
-        ring: Ring,
-        ord: int,
-        coeffs: Iterable,
-        exact: bool = True,
-        trunc: int | None = None,
-    ):
-        cs = list(coeffs)
-        series = Series(_LINE, ring, zip(range(ord, ord + len(cs)), cs))
-        if trunc is not None and trunc != ord + len(cs):
-            raise ValueError(f"window [{ord}, {trunc}) does not fit {len(cs)} coefficients")
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "tail", None if exact else ord + len(cs))
 
     @staticmethod
     def _raw(series: Series, tail: int | None) -> "TruncatedLaurent":
@@ -97,11 +82,6 @@ class TruncatedLaurent:
             return self.tail
         terms = self.series._terms
         return max(terms) + 1 if terms else 0
-
-    @property
-    def coeffs(self) -> tuple:
-        """The dense window [ord, trunc), zeros included, built on each access."""
-        return tuple(self._window()[1])
 
     def _window(self) -> tuple[int, list]:
         """ord, and the coefficients of [ord, trunc) with the zeros filled in."""
@@ -190,10 +170,6 @@ def _min_tail(f: TruncatedLaurent, g: TruncatedLaurent) -> int | None:
     return min(tails, default=None)
 
 
-def zero_laurent(ring: Ring) -> TruncatedLaurent:
-    return TruncatedLaurent._raw(zero_series(_LINE, ring), None)
-
-
 def make_laurent(ring: Ring, terms: Mapping | Iterable, trunc: int | None = None) -> TruncatedLaurent:
     """Build from {exponent: coefficient}; trunc=None means exact, else tail O(x^trunc)."""
     items = dict(terms.items() if isinstance(terms, Mapping) else terms)
@@ -219,19 +195,7 @@ def pole_part(f: TruncatedLaurent) -> TruncatedLaurent:
     return TruncatedLaurent._raw(f.series.below(0), None)
 
 
-def nonneg_part(f: TruncatedLaurent) -> TruncatedLaurent:
-    """Complementary projection keeping exponents >= 0; exactness follows the input."""
-    p = pole_part(f)
-    return f - p
-
-
 def tl_rb_defect(f: TruncatedLaurent, g: TruncatedLaurent) -> TruncatedLaurent:
     """The weight -1 defect for the pole-part projection; see projectors.rb_defect."""
     return rb_defect(pole_part, f, g)
 
-
-def to_series(f: TruncatedLaurent, monoid, ring: Ring | None = None):
-    """Reinterpret an exact value as a finitely supported series over the integers."""
-    if not f.exact:
-        raise InsufficientPrecision("only exact values embed as finitely supported series")
-    return Series(monoid, f.ring if ring is None else ring, f.series.items())

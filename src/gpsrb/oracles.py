@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from heapq import merge
 from itertools import product
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator
 
 from .monoids import FiniteTable, OrderedMonoid
 from .outcomes import CheckOutcome, outcome_fail, outcome_on_window, outcome_pass
@@ -28,15 +28,11 @@ class TooLarge(ValueError):
     """Raised when an exhaustive enumeration would exceed the configured limit."""
 
 
-class NotTotalOrder(ValueError):
-    """Raised when a check that needs a total order meets an incomparable pair."""
-
-
 class RouteDisagreement(RuntimeError):
     """Raised when the structural and semantic routes disagree: a bug, not a counterexample."""
 
 
-DEFAULT_MAX_SIZE = 12  # 2^12 decompositions is the largest exhaustive sweep
+DEFAULT_MAX_SIZE = 12  # the default of theorem-verify --max-size
 
 # single-term pairs the full scans of one sweep may cover: (closed +
 # rescanned masks) x n^2, known once the structural route has run and before
@@ -238,47 +234,6 @@ def scan_cutoffs(
         else:
             results.append((w, outcome_pass(desc) if exhaustive else outcome_on_window(desc)))
     return results
-
-
-def check_total_order(monoid: OrderedMonoid, elems: Sequence) -> None:
-    """Raise NotTotalOrder on the first incomparable pair in elems."""
-    for i, a in enumerate(elems):
-        for b in elems[i + 1 :]:
-            if not (monoid.leq(a, b) or monoid.leq(b, a)):
-                rep = monoid.elem_repr
-                raise NotTotalOrder(f"incomparable pair {rep(a)}, {rep(b)}")
-
-
-def verify_total_order_threshold_rule(
-    monoid: OrderedMonoid, w_set: Iterable, window: Iterable
-) -> CheckOutcome:
-    """On a totally ordered monoid, killed-part obstructions vanish iff w >= 0.
-
-    Checks the biconditional (no drop-in pairs on the window) <=> (neutral <= w)
-    for each threshold. Each threshold is added to its own scan window so the
-    canonical witness pair (w, w) is always visible when w < 0.
-    """
-    base = list(window)
-    ws = list(w_set)
-    check_total_order(monoid, sorted(set(base) | set(ws)))
-    zero = monoid.zero()
-    rep = monoid.elem_repr
-    for w in ws:
-        elems = base if w in base else base + [w]
-        drop_in, _ = cutoff_violation_pairs(monoid, w, elems)
-        empty = not drop_in
-        nonneg = monoid.leq(zero, w)
-        if empty != nonneg:
-            return outcome_fail(
-                {
-                    "w": rep(w),
-                    "drop_in_empty": empty,
-                    "w_at_least_neutral": nonneg,
-                    "drop_in": [[rep(u), rep(v)] for u, v in drop_in[:5]],
-                },
-                f"{len(elems)} window elements",
-            )
-    return outcome_on_window(f"{len(ws)} thresholds over {len(base)} window elements")
 
 
 def cyclic_table(n: int) -> FiniteTable:

@@ -40,7 +40,7 @@ from collections import namedtuple
 from itertools import accumulate
 from typing import Union
 
-from .laurent import TruncatedLaurent
+from .laurent import TruncatedLaurent, make_laurent
 from .monoids import BadElement, IntLine, OrderedMonoid
 from .scalars import Ring, ZeroDenominator
 from .series import Series
@@ -452,7 +452,7 @@ def eval_series(
     if kind is TruncMarker:
         if not laurent:
             raise ParseError("O(...) tail marker is only valid in Laurent mode", node.line, node.col)
-        return TruncatedLaurent(ring, node.exponent, [], exact=False)
+        return make_laurent(ring, {}, node.exponent)
     term = _monomial(node, monoid, ring)
     if term is None:
         raise TypeError(f"unknown node {node!r}")
@@ -501,10 +501,6 @@ def _monomial(node: Node, monoid: OrderedMonoid, ring: Ring):
     return s, ring.reduce(-c) if negated else c
 
 
-def eval_laurent(node: Node, ring: Ring, budget: ProductBudget | None = None) -> TruncatedLaurent:
-    return eval_series(node, IntLine(), ring, laurent=True, budget=budget)
-
-
 def parse_series(
     text: str,
     monoid: OrderedMonoid,
@@ -519,9 +515,7 @@ def parse_series(
     ProductBudget when None; a command passes one budget to all its parses.
     """
     node = parse_expr(text, var)
-    if laurent:
-        return eval_laurent(node, ring, budget)
-    return eval_series(node, monoid, ring, budget=budget)
+    return eval_series(node, IntLine() if laurent else monoid, ring, laurent, budget)
 
 
 def _join_terms(terms, var: str, zero, rep) -> str:

@@ -208,10 +208,3 @@ def cutoff_violation_pairs(monoid: OrderedMonoid, w, window: Iterable) -> tuple[
     drop_in.sort()
     escape.sort()
     return drop_in, escape
-
-
-def commute_check(P: Projector, Q: Projector, f: Series) -> bool:
-    """Does P(Q(f)) equal Q(P(f))? Coefficient-killing projectors always commute."""
-    if P.monoid != Q.monoid:
-        raise TypeError(f"projectors over {P.monoid} vs {Q.monoid}")
-    return P(Q(f)) == Q(P(f))

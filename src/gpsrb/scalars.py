@@ -1,8 +1,8 @@
 """Exact coefficient rings: arbitrary-precision integers, rationals, integers mod m.
 
 Coefficients are plain Python values: an `int` over Z, a `fractions.Fraction`
-over Q, and an `int` residue in 0..m-1 over Z/m. A `Ring` makes, checks,
-parses and prints its values; series carry their ring and check membership
+over Q, and an `int` residue in 0..m-1 over Z/m. A `Ring` makes, checks
+and prints its values; series carry their ring and check membership
 at their public constructors, so values of different rings never meet in a
 sum or product. Every identity check downstream relies on exact equality
 here, so there is no floating-point variant and no silent coercion between
@@ -21,13 +21,6 @@ class RingMismatch(TypeError):
 
 class ZeroDenominator(ZeroDivisionError):
     """Raised when a rational is built with denominator zero."""
-
-
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Normalized rational num/den; the canonical zero is 0/1."""
-    if den == 0:
-        raise ZeroDenominator(f"{num}/0")
-    return Fraction(num, den)
 
 
 class Ring:
@@ -59,9 +52,6 @@ class Ring:
     def contains(self, c) -> bool:
         raise NotImplementedError
 
-    def parse(self, text: str):
-        raise NotImplementedError
-
     def reduce(self, c):
         """The ring element an integer (or rational) sum or product stands for."""
         return c
@@ -88,9 +78,6 @@ class IntegerRing(Ring):
     def contains(self, c) -> bool:
         return type(c) is int
 
-    def parse(self, text: str) -> int:
-        return int(text.strip())
-
     def __str__(self) -> str:
         return "Z"
 
@@ -104,17 +91,12 @@ class RationalRing(Ring):
         return Fraction(n)
 
     def from_ratio(self, num: int, den: int) -> Fraction:
-        return make_rational(num, den)
+        if den == 0:
+            raise ZeroDenominator(f"{num}/0")
+        return Fraction(num, den)
 
     def contains(self, c) -> bool:
         return type(c) is Fraction
-
-    def parse(self, text: str) -> Fraction:
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return make_rational(int(num), int(den))
-        return Fraction(int(text))
 
     def __str__(self) -> str:
         return "Q"
@@ -143,17 +125,6 @@ class ModRing(Ring):
 
     def contains(self, c) -> bool:
         return type(c) is int and 0 <= c < self.modulus
-
-    def parse(self, text: str) -> int:
-        parts = text.strip().split()
-        if len(parts) == 3 and parts[1] == "mod":
-            r, m = int(parts[0]), int(parts[2])
-            if m != self.modulus:
-                raise RingMismatch(f"expected modulus {self.modulus}, got {m}")
-            return r % m
-        if len(parts) == 1:
-            return int(parts[0]) % self.modulus
-        raise ValueError(f"cannot parse modular scalar from {text!r}")
 
     def reduce(self, c: int) -> int:
         return c % self.modulus

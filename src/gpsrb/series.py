@@ -337,17 +337,7 @@ def zero_series(monoid: OrderedMonoid, ring: Ring) -> Series:
     return Series._raw(monoid, ring, {})
 
 
-def one_series(monoid: OrderedMonoid, ring: Ring) -> Series:
-    return indicator(monoid, monoid.zero(), ring)
-
-
 def indicator(monoid: OrderedMonoid, w, ring: Ring) -> Series:
     """The series with coefficient 1 at w and 0 elsewhere."""
     monoid.check_elem(w)
     return Series._raw(monoid, ring, {w: ring.one()})
-
-
-def series_eq(f: Series, g: Series) -> bool:
-    """Exact equality; raises on mismatched monoids rather than returning False."""
-    f._check_peer(g)
-    return f._terms == g._terms

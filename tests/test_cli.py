@@ -31,7 +31,9 @@ from gpsrb import (
     zero_series,
 )
 import gpsrb.cli
+import gpsrb.monoids
 import gpsrb.parsing
+from gpsrb.monoids import MAX_TABLE_SIZE
 from gpsrb.oracles import SCAN_PAIR_BUDGET
 from gpsrb.parsing import MAX_NESTING, PRODUCT_BUDGET
 
@@ -197,6 +199,21 @@ def test_theorem_verify_scan_budget_exits_two(capsys, tmp_path):
         f"error: 8192 closed and 0 rescanned masks x 13^2 = {8192 * 169} single-term pairs "
         f"to scan, above the budget of {SCAN_PAIR_BUDGET}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["theorem-verify", "rb-check"])
+def test_table_above_the_size_cap_exits_two_before_validation(capsys, monkeypatch, tmp_path, command):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("validated a table above the cap")
+
+    monkeypatch.setattr(gpsrb.monoids, "validate_monoid", unreachable)
+    n = MAX_TABLE_SIZE + 1
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"n": n, "neutral": 0, "add": [[(i + j) % n for j in range(n)] for i in range(n)]}))
+    argv = ["--table", str(p)] if command == "theorem-verify" else ["--monoid", f"table:{p}", "--decomp", "mask:1"]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: table file {p} has n={n}, above the cap of {MAX_TABLE_SIZE}\n"
 
 
 def test_theorem_verify_missing_file(capsys):

@@ -1,8 +1,8 @@
 """The Laurent defect is the generic defect functional with pole_part as P.
 
 pole_part on TruncatedLaurent is the cutoff projector at 0 on (Z, +), so each
-of the four defect terms must map through to_series onto the matching term of
-the generalized-power-series defect, over Z, Q and Z/7.
+of the four defect terms, an exact value, must have as its series over Z the
+matching term of the generalized-power-series defect, over Z, Q and Z/7.
 """
 
 import pytest
@@ -20,7 +20,6 @@ from gpsrb import (
     pole_part,
     rb_defect,
     tl_rb_defect,
-    to_series,
 )
 from gpsrb.projectors import defect_terms
 
@@ -43,15 +42,17 @@ pairs = st.one_of(*(st.tuples(exact_laurents(ring), exact_laurents(ring)) for ri
 @given(pair=pairs)
 def test_laurent_defect_terms_are_the_cutoff_defect_terms(pair):
     f, g = pair
-    fs, gs = to_series(f, M), to_series(g, M)
+    fs, gs = f.series, g.series
     series_terms = defect_terms(P0, fs, gs)
     # the documented order, spelled out on the series side
     pf, pg = P0(fs), P0(gs)
     assert series_terms == (pf * pg, P0(fs * pg), P0(pf * gs), P0(fs * gs))
     laurent_terms = defect_terms(pole_part, f, g)
-    assert [to_series(t, M) for t in laurent_terms] == list(series_terms)
+    assert all(t.exact for t in laurent_terms)
+    assert [t.series for t in laurent_terms] == list(series_terms)
     t1, t2, t3, t4 = series_terms
-    assert to_series(rb_defect(pole_part, f, g), M) == t1 - t2 - t3 + t4
+    d = rb_defect(pole_part, f, g)
+    assert d.exact and d.series == t1 - t2 - t3 + t4
     assert rb_defect(pole_part, f, g) == tl_rb_defect(f, g)
 
 

@@ -14,13 +14,10 @@ from gpsrb import (
     ZZ,
     Zmod,
     make_laurent,
-    nonneg_part,
     parse_series,
     pole_part,
     render_laurent,
     tl_rb_defect,
-    to_series,
-    zero_laurent,
 )
 from gpsrb.cli import main
 
@@ -32,12 +29,19 @@ def L(terms, trunc=None):
 
 
 def test_normalization():
-    f = TruncatedLaurent(QQ, -2, [QQ.zero(), one, QQ.zero()], exact=True)
-    assert f.ord == -1 and f.trunc == 0 and f.coeffs == (one,)
-    z = TruncatedLaurent(QQ, 5, [QQ.zero()], exact=True)
+    f = L({-2: 0, -1: 1, 0: 0})
+    assert f.ord == -1 and f.trunc == 0 and f.items() == [(-1, one)]
+    z = L({5: 0})
     assert z.is_zero() and z.ord == 0 and z.trunc == 0
-    g = TruncatedLaurent(QQ, -2, [QQ.zero(), one, QQ.zero()], exact=False)
-    assert g.ord == -1 and g.trunc == 1 and g.coeffs == (one, QQ.zero())
+    g = L({-2: 0, -1: 1, 0: 0}, trunc=1)
+    assert g.ord == -1 and g.trunc == 1 and [g.coeff(n) for n in range(-1, 1)] == [one, QQ.zero()]
+
+
+def test_make_laurent_is_the_only_public_constructor():
+    with pytest.raises(TypeError):
+        TruncatedLaurent(QQ, 0, [one])
+    with pytest.raises(ValueError, match="trunc"):
+        L({2: 1}, trunc=2)
 
 
 def test_coeff_access_and_tail():
@@ -63,7 +67,7 @@ def test_add_validity_window():
 
 def test_add_absorbs_terms_beyond_tail():
     # e^3 + O(e^2) = O(e^2): the known window ends at 2
-    f = L({3: 1}) + TruncatedLaurent(QQ, 2, [], exact=False)
+    f = L({3: 1}) + L({}, trunc=2)
     assert not f.exact and f.trunc == 2 and f.known_zero_on_window()
 
 
@@ -84,8 +88,8 @@ def test_mul_exact_and_zero():
     g = L({3: 5})
     p = f * g
     assert p.exact and p.coeff(1) == QQ.from_int(5) and p.coeff(4) == QQ.from_int(10)
-    assert (f * zero_laurent(QQ)).is_zero()
-    assert (zero_laurent(QQ) * L({0: 1}, trunc=5)).is_zero()
+    assert (f * L({})).is_zero()
+    assert (L({}) * L({0: 1}, trunc=5)).is_zero()
 
 
 def test_pole_part_examples():
@@ -94,17 +98,17 @@ def test_pole_part_examples():
     assert p.exact
     assert p.coeff(-3) == QQ.from_ratio(1, 2) and p.coeff(-1) == QQ.from_int(4)
     assert p.coeff(0) == QQ.zero() and p.coeff(2) == QQ.zero()
-    n = nonneg_part(f)
+    n = f - p
     assert n.ord >= 0 and n.coeff(0) == QQ.from_int(7)
     assert not n.exact and n.trunc == 5
     assert (p + n).coeff(2) == QQ.from_int(9)
 
 
 def test_pole_part_needs_negative_window_known():
-    f = TruncatedLaurent(QQ, -5, [one, one], exact=False)  # only known on [-5, -3)
+    f = L({-5: 1, -4: 1}, trunc=-3)  # only known on [-5, -3)
     with pytest.raises(InsufficientPrecision):
         pole_part(f)
-    g = TruncatedLaurent(QQ, -5, [one, one], exact=True)
+    g = L({-5: 1, -4: 1})
     assert pole_part(g) == g
 
 
@@ -124,11 +128,10 @@ def test_defect_insufficient_precision_propagates():
 
 
 def test_to_series_embedding():
+    # an exact value is its series over Z: every coefficient it does not store is zero
     f = L({-2: 3, 1: (1, 2)})
-    s = to_series(f, IntLine())
-    assert s == Series(IntLine(), QQ, {-2: QQ.from_int(3), 1: QQ.from_ratio(1, 2)})
-    with pytest.raises(InsufficientPrecision):
-        to_series(L({0: 1}, trunc=3), IntLine())
+    assert f.exact
+    assert f.series == Series(IntLine(), QQ, {-2: QQ.from_int(3), 1: QQ.from_ratio(1, 2)})
 
 
 def test_equality_is_structural():
@@ -167,7 +170,7 @@ def laurents(min_ord=-4, max_hi=5, ring=QQ):
         hi = draw(st.integers(lo, max_hi))
         coeffs = [draw(scalars) for _ in range(hi - lo)]
         exact = draw(st.booleans())
-        return TruncatedLaurent(ring, lo, coeffs, exact=exact, trunc=hi)
+        return make_laurent(ring, zip(range(lo, hi), coeffs), None if exact else hi)
 
     return build()
 
@@ -198,13 +201,13 @@ def test_add_mul_compatibility_on_shared_window(f, g, h):
 def test_pole_plus_nonneg_is_identity_on_window(f):
     assume(f.exact or f.trunc >= 0)
     p = pole_part(f)
-    n = nonneg_part(f)
+    n = f - p
     back = p + n
     assert back.trunc == f.trunc or back.exact
     for k in range(f.ord, f.trunc):
         assert back.coeff(k) == f.coeff(k)
     assert p.exact
-    if p.coeffs:
+    if not p.is_zero():
         assert p.trunc <= 0
 
 

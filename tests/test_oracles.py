@@ -19,7 +19,6 @@ from gpsrb import (
     FiniteTable,
     IntLine,
     IntVector,
-    NotTotalOrder,
     Projector,
     QQ,
     RouteDisagreement,
@@ -33,14 +32,12 @@ from gpsrb import (
     idempotent_pair_table,
     indicator,
     int_window,
-    one_series,
     rb_defect,
     scan_cutoffs,
     truncated_addition_table,
     validate_monoid,
     vector_window,
     verify_theorem_decomposition,
-    verify_total_order_threshold_rule,
     zero_series,
 )
 from gpsrb.projectors import BLOCK_DIGITS, nonzero_defect_pairs
@@ -120,31 +117,6 @@ def test_scan_cutoffs_vec2_origin_has_drop_in_pairs():
     assert oc.verdict == "fail"
     assert ["(1,-2)", "(-2,1)"] in oc.witness["drop_in"]
     assert oc.witness["escape"] == []
-
-
-def test_total_order_threshold_rule_lines():
-    out = verify_total_order_threshold_rule(IntLine(), int_window(-5, 5), int_window(-8, 8))
-    assert out.verdict == "pass-on-window"
-    out_n = verify_total_order_threshold_rule(IntLine(nonneg=True), int_window(0, 5), int_window(0, 8))
-    assert out_n.verdict == "pass-on-window"
-    out_lex = verify_total_order_threshold_rule(
-        IntVector(2, lex=True), [(-1, 0), (0, 0), (2, -3)], vector_window(-2, 2, 2)
-    )
-    assert out_lex.verdict == "pass-on-window"
-
-
-def test_total_order_threshold_rule_needs_total_order():
-    with pytest.raises(NotTotalOrder):
-        verify_total_order_threshold_rule(
-            IntVector(2), [(0, 0)], vector_window(-1, 1, 2)
-        )
-
-
-def test_total_order_rule_sees_witness_outside_window():
-    # threshold far below the window: the rule adds w itself, so the
-    # canonical pair (w, w) is still found and the biconditional survives
-    out = verify_total_order_threshold_rule(IntLine(), [-100], int_window(-5, 5))
-    assert bool(out)
 
 
 def test_corpus_contents():
@@ -288,7 +260,7 @@ def test_sweep_catches_planted_zero_defect(monkeypatch):
 def test_sweep_catches_planted_nonzero_defect(monkeypatch):
     table = truncated_addition_table(2)
     expected = reference_sweep(table)
-    plant_defect(monkeypatch, lambda P, f, g: one_series(f.monoid, f.ring))
+    plant_defect(monkeypatch, lambda P, f, g: indicator(f.monoid, f.monoid.zero(), f.ring))
     report = verify_theorem_decomposition(table)
     assert report.rb_masks == ()
     closed = expected["rb_masks"]  # the closed masks, as the reference finds no mismatch

@@ -13,7 +13,6 @@ from gpsrb import (
     ZZ,
     Zmod,
     closed_under_addition,
-    commute_check,
     cutoff_violation_pairs,
     cyclic_table,
     indicator,
@@ -129,11 +128,9 @@ def test_commute_examples():
     P = NEG
     Q = EVENS
     f = Series(M, QQ, {-4: QQ.one(), -1: QQ.from_int(2), 0: QQ.from_int(3), 7: QQ.from_int(5)})
-    assert commute_check(P, Q, f)
-    assert commute_check(P, P, f)
-    assert commute_check(P, P.complement(), f)
-    with pytest.raises(TypeError):
-        commute_check(P, Projector(IntVector(2), lambda s: True), f)
+    assert P(Q(f)) == Q(P(f))
+    assert P(P(f)) == P(f)
+    assert P(P.complement()(f)) == P.complement()(P(f))
 
 
 @settings(max_examples=60)

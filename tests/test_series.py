@@ -12,8 +12,6 @@ from gpsrb import (
     ZZ,
     Zmod,
     indicator,
-    one_series,
-    series_eq,
     zero_series,
 )
 
@@ -50,7 +48,7 @@ def test_convolution_example():
 
 
 def test_indicator_is_unit_at_neutral():
-    one = one_series(M, QQ)
+    one = indicator(M, M.zero(), QQ)
     f = Series(M, QQ, {-2: QQ.from_int(3), 5: QQ.from_int(7)})
     assert one * f == f
     assert f * one == f
@@ -62,8 +60,7 @@ def test_mismatch_errors():
     g = Series(IntLine(nonneg=True), ZZ, {0: ZZ.one()})
     with pytest.raises(MonoidMismatch):
         f + g
-    with pytest.raises(MonoidMismatch):
-        series_eq(f, g)
+    assert f != g
     h = Series(M, QQ, {0: QQ.one()})
     with pytest.raises(TypeError):
         f * h
@@ -115,7 +112,7 @@ def test_ring_axioms(f, g, h):
     assert f * g == g * f  # the monoid is commutative
     assert f * (g + h) == f * g + f * h
     assert f + zero_series(M, QQ) == f
-    assert f * one_series(M, QQ) == f
+    assert f * indicator(M, M.zero(), QQ) == f
 
 
 @given(f=int_series(), g=int_series())
