@@ -34,7 +34,6 @@ from .laurent import TruncatedLaurent, make_laurent, pole_part
 from .monoids import (
     BadElement,
     BadTable,
-    FiniteTable,
     IntLine,
     IntVector,
     MonoidMismatch,
@@ -157,27 +156,25 @@ def parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def parse_window_spec(monoid: OrderedMonoid, text: str | None) -> list:
-    """Window elements from "a..b"; vectors get the box [a,b]^d, tables their carrier."""
-    if text is None:
-        return monoid.default_window()
-    return monoid.window(*parse_range(text))
+def parse_window_spec(
+    monoid: OrderedMonoid, text: str | None, thresholds: tuple[int, int] | None = None
+) -> list:
+    """Window elements from "a..b"; vectors get the box [a,b]^d, tables their carrier.
 
-
-def check_pair_budget(monoid: OrderedMonoid, window: str | None, w_range: str | None = None) -> None:
-    """Raise TooLarge when |thresholds| x |window|^2 single-term pairs exceed the budget.
-
-    The sizes come from the bounds alone, so an oversized box is never built.
+    TooLarge comes first when |thresholds| x |window|^2 single-term pairs
+    exceed the budget; the sizes come from the bounds alone, so an
+    oversized box is never built.
     """
-    bounds = monoid.default_bounds() if window is None else parse_range(window)
+    bounds = monoid.default_bounds() if text is None else parse_range(text)
     size = monoid.window_size(*bounds)
-    thresholds = 1 if w_range is None else monoid.window_size(*parse_range(w_range))
-    pairs = thresholds * size * size
+    count = 1 if thresholds is None else monoid.window_size(*thresholds)
+    pairs = count * size * size
     if pairs > PAIR_BUDGET:
         raise TooLarge(
-            f"{thresholds} threshold(s) x {size}^2 window elements = "
+            f"{count} threshold(s) x {size}^2 window elements = "
             f"{pairs} single-term pairs, above the budget of {PAIR_BUDGET}"
         )
+    return monoid.window(*bounds)
 
 
 _PLAIN_VOCAB = ("negatives", "nonnegatives", "positives", "nonpositives", "evens", "odds")
@@ -192,7 +189,7 @@ def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Projector:
     """
     zero = monoid.zero()
     if spec in _PLAIN_VOCAB:
-        if spec in ("evens", "odds") and not isinstance(monoid, IntLine):
+        if spec in ("evens", "odds") and not monoid.int_exponents:
             raise UsageError(f"{spec!r} needs an integer line monoid")
         keeps = {
             "negatives": lambda s: monoid.lt(s, zero),
@@ -209,48 +206,39 @@ def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Projector:
     if spec.startswith("notbelow(") and spec.endswith(")"):
         w = monoid.parse_elem(spec[len("notbelow(") : -1])
         return Projector.cutoff(monoid, w).complement()
-    if spec.startswith("mask:"):
-        if not isinstance(monoid, FiniteTable):
-            raise UsageError("mask decompositions need a finite table monoid")
-        try:
+    try:
+        if spec.startswith("mask:"):
             return Projector.from_mask(monoid, int(spec[len("mask:") :], 0))
-        except ValueError as exc:  # not an integer, or out of range
-            raise UsageError(str(exc)) from None
-    if spec.endswith(".json") and os.path.exists(spec):
-        if not isinstance(monoid, FiniteTable):
-            raise UsageError("file decompositions need a finite table monoid")
-        try:
-            with open(spec) as fh:
-                data = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
-            raise UsageError(f"cannot read decomposition file {spec}: {exc}") from None
-        return _decomposition_from_json(monoid, data, spec)
+        if spec.endswith(".json") and os.path.exists(spec):
+            return _decomposition_from_json(monoid, spec)
+    except ValueError as exc:  # not an integer, a bad mask or index, or an infinite carrier
+        raise UsageError(str(exc)) from None
     raise UsageError(
         f"unknown decomposition {spec!r}; choose from {', '.join(_PLAIN_VOCAB)}, "
         "below(w), notbelow(w), mask:<int>, or a .json file"
     )
 
 
-def _decomposition_from_json(table: FiniteTable, data, spec: str) -> Projector:
+def _decomposition_from_json(monoid: OrderedMonoid, spec: str) -> Projector:
     """{"mask": <int>} or {"kept": [<element index>, ...]} from a decomposition file."""
+    try:
+        with open(spec) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or digit count
+        raise UsageError(f"cannot read decomposition file {spec}: {exc}") from None
     if not isinstance(data, dict) or not ("mask" in data or "kept" in data):
         raise UsageError(
             f"decomposition file {spec} needs a JSON object with a 'mask' or 'kept' key"
         )
     if "mask" in data:
-        mask = data["mask"]
-        if not (_is_int(mask) and 0 <= mask < 1 << table.n):
-            raise UsageError(
-                f"decomposition file {spec}: 'mask' must be an integer in 0..{(1 << table.n) - 1}"
-            )
-        return Projector.from_mask(table, mask, label=spec)
+        return Projector.from_mask(monoid, data["mask"], label=spec)
     kept = data["kept"]
     if not (isinstance(kept, list) and all(_is_int(k) for k in kept)):
         raise UsageError(f"decomposition file {spec}: 'kept' must be a list of element indices")
+    Projector.from_mask(monoid, 0)  # refuses an infinite carrier before any bit is set
     for k in kept:
-        table.check_elem(k)
-    kept_set = set(kept)
-    return Projector(table, lambda s: s in kept_set, label=spec)
+        monoid.check_elem(k)
+    return Projector.from_mask(monoid, sum(1 << k for k in set(kept)), label=spec)
 
 
 def _outcome_text(oc: CheckOutcome) -> str:
@@ -311,7 +299,6 @@ def cmd_arith(args) -> int:
 def cmd_rb_check(args) -> int:
     monoid = parse_monoid_spec(args.monoid)
     ring = parse_ring_spec(args.ring)
-    check_pair_budget(monoid, args.window)
     window = parse_window_spec(monoid, args.window)
     P = parse_decomposition(monoid, args.decomp)
     if (args.f is None) != (args.g is None):
@@ -356,11 +343,9 @@ def cmd_rb_check(args) -> int:
 def cmd_cutoff_scan(args) -> int:
     monoid = parse_monoid_spec(args.monoid)
     ring = parse_ring_spec(args.ring)
-    check_pair_budget(monoid, args.window, args.w_range)
-    window = parse_window_spec(monoid, args.window)
     w_lo, w_hi = parse_range(args.w_range)
-    w_set = parse_window_spec(monoid, args.w_range)
-    results = scan_cutoffs(monoid, w_set, window, ring)
+    window = parse_window_spec(monoid, args.window, (w_lo, w_hi))
+    results = scan_cutoffs(monoid, monoid.window(w_lo, w_hi), window, ring)
     rep = monoid.elem_repr
     if args.json:
         print(

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from heapq import merge
 from itertools import product
 from typing import Any, Iterable, Iterator
 
@@ -170,9 +169,8 @@ def verify_theorem_decomposition(
         )
     rb_masks: list[int] = []
     mismatches: list[tuple[int, str]] = []
-    closed = ((mask, True) for mask in _members(unsettled))
-    rescanned = ((mask, False) for mask in _members(rescan))
-    for mask, structural in merge(closed, rescanned):
+    for mask in _members(unsettled | rescan):
+        structural = unsettled >> mask & 1
         P = Projector.from_mask(monoid, mask)
         first = next(nonzero_defect_pairs(P, elems, ring), None)
         # elems is 0..n-1, so the scan stopped after pair u * n + v

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from .monoids import FiniteTable, OrderedMonoid
+from .monoids import FiniteTable, OrderedMonoid, _is_int
 from .outcomes import CheckOutcome, outcome_fail, outcome_on_window, outcome_pass
 from .scalars import ZZ, Ring
 from .series import Series, indicator
@@ -68,9 +68,15 @@ class Projector:
 
     @staticmethod
     def from_mask(monoid: FiniteTable, mask: int, label: str | None = None) -> "Projector":
-        """Kept part of a finite carrier given as a bitmask over element indices."""
+        """Kept part of a finite carrier given as a bitmask over element indices.
+
+        ValueError when the carrier is not finite, the mask not an int, or a
+        bit lies past the carrier.
+        """
         if not isinstance(monoid, FiniteTable):
-            raise TypeError("bitmask decompositions need a finite carrier")
+            raise ValueError("bitmask decompositions need a finite carrier")
+        if not _is_int(mask):
+            raise ValueError(f"mask {mask!r} is not an integer")
         if mask < 0 or mask >> monoid.n:
             raise ValueError(f"mask {mask:#x} out of range for n={monoid.n}")
         if label is None:

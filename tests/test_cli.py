@@ -14,7 +14,6 @@ from gpsrb.cli import (
     PAIR_BUDGET,
     UsageError,
     build_parser,
-    check_pair_budget,
     main,
     parse_decomposition,
     parse_monoid_spec,
@@ -311,6 +310,8 @@ def test_window_spec_parsing():
     table = parse_monoid_spec(f"table:{TABLES / 'z4.json'}")
     assert parse_window_spec(table, None) == [0, 1, 2, 3]
     assert parse_window_spec(table, "1..9") == [1, 2, 3]
+    assert parse_window_spec(IntLine(), None) == [-3, -2, -1, 0, 1, 2, 3]
+    assert parse_window_spec(IntLine(), "0..4", (1, 2)) == [0, 1, 2, 3, 4]  # 2 x 25 pairs fit
 
 
 def test_decomposition_vocab(tmp_path):
@@ -364,7 +365,10 @@ def test_decomposition_from_file(capsys, tmp_path):
     assert code == 1
 
 
-@pytest.mark.parametrize("payload", [5, {"kept": [[1]]}, {"mask": "x"}, {"mask": 16}, {"other": 1}])
+@pytest.mark.parametrize(
+    "payload",
+    [5, {"kept": [[1]]}, {"kept": [4]}, {"mask": "x"}, {"mask": True}, {"mask": 16}, {"other": 1}],
+)
 def test_malformed_decomposition_file_exits_two(capsys, tmp_path, payload):
     p = tmp_path / "split.json"
     p.write_text(json.dumps(payload))
@@ -376,6 +380,18 @@ def test_malformed_decomposition_file_exits_two(capsys, tmp_path, payload):
     )
     assert code == 2
     assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("monoid", ["Z", "N", "Z^2:product"])
+def test_mask_and_file_decompositions_need_a_finite_carrier(capsys, tmp_path, monoid):
+    decomps = ["mask:1"]
+    for name, payload in (("mask.json", {"mask": 1}), ("kept.json", {"kept": [70, -1]})):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        decomps.append(str(path))
+    for decomp in decomps:
+        code, out, err = run(capsys, "rb-check", "--monoid", monoid, "--decomp", decomp)
+        assert (code, out, err) == (2, "", "error: bitmask decompositions need a finite carrier\n")
 
 
 def test_cutoff_scan_route_disagreement_exits_three(capsys, monkeypatch):
@@ -474,28 +490,37 @@ def test_internal_fault_exits_three(capsys, monkeypatch):
 def test_pair_budget_counts_without_building(monkeypatch):
     import gpsrb.monoids
 
+    class Built(Exception):
+        pass
+
     def never(*args):
-        raise AssertionError("window built")
+        raise Built
 
     monkeypatch.setattr(gpsrb.monoids, "int_window", never)
     monkeypatch.setattr(gpsrb.monoids, "vector_window", never)
+
+    def fits(monoid, window, thresholds=None) -> bool:
+        # an oversized window is refused before it is built; one that fits is built
+        try:
+            parse_window_spec(monoid, window, thresholds)
+        except TooLarge:
+            return False
+        except Built:
+            return True
+        raise AssertionError("window neither refused nor built")
+
     side = int(PAIR_BUDGET**0.5)
     assert side * side == PAIR_BUDGET
-    check_pair_budget(IntLine(), f"1..{side}")
-    with pytest.raises(TooLarge):
-        check_pair_budget(IntLine(), f"0..{side}")
+    assert fits(IntLine(), f"1..{side}")
+    assert not fits(IntLine(), f"0..{side}")
     # 19 thresholds: 114^2 pairs each fit, 115^2 do not
-    check_pair_budget(IntLine(), "1..114", "-9..9")
-    with pytest.raises(TooLarge):
-        check_pair_budget(IntLine(), "1..115", "-9..9")
-    check_pair_budget(IntLine(nonneg=True), f"{-10**9}..{side - 1}")  # trimmed to 0..side-1
-    with pytest.raises(TooLarge):
-        check_pair_budget(IntVector(8), "-9..9")
-    with pytest.raises(TooLarge):
-        check_pair_budget(IntVector(7, lex=True), None)  # the default box, 7^7 elements
-    check_pair_budget(IntVector(3), None)  # 7^3 elements: 117,649 pairs
-    with pytest.raises(TooLarge):
-        check_pair_budget(IntVector(4), None)  # 7^4 elements: 5,764,801 pairs
+    assert fits(IntLine(), "1..114", (-9, 9))
+    assert not fits(IntLine(), "1..115", (-9, 9))
+    assert fits(IntLine(nonneg=True), f"{-10**9}..{side - 1}")  # trimmed to 0..side-1
+    assert not fits(IntVector(8), "-9..9")
+    assert not fits(IntVector(7, lex=True), None)  # the default box, 7^7 elements
+    assert fits(IntVector(3), None)  # 7^3 elements: 117,649 pairs
+    assert not fits(IntVector(4), None)  # 7^4 elements: 5,764,801 pairs
 
 
 def test_runs_at_and_over_the_pair_budget(capsys, monkeypatch):

@@ -35,3 +35,10 @@ def test_every_export_has_a_caller():
         return any(word.search(line) and not own.match(line) for line in lines)
 
     assert [name for name in gpsrb.__all__ if not used(name)] == []
+
+
+def test_cli_dispatches_on_no_monoid_class():
+    # each monoid answers for itself: its flags, check_elem, windows, from_mask
+    text = (ROOT / "src" / "gpsrb" / "cli.py").read_text()
+    calls = re.findall(r"isinstance\([^)]*\)", text)
+    assert [c for c in calls if re.search(r"\b(FiniteTable|IntLine|IntVector)\b", c)] == []

@@ -1,7 +1,10 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import commutative_monoid_tables
 from gpsrb import (
     BadElement,
     BadTable,
@@ -16,6 +19,7 @@ from gpsrb import (
     validate_monoid,
     vector_window,
 )
+from gpsrb.monoids import default_window
 
 ints = st.integers(min_value=-50, max_value=50)
 vecs2 = st.tuples(ints, ints)
@@ -88,9 +92,9 @@ def test_vector_ops_match_their_componentwise_definitions(pair, lex):
     assert M.lt(a, b) is (leq and a != b)
 
 
-@given(a=vecs2, b=vecs2, t=vecs2)
-def test_product_order_strict_compat(a, b, t):
-    M = IntVector(2)
+@given(a=vecs2, b=vecs2, t=vecs2, lex=st.booleans())
+def test_product_order_strict_compat(a, b, t, lex):
+    M = IntVector(2, lex=lex)
     if M.lt(a, b):
         assert M.lt(M.add(a, t), M.add(b, t))
 
@@ -100,13 +104,6 @@ def test_int_line_strict_compat(a, b, t):
     M = IntLine()
     if M.lt(a, b):
         assert M.lt(a + t, b + t)
-
-
-def test_validate_builtins_windowed():
-    for M in (IntLine(), IntLine(nonneg=True), IntVector(2), IntVector(2, lex=True)):
-        outcome = validate_monoid(M)
-        assert outcome.verdict == "pass-on-window"
-        assert outcome.window is not None
 
 
 def test_validate_finite_table_conclusive():
@@ -122,14 +119,84 @@ def test_validate_catches_broken_axioms():
     assert bad.verdict == "fail"
     assert bad.witness["axiom"] in ("commutative", "neutral")
 
-    # chain order on the capped monoid breaks strict compatibility
+    # the chain order on the capped monoid breaks strict compatibility, and
+    # on a finite table only the trivial order is strictly compatible
     m = 2
     add = [[min(i + j, m) for j in range(m + 1)] for i in range(m + 1)]
     leq = [[i <= j for j in range(m + 1)] for i in range(m + 1)]
     t2 = FiniteTable.from_lists(m + 1, 0, add, leq)
     out = validate_monoid(t2)
     assert out.verdict == "fail"
-    assert out.witness["axiom"] == "strict-compatibility"
+    assert out.witness["axiom"] == "trivial-order"
+
+
+def test_order_check_comes_before_associativity():
+    # commutative with neutral 0, but (1 + 1) + 2 = 2 while 1 + (1 + 2) = 1
+    add = [[0, 1, 2], [1, 0, 0], [2, 0, 0]]
+    assert validate_monoid(FiniteTable.from_lists(3, 0, add)).witness == {
+        "axiom": "associative", "a": "1", "b": "1", "c": "2"
+    }
+    chain = [[i <= j for j in range(3)] for i in range(3)]
+    out = validate_monoid(FiniteTable.from_lists(3, 0, add, chain))
+    assert out.witness == {"axiom": "trivial-order", "a": "0", "b": "1"}
+
+
+def test_validation_refuses_infinite_carriers():
+    for M in (IntLine(), IntVector(2, lex=True)):
+        with pytest.raises(TypeError):
+            validate_monoid(M)
+
+
+def _is_monoid(t: FiniteTable) -> bool:
+    E, add, z = range(t.n), t.add, t.neutral
+    return (
+        all(add(a, z) == a == add(z, a) for a in E)
+        and all(add(a, b) == add(b, a) for a in E for b in E)
+        and all(add(add(a, b), c) == add(a, add(b, c)) for a in E for b in E for c in E)
+    )
+
+
+def _is_partial_order(t: FiniteTable) -> bool:
+    E, le = range(t.n), t.leq
+    return (
+        all(le(a, a) for a in E)
+        and all(a == b or not (le(a, b) and le(b, a)) for a in E for b in E)
+        and all(le(a, c) or not (le(a, b) and le(b, c)) for a in E for b in E for c in E)
+    )
+
+
+def _strictly_compatible(t: FiniteTable) -> bool:
+    E, add, lt = range(t.n), t.add, t.lt
+    return all(lt(add(s, u), add(s2, u)) for s in E for s2 in E if lt(s, s2) for u in E)
+
+
+def _small_tables():
+    """Every table with n <= 2, any neutral; every commutative monoid at n = 3, neutral 0."""
+    for n in (1, 2):
+        for neutral in range(n):
+            for cells in product(range(n), repeat=n * n):
+                yield n, neutral, [cells[i * n : (i + 1) * n] for i in range(n)]
+    for t in commutative_monoid_tables(3):
+        yield 3, 0, t.add_table
+
+
+def test_validation_matches_the_seven_axioms_on_small_tables():
+    # brute force over every order matrix; a finite monoid admits only the
+    # trivial strictly compatible order, so each nontrivial partial order fails
+    nontrivial_orders_on_monoids = 0
+    for n, neutral, add in _small_tables():
+        monoid = _is_monoid(FiniteTable.from_lists(n, neutral, add))
+        for bits in product((False, True), repeat=n * n):
+            leq = [bits[i * n : (i + 1) * n] for i in range(n)]
+            t = FiniteTable.from_lists(n, neutral, add, leq)
+            ordered_monoid = monoid and _is_partial_order(t)
+            holds = ordered_monoid and _strictly_compatible(t)
+            assert validate_monoid(t).verdict == ("pass" if holds else "fail"), (add, leq)
+            identity = all(leq[i][j] == (i == j) for i in range(n) for j in range(n))
+            if ordered_monoid and not identity:
+                assert not holds
+                nontrivial_orders_on_monoids += 1
+    assert nontrivial_orders_on_monoids == 170  # 4 monoids x 2 orders, 9 x 18
 
 
 @pytest.mark.parametrize(
@@ -207,8 +274,8 @@ def test_windows():
     assert len(vector_window(-1, 1, 2)) == 9
     with pytest.raises(ValueError):
         int_window(3, 1)
-    assert IntLine(nonneg=True).default_window()[0] == 0
-    assert set(cyclic_table(4).default_window()) == {0, 1, 2, 3}
+    assert default_window(IntLine(nonneg=True))[0] == 0
+    assert set(default_window(cyclic_table(4))) == {0, 1, 2, 3}
 
 
 def test_one_line_class_and_one_vector_class_keep_their_names():
@@ -222,18 +289,18 @@ def test_one_line_class_and_one_vector_class_keep_their_names():
 def test_windows_trimmed_to_the_carrier():
     N = IntLine(nonneg=True)
     assert N.window(-2, 2) == [0, 1, 2] and N.window_size(-2, 2) == 3
-    assert N.default_window(2) == [0, 1, 2, 3, 4]
-    assert IntLine().default_window(2) == [-2, -1, 0, 1, 2]
+    assert default_window(N, 2) == [0, 1, 2, 3, 4]
+    assert default_window(IntLine(), 2) == [-2, -1, 0, 1, 2]
     with pytest.raises(BadElement, match="window '-5..-1' contains no naturals"):
         N.window(-5, -1)
     V = IntVector(3, lex=True)
     assert V.window(-1, 1) == vector_window(-1, 1, 3) and V.window_size(-1, 1) == 27
-    assert V.default_window(1) == vector_window(-1, 1, 3)
+    assert default_window(V, 1) == vector_window(-1, 1, 3)
     assert IntVector(100).window_size(0, 0) == 1
     assert IntVector(100).window_size(-1, 1) >= 2**64  # counted, never built
     t = cyclic_table(4)
     assert t.window(-3, 9) == [0, 1, 2, 3] and t.window_size(1, 9) == 3
-    assert t.default_window(1) == [0, 1, 2, 3]
+    assert default_window(t, 1) == [0, 1, 2, 3]
     with pytest.raises(BadElement, match="window '5..9' misses the carrier 0..3"):
         t.window(5, 9)
 
