@@ -27,7 +27,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from .laurent import TruncatedLaurent, make_laurent, pole_part
@@ -343,8 +342,10 @@ def cmd_rb_check(args) -> int:
 def cmd_cutoff_scan(args) -> int:
     monoid = parse_monoid_spec(args.monoid)
     ring = parse_ring_spec(args.ring)
-    w_lo, w_hi = parse_range(args.w_range)
-    window = parse_window_spec(monoid, args.window, (w_lo, w_hi))
+    w_range = parse_range(args.w_range)
+    window = parse_window_spec(monoid, args.window, w_range)
+    # the header names the thresholds scanned: the range trimmed to the carrier
+    w_lo, w_hi = monoid.bounds(*w_range)
     results = scan_cutoffs(monoid, monoid.window(w_lo, w_hi), window, ring)
     rep = monoid.elem_repr
     if args.json:
@@ -412,7 +413,7 @@ def _random_laurent(rng: random.Random, ring: Ring) -> TruncatedLaurent:
         if rng.random() < 0.3:
             coeffs.append(ring.zero())
         elif ring is QQ:
-            coeffs.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            coeffs.append(QQ.from_ratio(rng.randint(-9, 9), rng.randint(1, 9)))
         else:
             coeffs.append(ring.from_int(rng.randint(-9, 9)))
     exact = rng.random() < 0.3  # drawn last: a seed fixes its pairs by this order

@@ -83,14 +83,6 @@ class TruncatedLaurent:
         terms = self.series._terms
         return max(terms) + 1 if terms else 0
 
-    def _window(self) -> tuple[int, list]:
-        """ord, and the coefficients of [ord, trunc) with the zeros filled in."""
-        lo = self.ord
-        window = [self.ring.zero()] * (self.trunc - lo)
-        for n, c in self.series.items():
-            window[n - lo] = c
-        return lo, window
-
     def coeff(self, n: int):
         if self.tail is not None and n >= self.tail:
             raise InsufficientPrecision(f"coefficient of x^{n} lies beyond O(x^{self.tail})")
@@ -153,12 +145,13 @@ class TruncatedLaurent:
         return f"TruncatedLaurent({self.ring}, {dict(self.items())}, trunc={self.tail})"
 
     def to_json(self) -> dict:
-        lo, window = self._window()
-        ring = self.ring
+        lo, ring = self.ord, self.ring
+        window = range(lo, self.trunc)
         return {
             "ring": str(ring),
             "ord": lo,
-            "coeffs": list(map(ring.fmt, window)),
+            # the coefficients of [ord, trunc), with the zeros filled in
+            "coeffs": self.series.coeff_texts(window, ring.fmt),
             "trunc": lo + len(window),
             "exact": self.exact,
         }

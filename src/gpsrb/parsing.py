@@ -38,6 +38,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from itertools import accumulate
+from math import lcm
 from typing import Union
 
 from .laurent import TruncatedLaurent, make_laurent
@@ -376,9 +377,10 @@ def parse_expr(text: str, var: str = "e") -> Node:
 # coefficient pairs the products of one command may form together, decided
 # from the term counts before each product: 11x the largest benchmark product
 # (600 x 300 dense terms). A `gpsrb mul` at the budget took 0.07-0.08 s with
-# dense factors on Z (packed), and 9-11.5 s at a peak RSS of 0.77-0.81 GB
-# when all 2,000,000 pair sums differ (sparse on Q, or Z^2), on one core of a
-# shared 2-vCPU x86 host with Python 3.11
+# dense factors on Z (packed); when all 2,000,000 pair sums differ it took
+# 5.9-6.6 s at a peak RSS of 536 MB sparse on Q, 9.4-10.7 s at 643-701 MB on
+# Z^2 and 12.8-13.6 s at 768-840 MB on Z^8, over Z or Q (README, "CLI"),
+# on one core of a shared 2-vCPU x86 host with Python 3.11
 PRODUCT_BUDGET = 2_000_000
 
 
@@ -422,19 +424,27 @@ def eval_series(
     kind = type(node)
     if kind is Sum:
         # one pass: monomials become terms directly, every other part is
-        # evaluated, and the terms are merged once; each exponent and each
-        # coefficient was checked where it was made
-        terms, tails = [], []
+        # evaluated, and the terms are merged once, over the lcm of their
+        # denominators; each exponent and each coefficient was checked where
+        # it was made
+        terms, dens, tails = [], [], []
         for part in node.parts:
             term = _monomial(part, monoid, ring)
             if term is not None:
-                terms.append(term)
+                s, c, d = term
+                terms.append((s, c))
+                dens.append(d)
                 continue
             value = eval_series(part, monoid, ring, laurent, budget)
-            terms.extend(value.items())
+            series = value.series if laurent else value
+            terms.extend(series._terms.items())
+            dens.extend([series._den] * series.term_count())
             if laurent and not value.exact:
                 tails.append(value.trunc)
-        total = Series._merged(monoid, ring, terms)
+        den = lcm(*dens)
+        if den != 1:
+            terms = [(s, c * (den // d)) for (s, c), d in zip(terms, dens)]
+        total = Series._merged(monoid, ring, terms, den)
         # a Laurent sum is known below the smallest tail among its parts
         return TruncatedLaurent.from_series(total, min(tails, default=None)) if laurent else total
     if kind is Neg:
@@ -456,12 +466,13 @@ def eval_series(
     term = _monomial(node, monoid, ring)
     if term is None:
         raise TypeError(f"unknown node {node!r}")
-    series = Series._merged(monoid, ring, [term])
+    s, c, d = term
+    series = Series._merged(monoid, ring, [(s, c)], d)
     return TruncatedLaurent.from_series(series) if laurent else series
 
 
 def _monomial(node: Node, monoid: OrderedMonoid, ring: Ring):
-    """(exponent, coefficient) for c, e^k, c*e^k or a negation of one; else None.
+    """(exponent, numerator, denominator) for c, e^k, c*e^k or a negation of one; else None.
 
     The literal is read before the exponent, the order eval_series evaluates
     them in, so the first bad literal or exponent raises the same ParseError
@@ -485,10 +496,10 @@ def _monomial(node: Node, monoid: OrderedMonoid, ring: Ring):
     else:
         return None
     if lit is None:
-        c = ring.one()
+        c, d = 1, 1
     else:
         try:
-            c = ring.from_ratio(lit.num, lit.den)
+            c, d = ring.ratio(lit.num, lit.den)
         except (ValueError, ZeroDenominator) as exc:
             raise ParseError(str(exc), lit.line, lit.col) from None
     if power is None:
@@ -498,7 +509,7 @@ def _monomial(node: Node, monoid: OrderedMonoid, ring: Ring):
             s = monoid.from_exponent(power.exponent)
         except BadElement as exc:
             raise ParseError(str(exc), power.line, power.col) from None
-    return s, ring.reduce(-c) if negated else c
+    return s, ring.reduce(-c) if negated else c, d
 
 
 def parse_series(
@@ -518,15 +529,16 @@ def parse_series(
     return eval_series(node, IntLine() if laurent else monoid, ring, laurent, budget)
 
 
-def _join_terms(terms, var: str, zero, rep) -> str:
-    """Text of sorted (exponent, coefficient) terms, each built in one pass.
+def _join_terms(f: Series, var: str, zero, rep) -> str:
+    """Text of the terms of f by increasing exponent, each built in one pass.
 
-    The coefficient prints as str(c), so Z/m residues print bare; a leading
-    minus attaches to the first term and spaces out as " - " after it.
+    The coefficient prints as its value would with str(), so Z/m residues
+    print bare; a leading minus attaches to the first term and spaces out
+    as " - " after it.
     """
+    keys = sorted(f._terms)
     out = []
-    for s, c in terms:
-        text = str(c)
+    for s, text in zip(keys, f.coeff_texts(keys)):
         sign = " + "
         if text[0] == "-":
             sign, text = " - ", text[1:]
@@ -544,11 +556,11 @@ def _join_terms(terms, var: str, zero, rep) -> str:
 
 def render_series(f: Series, var: str = "e") -> str:
     monoid = f.monoid
-    return _join_terms(f.sorted_items(), var, monoid.zero(), monoid.elem_repr)
+    return _join_terms(f, var, monoid.zero(), monoid.elem_repr)
 
 
 def render_laurent(f: TruncatedLaurent, var: str = "e") -> str:
-    text = _join_terms(f.items(), var, 0, str)
+    text = _join_terms(f.series, var, 0, str)
     if f.exact:
         return text
     tail = f"O({var}^{f.trunc})"

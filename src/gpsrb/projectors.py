@@ -42,7 +42,7 @@ class Projector:
         if f.monoid is not self.monoid and f.monoid != self.monoid:
             raise TypeError(f"projector on {self.monoid} applied to series over {f.monoid}")
         keeps = self.keeps
-        return Series._raw(f.monoid, f.ring, {s: c for s, c in f.items() if keeps(s)})
+        return Series._raw(f.monoid, f.ring, {s: c for s, c in f._terms.items() if keeps(s)}, f._den)
 
     def kept(self, window: Iterable) -> list:
         return [s for s in window if self.keeps(s)]
@@ -155,7 +155,7 @@ def nonzero_defect_pairs(P: Projector, window: Iterable, ring: Ring) -> Iterator
         block = elems[start : start + rows]
         left = Series._raw(monoid, ZZ, {u: 1 << 3 * n * i for i, u in enumerate(block)})  # 8^(n i)
         hits = []
-        for _, c in rb_defect(P, left, right).items():
+        for c in rb_defect(P, left, right)._terms.values():
             while c:
                 # digit k occupies bits 3k..3k+2; the lowest set bit of c
                 # lies in its lowest nonzero digit

@@ -1,18 +1,23 @@
 """Exact coefficient rings: arbitrary-precision integers, rationals, integers mod m.
 
-Coefficients are plain Python values: an `int` over Z, a `fractions.Fraction`
-over Q, and an `int` residue in 0..m-1 over Z/m. A `Ring` makes, checks
-and prints its values; series carry their ring and check membership
-at their public constructors, so values of different rings never meet in a
-sum or product. Every identity check downstream relies on exact equality
-here, so there is no floating-point variant and no silent coercion between
-rings.
+At the API boundary coefficients are plain Python values: an `int` over Z,
+a `fractions.Fraction` over Q, and an `int` residue in 0..m-1 over Z/m. A
+`Ring` makes, checks and prints them. Inside a series they are stored as
+int numerators over one positive denominator per series (see series.py):
+over Z and Z/m the denominator is 1 and the numerators are the values
+themselves; over Q `ratio` splits a value into its stored form and `value`
+builds the Fraction back, so this is the only module that imports
+`fractions`. Series carry their ring and check membership at their public
+constructors, so values of different rings never meet in a sum or product.
+Every identity check downstream relies on exact equality here, so there is
+no floating-point variant and no silent coercion between rings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 class RingMismatch(TypeError):
@@ -27,14 +32,12 @@ class Ring:
     """Descriptor for one of the coefficient rings.
 
     Subclasses set `modulus`: None for Z and Q, m for Z/m. Sums and products
-    of ring values are computed on the bare values and brought back into the
-    ring by `reduce`; the series kernels read `modulus` to reduce once per
-    output term, and `fractional` (True only for Q) to multiply integer
-    numerators over one denominator per factor.
+    of stored numerators are computed on the bare ints and brought back into
+    the ring by `reduce`; the series kernels read `modulus` to reduce once
+    per output term.
     """
 
     modulus: int | None
-    fractional = False
 
     def zero(self):
         return self.from_int(0)
@@ -47,17 +50,30 @@ class Ring:
 
     def from_ratio(self, num: int, den: int):
         """num/den as an element of this ring, or ValueError when it has none."""
+        return self.value(*self.ratio(num, den))
+
+    def ratio(self, num: int, den: int) -> tuple[int, int]:
+        """num/den as (numerator, denominator > 0) in lowest terms, as a series stores it.
+
+        ValueError when the ring has no such element; the denominator is 1
+        off Q.
+        """
         raise NotImplementedError
+
+    def value(self, num: int, den: int):
+        """The ring element a stored numerator over den stands for."""
+        return num
 
     def contains(self, c) -> bool:
         raise NotImplementedError
 
-    def reduce(self, c):
-        """The ring element an integer (or rational) sum or product stands for."""
+    def reduce(self, c: int) -> int:
+        """The stored numerator an integer sum or product of numerators stands for."""
         return c
 
-    # the text of one coefficient, as `__str__` and `to_json` show it: the
-    # builtin itself, so printing a term costs no Python call around it
+    # the text of one value with denominator 1 (every value off Q), as
+    # `__str__` and `to_json` show it: the builtin itself, so printing a term
+    # costs no Python call around it; Series.coeff_texts prints the others
     fmt = str
 
 
@@ -68,12 +84,12 @@ class IntegerRing(Ring):
     def from_int(self, n: int) -> int:
         return n
 
-    def from_ratio(self, num: int, den: int) -> int:
+    def ratio(self, num: int, den: int) -> tuple[int, int]:
         if den == 0:
             raise ZeroDenominator(f"{num}/0")
         if num % den != 0:
             raise ValueError(f"{num}/{den} is not an integer")
-        return num // den
+        return num // den, 1
 
     def contains(self, c) -> bool:
         return type(c) is int
@@ -85,7 +101,6 @@ class IntegerRing(Ring):
 @dataclass(frozen=True)
 class RationalRing(Ring):
     modulus = None
-    fractional = True
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
@@ -93,6 +108,15 @@ class RationalRing(Ring):
     def from_ratio(self, num: int, den: int) -> Fraction:
         if den == 0:
             raise ZeroDenominator(f"{num}/0")
+        return Fraction(num, den)
+
+    def ratio(self, num: int, den: int) -> tuple[int, int]:
+        if den == 0:
+            raise ZeroDenominator(f"{num}/0")
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        return num // g, den // g
+
+    def value(self, num: int, den: int) -> Fraction:
         return Fraction(num, den)
 
     def contains(self, c) -> bool:
@@ -113,7 +137,7 @@ class ModRing(Ring):
     def from_int(self, n: int) -> int:
         return n % self.modulus
 
-    def from_ratio(self, num: int, den: int) -> int:
+    def ratio(self, num: int, den: int) -> tuple[int, int]:
         if den == 0:
             raise ZeroDenominator(f"{num}/0")
         # den must be invertible mod m
@@ -121,7 +145,7 @@ class ModRing(Ring):
             inv = pow(den, -1, self.modulus)
         except ValueError:
             raise ValueError(f"denominator {den} not invertible mod {self.modulus}") from None
-        return num * inv % self.modulus
+        return num * inv % self.modulus, 1
 
     def contains(self, c) -> bool:
         return type(c) is int and 0 <= c < self.modulus

@@ -1,21 +1,29 @@
 """Finitely supported series over an ordered monoid with exact coefficients.
 
-A series is a map from monoid elements to nonzero coefficients, stored as
-the bare values of its ring (see scalars.py); addition is pointwise and
-multiplication is convolution,
+A series is a map from monoid elements to nonzero coefficients; addition is
+pointwise and multiplication is convolution,
 
     (f * g)(s) = sum of f(u) * g(v) over all u + v = s.
 
 Finite supports keep every convolution sum finite without any condition on
 the monoid order, so the full ring structure is available even when the
 order is only partial.
+
+Every series stores its coefficients as int numerators over one positive
+denominator, `_den`. Over Z and Z/m the denominator is 1 and the numerators
+are the values themselves (residues 0..m-1 over Z/m). Over Q the pair is
+kept in lowest terms, gcd(_den, all numerators) == 1, so equal series store
+equal data and compare and hash on it. Every kernel (products, sums,
+scaling, projections, printing) works on the numerators and builds no
+`Fraction`; the public constructor, `coeff`, `items` and `sorted_items`
+take and give the ring's values (see scalars.py), a `Fraction` over Q.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
-from math import lcm
+from itertools import repeat
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .monoids import MonoidMismatch, OrderedMonoid
@@ -25,7 +33,7 @@ from .scalars import Ring, RingMismatch
 class Series:
     """Immutable finitely supported series; zero coefficients are never stored."""
 
-    __slots__ = ("monoid", "ring", "_terms")
+    __slots__ = ("monoid", "ring", "_terms", "_den")
 
     def __init__(self, monoid: OrderedMonoid, ring: Ring, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -39,52 +47,70 @@ class Series:
                 c += acc[s]
                 if m:
                     c %= m
-            if c:
-                acc[s] = c
-            else:
-                acc.pop(s, None)
+            acc[s] = c
+        # an int is its own numerator over 1, a Fraction is in lowest terms
+        den = lcm(*[c.denominator for c in acc.values()])
+        nums = {s: c.numerator * (den // c.denominator) for s, c in acc.items() if c}
+        out = Series._raw(monoid, ring, nums, den)
         _set_monoid(self, monoid)
         _set_ring(self, ring)
-        _set_terms(self, acc)
+        _set_terms(self, out._terms)
+        _set_den(self, out._den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
 
     @staticmethod
-    def _raw(monoid: OrderedMonoid, ring: Ring, terms: dict) -> "Series":
-        """Trusted constructor: terms already checked and zero-free."""
-        out = object.__new__(Series)
+    def _raw(monoid: OrderedMonoid, ring: Ring, terms: dict, den: int = 1) -> "Series":
+        """Trusted constructor: zero-free numerators of the ring over den > 0.
+
+        The pair is brought to lowest terms here, with one gcd over all the
+        numerators, so every kernel may return an unreduced one.
+        """
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {s: c // g for s, c in terms.items()}
+        out = _new(Series)
         # the slots' own setters: half the cost of object.__setattr__, and
         # every product, sum and projection builds its result here
         _set_monoid(out, monoid)
         _set_ring(out, ring)
         _set_terms(out, terms)
+        _set_den(out, den)
         return out
 
     @staticmethod
-    def _merged(monoid: OrderedMonoid, ring: Ring, items: list) -> "Series":
-        """Trusted constructor from checked (exponent, coefficient) terms; zeros drop out.
+    def _merged(monoid: OrderedMonoid, ring: Ring, items: list, den: int = 1) -> "Series":
+        """Trusted constructor from checked (exponent, numerator over den) terms; zeros drop out.
 
         Distinct exponents, the usual case, make one dict build at C speed.
-        An exponent that repeats goes through the public constructor, which
-        adds its coefficients up in order (and checks the terms again).
+        The numerators of an exponent that repeats are added up in order.
         """
         acc = dict(items)
         if len(acc) < len(items):
-            return Series(monoid, ring, items)
+            acc = {}
+            for s, c in items:
+                acc[s] = acc[s] + c if s in acc else c
+            m = ring.modulus
+            if m:
+                acc = {s: c % m for s, c in acc.items()}
         if not all(acc.values()):
             acc = {s: c for s, c in acc.items() if c}
-        return Series._raw(monoid, ring, acc)
+        return Series._raw(monoid, ring, acc, den)
 
     def coeff(self, s):
         self.monoid.check_elem(s)
-        return self._terms.get(s, self.ring.zero())
+        return self.ring.value(self._terms.get(s, 0), self._den)
 
     def support(self) -> list:
         return sorted(self._terms)
 
-    def items(self):
-        return self._terms.items()
+    def items(self) -> list:
+        """The (exponent, coefficient) terms, as values of the ring."""
+        value, den = self.ring.value, self._den
+        return [(s, value(c, den)) for s, c in self._terms.items()]
 
     def sorted_items(self) -> list:
         """The (exponent, coefficient) terms by increasing exponent, as printed.
@@ -92,8 +118,8 @@ class Series:
         Exponents sort as Python values (ints, or tuples of ints), which on
         a partial order is a display order, not the monoid's.
         """
-        terms = self._terms
-        return [(s, terms[s]) for s in sorted(terms)]
+        terms, value, den = self._terms, self.ring.value, self._den
+        return [(s, value(terms[s], den)) for s in sorted(terms)]
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -107,13 +133,26 @@ class Series:
         if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"series over {self.ring} vs {other.ring}")
 
+    def _over_lcm(self, other: "Series") -> tuple[dict, dict, int]:
+        """The numerators of both series over the lcm of their two (unequal) denominators."""
+        f, g, d, e = self._terms, other._terms, self._den, other._den
+        den = lcm(d, e)
+        if den != d:
+            f = {s: c * (den // d) for s, c in f.items()}
+        if den != e:
+            g = {s: c * (den // e) for s, c in g.items()}
+        return f, g, den
+
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         self._check_peer(other)
+        f, g, den = self._terms, other._terms, self._den
+        if den != other._den:
+            f, g, den = self._over_lcm(other)
         m = self.ring.modulus
-        acc = dict(self._terms)
-        for s, c in other._terms.items():
+        acc = dict(f)
+        for s, c in g.items():
             if s in acc:
                 c += acc[s]
                 if m:
@@ -122,21 +161,24 @@ class Series:
                     del acc[s]
                     continue
             acc[s] = c
-        return Series._raw(self.monoid, self.ring, acc)
+        return Series._raw(self.monoid, self.ring, acc, den)
 
     def __neg__(self) -> "Series":
         m = self.ring.modulus
         terms = self._terms.items()
         neg = {s: m - c for s, c in terms} if m else {s: -c for s, c in terms}
-        return Series._raw(self.monoid, self.ring, neg)
+        return Series._raw(self.monoid, self.ring, neg, self._den)
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         self._check_peer(other)
+        f, g, den = self._terms, other._terms, self._den
+        if den != other._den:
+            f, g, den = self._over_lcm(other)
         m = self.ring.modulus
-        acc = dict(self._terms)
-        for s, c in other._terms.items():
+        acc = dict(f)
+        for s, c in g.items():
             if s in acc:
                 c = acc[s] - c
                 if m:
@@ -147,7 +189,7 @@ class Series:
                 acc[s] = c
             else:
                 acc[s] = m - c if m else -c
-        return Series._raw(self.monoid, self.ring, acc)
+        return Series._raw(self.monoid, self.ring, acc, den)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
@@ -155,18 +197,15 @@ class Series:
         return self.mul(other)
 
     def mul(self, other: "Series", below: int | None = None) -> "Series":
-        """The convolution product, on one of two exact paths.
+        """The convolution product of the numerators, over the product of the denominators.
 
-        Over Q, when both factors have two or more terms, each factor is
-        first cleared to integer numerators with one lcm of its
-        denominators, and each output term is one Fraction over the product
-        of the two. The product then runs as one packed big-int product
-        (`_packed`) when the monoid has int exponents, the smaller factor
-        has at least PACK_MIN_TERMS terms and the pairs cover the product's
-        exponent span at least PACK_DENSITY times over, once more for every
-        16 bytes of slot (`slot_bytes`); every other product runs the dict
-        loop, which adds each pair product into a map keyed by the exponent
-        sum.
+        The integer product runs as one packed big-int product (`_packed`)
+        when the monoid has int exponents, the smaller factor has at least
+        PACK_MIN_TERMS terms and the pairs cover the product's exponent
+        span at least PACK_DENSITY times over, once more for every 16 bytes
+        of slot (`slot_bytes`); every other product runs the dict loop,
+        which adds each pair product into a map keyed by the exponent sum.
+        Over Q the result is brought to lowest terms once, by `_raw`.
 
         With integer exponents, below drops every exponent >= below: each
         factor is first trimmed to the terms that can land below it.
@@ -178,17 +217,10 @@ class Series:
             f_lo, g_lo = min(f), min(g)
             f = {u: c for u, c in f.items() if u < below - g_lo}
             g = {v: c for v, c in g.items() if v < below - f_lo}
-        m, d, nb = ring.modulus, None, 0
-        if len(f) > 1 and len(g) > 1:
-            # with a one-term factor each pair is its own output term, so
-            # neither clearing denominators nor packing could save anything
-            if ring.fractional:
-                df = lcm(*(c.denominator for c in f.values()))
-                dg = lcm(*(c.denominator for c in g.values()))
-                f = {u: c.numerator * (df // c.denominator) for u, c in f.items()}
-                g = {v: c.numerator * (dg // c.denominator) for v, c in g.items()}
-                d = df * dg
-            nb = slot_bytes(monoid, f, g, m)
+        m = ring.modulus
+        # with a one-term factor each pair is its own output term, so packing
+        # could save nothing
+        nb = slot_bytes(monoid, f, g, m) if len(f) > 1 and len(g) > 1 else 0
         if nb:
             acc = _packed(f, g, m, below, nb)
         else:
@@ -210,13 +242,12 @@ class Series:
                 # over Z and Q a product of nonzero terms is nonzero, so a
                 # zero sum needs two pairs landing on the same exponent
                 acc = {s: c for s, c in acc.items() if c}
-        if d is not None:
-            acc = {s: Fraction(c, d) for s, c in acc.items()}
-        return Series._raw(monoid, ring, acc)
+        return Series._raw(monoid, ring, acc, self._den * other._den)
 
     def below(self, bound: int) -> "Series":
         """The terms at integer exponents < bound."""
-        return Series._raw(self.monoid, self.ring, {s: c for s, c in self._terms.items() if s < bound})
+        kept = {s: c for s, c in self._terms.items() if s < bound}
+        return Series._raw(self.monoid, self.ring, kept, self._den)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -227,10 +258,11 @@ class Series:
         m = self.ring.modulus
         terms = self._terms.items()
         if m:
-            acc = {s: r for s, v in terms if (r := c * v % m)}
-        else:
-            acc = {s: c * v for s, v in terms} if c else {}
-        return Series._raw(self.monoid, self.ring, acc)
+            return Series._raw(self.monoid, self.ring, {s: r for s, v in terms if (r := c * v % m)})
+        # an int is its own numerator over 1, a Fraction is in lowest terms
+        num = c.numerator
+        acc = {s: num * v for s, v in terms} if num else {}
+        return Series._raw(self.monoid, self.ring, acc, self._den * c.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -238,31 +270,48 @@ class Series:
         return (
             self.monoid == other.monoid
             and self.ring == other.ring
+            and self._den == other._den
             and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.monoid, self.ring, frozenset(self._terms.items())))
+        return hash((self.monoid, self.ring, self._den, frozenset(self._terms.items())))
+
+    def coeff_texts(self, keys: list, fmt=str) -> list[str]:
+        """The printed text of the coefficient at each of keys (0 where none is stored).
+
+        Over den 1 a numerator is its value and prints as fmt does it. Over
+        Q each term takes one gcd and prints as the Fraction it stands for
+        would: the integer when the reduced denominator is 1, else n/d.
+        """
+        den = self._den
+        values = map(self._terms.get, keys, repeat(0))
+        if den == 1:
+            return list(map(fmt, values))
+        return [str(c // g) if (g := gcd(c, den)) == den else f"{c // g}/{den // g}" for c in values]
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        rep, fmt = self.monoid.elem_repr, self.ring.fmt
-        return " + ".join([f"{fmt(c)} @ {rep(s)}" for s, c in self.sorted_items()])
+        rep, keys = self.monoid.elem_repr, sorted(self._terms)
+        texts = self.coeff_texts(keys, self.ring.fmt)
+        return " + ".join([f"{text} @ {rep(s)}" for s, text in zip(keys, texts)])
 
     def __repr__(self) -> str:
         return f"Series({self.monoid}, {self.ring}, {self!s})"
 
     def to_json(self) -> dict:
-        rep, fmt, terms = self.monoid.elem_repr, self.ring.fmt, self._terms
+        rep, keys = self.monoid.elem_repr, sorted(self._terms)
+        texts = self.coeff_texts(keys, self.ring.fmt)
         return {
             "monoid": str(self.monoid),
             "ring": str(self.ring),
-            "terms": [{"exp": rep(s), "coeff": fmt(terms[s])} for s in sorted(terms)],
+            "terms": [{"exp": rep(s), "coeff": text} for s, text in zip(keys, texts)],
         }
 
 
-_set_monoid, _set_ring, _set_terms = (Series.__dict__[name].__set__ for name in Series.__slots__)
+_new = object.__new__
+_set_monoid, _set_ring, _set_terms, _set_den = (Series.__dict__[name].__set__ for name in Series.__slots__)
 
 
 # The packed product beats the dict loop once the smaller factor has this
@@ -340,4 +389,4 @@ def zero_series(monoid: OrderedMonoid, ring: Ring) -> Series:
 def indicator(monoid: OrderedMonoid, w, ring: Ring) -> Series:
     """The series with coefficient 1 at w and 0 elsewhere."""
     monoid.check_elem(w)
-    return Series._raw(monoid, ring, {w: ring.one()})
+    return Series._raw(monoid, ring, {w: 1})

@@ -129,6 +129,26 @@ def test_cutoff_scan_all_pass_exit_zero(capsys):
     assert "pass-on-window" in out
 
 
+@pytest.mark.parametrize(
+    "monoid,w_range,window,header,scanned",
+    [
+        ("N", "-5..1", "-3..3", "cutoff scan on N, thresholds 0..1, 4 window elements", ["0", "1"]),
+        ("table:" + str(TABLES / "z4.json"), "0..9", None,
+         "cutoff scan on Z/4(n=4), thresholds 0..3, 4 window elements", ["0", "1", "2", "3"]),
+    ],
+    ids=["N", "z4-table"],
+)
+def test_cutoff_scan_header_names_the_thresholds_scanned(capsys, monoid, w_range, window, header, scanned):
+    # a range reaching past the carrier is trimmed to it, header included
+    argv = ["cutoff-scan", "--monoid", monoid, "--w-range", w_range]
+    if window is not None:
+        argv += ["--window", window]
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == header
+    assert [line.split(":")[0].strip().removeprefix("w=") for line in lines[1:-1]] == scanned
+
+
 def test_cutoff_scan_json(capsys):
     code, out, _ = run(
         capsys, "cutoff-scan", "--monoid", "Z", "--w-range", "-1..2", "--window", "-5..5", "--json"

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -42,3 +43,20 @@ def test_cli_dispatches_on_no_monoid_class():
     text = (ROOT / "src" / "gpsrb" / "cli.py").read_text()
     calls = re.findall(r"isinstance\([^)]*\)", text)
     assert [c for c in calls if re.search(r"\b(FiniteTable|IntLine|IntVector)\b", c)] == []
+
+
+def test_only_scalars_imports_fractions():
+    # one coefficient representation: Q values are Fractions only where
+    # scalars.py makes them at the API boundary
+    importers = []
+    for path in sorted((ROOT / "src" / "gpsrb").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                importers.append(path.name)
+    assert importers == ["scalars.py"]

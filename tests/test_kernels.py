@@ -6,7 +6,7 @@ divisors, so a product of nonzero terms can vanish without any collision.
 """
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +14,17 @@ from hypothesis import strategies as st
 
 from gpsrb import (
     IntLine,
+    Projector,
     QQ,
     Series,
     TruncatedLaurent,
     ZZ,
     Zmod,
     make_laurent,
+    pole_part,
     zero_series,
 )
+from gpsrb.parsing import render_laurent, render_series
 
 from gpsrb.series import slot_bytes
 
@@ -199,13 +202,8 @@ def test_products_on_both_sides_of_the_packing_threshold(case):
 
 
 def packed(f: Series, g: Series) -> bool:
-    """Does f * g take the packed path (over Q, on the cleared numerators)?"""
-
-    def numerators(h):
-        d = lcm(*(Fraction(c).denominator for _, c in h.items()))
-        return {s: int(c * d) for s, c in h.items()}
-
-    return bool(slot_bytes(f.monoid, numerators(f), numerators(g), f.ring.modulus))
+    """Does f * g take the packed path (over Q, on the stored numerators)?"""
+    return bool(slot_bytes(f.monoid, f._terms, g._terms, f.ring.modulus))
 
 
 # top is the largest coefficient with 16 * top^2 below 2^bits
@@ -263,3 +261,152 @@ def test_z12_slots_that_vanish_only_after_reduction():
     assert dict(h.items()) == {s: 6 for s in range(20, 36)}
     assert h == naive_convolve(f, g)
     assert (f * Series(M, Z12, {i: 4 for i in range(16)})).is_zero()
+
+
+# ---------------------------------------------------------------- stored numerators
+# Every series stores int numerators over one positive denominator in lowest
+# terms (1 off Q). Each kernel result must be in that canonical form and
+# equal to the same operation on {exponent: Fraction} dicts, whether the
+# product ran the dict loop or the packed path, with or without a bound.
+
+STORE_RINGS = [ZZ, QQ, Zmod(2), Zmod(7)]
+
+
+def assert_stored_canonically(h: Series) -> None:
+    den, nums = h._den, list(h._terms.values())
+    assert type(den) is int and den > 0 and gcd(den, *nums) == 1
+    assert all(type(c) is int and c != 0 for c in nums)
+    if h.ring is not QQ:
+        assert den == 1
+    if h.ring.modulus:
+        assert all(0 <= c < h.ring.modulus for c in nums)
+    # equal data is equal series with equal hashes: rebuilding from the
+    # public values lands on the same stored pair
+    again = Series(h.monoid, h.ring, dict(h.items()))
+    assert (again._den, again._terms) == (den, h._terms)
+    assert again == h and hash(again) == hash(h)
+
+
+def fraction_dict(h: Series) -> dict:
+    return {s: Fraction(c) for s, c in h.items()}
+
+
+def oracle_series(ring, terms: dict) -> dict:
+    """{exponent: Fraction} with each value brought into the ring and zeros dropped."""
+    m = ring.modulus
+    out = {s: Fraction(c.numerator * pow(c.denominator, -1, m) % m) if m else c for s, c in terms.items()}
+    return {s: c for s, c in out.items() if c}
+
+
+def oracle_product(ring, f: dict, g: dict, below=None) -> dict:
+    acc: dict = {}
+    for u, a in f.items():
+        for v, b in g.items():
+            if below is None or u + v < below:
+                acc[u + v] = acc.get(u + v, 0) + a * b
+    return oracle_series(ring, acc)
+
+
+def oracle_sum(ring, f: dict, g: dict, sign: int = 1) -> dict:
+    acc = dict(f)
+    for s, c in g.items():
+        acc[s] = acc.get(s, 0) + sign * c
+    return oracle_series(ring, acc)
+
+
+@st.composite
+def stored_cases(draw):
+    """Two series of one ring on either side of the packing threshold, a scalar and a bound."""
+    ring = draw(st.sampled_from(STORE_RINGS))
+    if ring is QQ:
+        values = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 60))
+    elif ring is ZZ:
+        values = st.integers(-10**6, 10**6).filter(bool)
+    else:
+        values = st.integers(1, ring.modulus - 1)
+    dense = draw(st.booleans())
+
+    def one():
+        n = draw(st.integers(12 if dense else 0, 30))
+        lo = draw(st.integers(-20, 10))
+        width = n + n // 2 + 1 if dense else 10 * n + 1
+        exps = draw(st.lists(st.integers(lo, lo + width - 1), min_size=n, max_size=n, unique=True))
+        return Series(M, ring, [(s, draw(values)) for s in exps])
+
+    f, g = one(), one()
+    scalar = draw(st.one_of(st.just(ring.zero()), values))
+    below = draw(st.one_of(st.none(), st.integers(-45, 60)))
+    return f, g, scalar, below
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=stored_cases())
+def test_kernels_keep_the_stored_pair_canonical(case):
+    f, g, scalar, below = case
+    ring = f.ring
+    F, G = fraction_dict(f), fraction_dict(g)
+    assert f.mul(g) == g.mul(f)  # either order takes the same path
+    cutoff = Projector.cutoff(M, 0 if below is None else below)
+    evens = Projector(M, lambda s: s % 2 == 0, "evens")
+    results = [
+        (f.mul(g, below=below), oracle_product(ring, F, G, below)),
+        (f + g, oracle_sum(ring, F, G)),
+        (f - g, oracle_sum(ring, F, G, -1)),
+        (-f, oracle_series(ring, {s: -c for s, c in F.items()})),
+        (f.scale(scalar), oracle_series(ring, {s: scalar * c for s, c in F.items()})),
+        (f.below(0 if below is None else below),
+         {s: c for s, c in F.items() if s < (0 if below is None else below)}),
+        (cutoff(g), {s: c for s, c in G.items() if cutoff.keeps(s)}),
+        (evens(f), {s: c for s, c in F.items() if s % 2 == 0}),
+    ]
+    for h, want in results:
+        assert_stored_canonically(h)
+        assert fraction_dict(h) == want
+
+
+def test_q_sums_that_cancel_to_an_integer_or_to_zero():
+    f = Series(M, QQ, {0: Fraction(1, 6), 1: Fraction(2, 3), 2: Fraction(-1, 2)})
+    g = Series(M, QQ, {0: Fraction(5, 6), 1: Fraction(1, 3), 2: Fraction(1, 2)})
+    assert (f._den, g._den) == (6, 6)
+    total = f + g  # 1 + e: each denominator cancels, and the term at 2 drops
+    assert (total._den, total._terms) == (1, {0: 1, 1: 1})
+    assert total == Series(M, QQ, {0: QQ.one(), 1: QQ.one()})
+    assert_stored_canonically(total)
+    difference = f - f
+    assert (difference._den, difference._terms) == (1, {})
+    assert difference == zero_series(M, QQ)
+    # a product of two halves and a scaling by 2 are integral as well
+    half = Series(M, QQ, {1: Fraction(1, 2), 3: Fraction(-3, 2)})
+    assert (half * Series(M, QQ, {0: Fraction(2)}))._den == 1
+    assert half.scale(Fraction(2))._terms == {1: 1, 3: -3}
+    assert (half - half.scale(Fraction(1, 3)) - half.scale(Fraction(2, 3))).is_zero()
+
+
+def test_q_kernels_build_no_fraction(monkeypatch):
+    # multi-term factors with different denominators, dense enough to pack
+    f = Series(M, QQ, {i: Fraction(i % 7 - 3, i % 5 + 2) for i in range(-6, 20)})
+    g = Series(M, QQ, {i: Fraction(2 - i % 4, 3 + i % 3) for i in range(-4, 16)})
+    sparse = Series(M, QQ, {5 * i: Fraction(1 + i, 2 + i % 3) for i in range(6)})
+    P = Projector.cutoff(M, 3)
+    lf, lg = make_laurent(QQ, dict(f.items()), 20), make_laurent(QQ, dict(g.items()))
+    assert packed(f, g)
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    for h in (f * g, f.mul(g, below=4), f * sparse, f + g, f - g, f + sparse, P(f), -f):
+        render_series(h)
+        h.to_json()
+        str(h)
+    product = lf * lg
+    render_laurent(product)
+    product.to_json()
+    render_laurent(pole_part(lf - lg))
+    assert built == []
+    # the public accessors do build them, so the counter is live
+    f.coeff(0)
+    assert built

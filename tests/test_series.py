@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,3 +157,27 @@ def test_subtraction_mod_m_cancels_and_wraps():
     # 2 - 2 drops the term at 1; 0 - 1 = 5 mod 6 at 3
     assert f - g == Series(M, Z6, {2: 4, 3: 5})
     assert g - f == Series(M, Z6, {2: 2, 3: 1})
+
+
+def test_q_values_cross_the_api_as_fractions():
+    # stored as numerators over one denominator, read back as Fractions
+    f = Series(M, QQ, [(0, Fraction(1, 4)), (2, Fraction(-5, 6)), (0, Fraction(1, 4))])
+    assert (f._den, f._terms) == (6, {0: 3, 2: -5})
+    assert f.coeff(0) == Fraction(1, 2) and type(f.coeff(0)) is Fraction
+    assert f.coeff(1) == 0 and type(f.coeff(1)) is Fraction
+    assert f.sorted_items() == [(0, Fraction(1, 2)), (2, Fraction(-5, 6))]
+    assert all(type(c) is Fraction for _, c in f.items())
+    whole = Series(M, QQ, {1: Fraction(3)})
+    assert (whole._den, whole._terms, whole.items()) == (1, {1: 3}, [(1, Fraction(3))])
+    # over Z and Z/m the stored numerators are the values themselves
+    z = Series(M, Zmod(7), {0: 3, 1: 6})
+    assert (z._den, z._terms, z.coeff(1)) == (1, {0: 3, 1: 6}, 6)
+
+
+@given(f=int_series(), g=int_series())
+def test_equal_series_store_equal_data_and_hash_alike(f, g):
+    left, right = f + g, g + f
+    assert left == right and hash(left) == hash(right)
+    assert (left._den, left._terms) == (right._den, right._terms)
+    # 2f and f + f reach their stored pair through different kernels
+    assert f.scale(QQ.from_int(2)) == f + f and hash(f.scale(QQ.from_int(2))) == hash(f + f)
