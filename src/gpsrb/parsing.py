@@ -38,7 +38,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from itertools import accumulate
-from math import lcm
 from typing import Union
 
 from .laurent import TruncatedLaurent, make_laurent
@@ -424,27 +423,21 @@ def eval_series(
     kind = type(node)
     if kind is Sum:
         # one pass: monomials become terms directly, every other part is
-        # evaluated, and the terms are merged once, over the lcm of their
-        # denominators; each exponent and each coefficient was checked where
-        # it was made
-        terms, dens, tails = [], [], []
+        # evaluated, and the parts are merged once; each exponent and each
+        # coefficient was checked where it was made
+        parts, tails = [], []
         for part in node.parts:
             term = _monomial(part, monoid, ring)
             if term is not None:
                 s, c, d = term
-                terms.append((s, c))
-                dens.append(d)
+                parts.append((((s, c),), d))
                 continue
             value = eval_series(part, monoid, ring, laurent, budget)
             series = value.series if laurent else value
-            terms.extend(series._terms.items())
-            dens.extend([series._den] * series.term_count())
+            parts.append(series._part())
             if laurent and not value.exact:
                 tails.append(value.trunc)
-        den = lcm(*dens)
-        if den != 1:
-            terms = [(s, c * (den // d)) for (s, c), d in zip(terms, dens)]
-        total = Series._merged(monoid, ring, terms, den)
+        total = Series._merged(monoid, ring, parts)
         # a Laurent sum is known below the smallest tail among its parts
         return TruncatedLaurent.from_series(total, min(tails, default=None)) if laurent else total
     if kind is Neg:
@@ -467,7 +460,7 @@ def eval_series(
     if term is None:
         raise TypeError(f"unknown node {node!r}")
     s, c, d = term
-    series = Series._merged(monoid, ring, [(s, c)], d)
+    series = Series._merged(monoid, ring, [(((s, c),), d)])
     return TruncatedLaurent.from_series(series) if laurent else series
 
 
@@ -536,7 +529,7 @@ def _join_terms(f: Series, var: str, zero, rep) -> str:
     print bare; a leading minus attaches to the first term and spaces out
     as " - " after it.
     """
-    keys = sorted(f._terms)
+    keys = f.support()
     out = []
     for s, text in zip(keys, f.coeff_texts(keys)):
         sign = " + "

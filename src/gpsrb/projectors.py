@@ -41,8 +41,7 @@ class Projector:
     def __call__(self, f: Series) -> Series:
         if f.monoid is not self.monoid and f.monoid != self.monoid:
             raise TypeError(f"projector on {self.monoid} applied to series over {f.monoid}")
-        keeps = self.keeps
-        return Series._raw(f.monoid, f.ring, {s: c for s, c in f._terms.items() if keeps(s)}, f._den)
+        return f._kept(self.keeps)
 
     def kept(self, window: Iterable) -> list:
         return [s for s in window if self.keeps(s)]

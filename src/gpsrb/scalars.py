@@ -105,11 +105,6 @@ class RationalRing(Ring):
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def from_ratio(self, num: int, den: int) -> Fraction:
-        if den == 0:
-            raise ZeroDenominator(f"{num}/0")
-        return Fraction(num, den)
-
     def ratio(self, num: int, den: int) -> tuple[int, int]:
         if den == 0:
             raise ZeroDenominator(f"{num}/0")

@@ -233,6 +233,9 @@ def _left_fold(text, ring, laurent):
         ("3*e + 5 + 4*e + 2", Zmod(7), True, "0"),
         ("3*e^-1 + 6 + 4*e^-1 + O(e^1)", Zmod(7), True, "6 + O(e^1)"),
         ("1/2*e - 1/3 + 1/2*e + 1/3 - e", QQ, False, "0"),
+        # evaluated parts over their own denominators, merged over the lcm
+        ("1/2*e + (1/3*e)*(3/5) + 1/6 - 2/15*e", QQ, False, "1/6 + 17/30*e^1"),
+        ("1/2*e + (1/3*e)*(3/2) + 1/6 + 5/6", QQ, False, "1 + e^1"),
     ],
 )
 def test_one_pass_sum_matches_left_fold(text, ring, laurent, expected):
