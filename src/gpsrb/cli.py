@@ -29,7 +29,7 @@ import random
 import sys
 from typing import Sequence
 
-from .laurent import TruncatedLaurent, make_laurent, pole_part
+from .laurent import TruncatedLaurent, pole_part
 from .monoids import (
     BadElement,
     BadTable,
@@ -95,8 +95,9 @@ MAX_DIM = 8
 MAX_SWEEP_SIZE = 20
 
 # pairs one laurent-demo may show, checked before the first is built: at the
-# cap a run takes 1.9-3.2 s at a peak RSS of 17-18 MB, or 67-71 MB with
-# --json, which keeps every pair until the one document is written (same host)
+# cap a run takes 2.1-3.0 s at a peak RSS of 17 MB, or 2.3-2.9 s at 65 MB
+# with --json, which keeps every pair until the one document is written
+# (same host)
 MAX_DEMO_COUNT = 10_000
 
 
@@ -408,16 +409,18 @@ def _random_laurent(rng: random.Random, ring: Ring) -> TruncatedLaurent:
     # every product stays known past exponent 0 and pole_part never starves
     lo = rng.randint(-3, 0)
     hi = rng.randint(4, 6)
-    coeffs = []
-    for _ in range(lo, hi):
+    # each coefficient goes in as the (numerator, denominator) ring.ratio
+    # stores, so no value of the ring is built; a zero draws nothing more
+    parts = []
+    for s in range(lo, hi):
         if rng.random() < 0.3:
-            coeffs.append(ring.zero())
-        elif ring is QQ:
-            coeffs.append(QQ.from_ratio(rng.randint(-9, 9), rng.randint(1, 9)))
-        else:
-            coeffs.append(ring.from_int(rng.randint(-9, 9)))
+            continue
+        num = rng.randint(-9, 9)
+        c, d = ring.ratio(num, rng.randint(1, 9) if ring is QQ else 1)
+        parts.append((((s, c),), d))
     exact = rng.random() < 0.3  # drawn last: a seed fixes its pairs by this order
-    return make_laurent(ring, zip(range(lo, hi), coeffs), None if exact else hi)
+    series = Series._merged(IntLine(), ring, parts)
+    return TruncatedLaurent._raw(series, None if exact else hi)
 
 
 def cmd_laurent_demo(args) -> int:

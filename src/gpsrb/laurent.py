@@ -118,13 +118,17 @@ class TruncatedLaurent:
     def __mul__(self, other):
         if not isinstance(other, TruncatedLaurent):
             return self.scale(other)
-        bounds = []  # stays empty when either factor is the exact zero, which annihilates a tail
-        if not (self.is_zero() or other.is_zero()):
-            if self.tail is not None:
-                bounds.append(self.tail + other.ord)
-            if other.tail is not None:
-                bounds.append(other.tail + self.ord)
-        tail = min(bounds) if bounds else None
+        # the stored terms and tails read once: ord is the lowest stored
+        # exponent, or the tail when nothing is stored
+        f, g, f_tail, g_tail = self.series._terms, other.series._terms, self.tail, other.tail
+        tail = None  # stays None when either factor is the exact zero, which annihilates a tail
+        if (f or f_tail is not None) and (g or g_tail is not None):
+            if f_tail is not None:
+                tail = f_tail + (min(g) if g else g_tail)
+            if g_tail is not None:
+                bound = g_tail + (min(f) if f else f_tail)
+                if tail is None or bound < tail:
+                    tail = bound
         return TruncatedLaurent._raw(self.series.mul(other.series, below=tail), tail)
 
     def __rmul__(self, other):
@@ -145,15 +149,22 @@ class TruncatedLaurent:
         return f"TruncatedLaurent({self.ring}, {dict(self.items())}, trunc={self.tail})"
 
     def to_json(self) -> dict:
-        lo, ring = self.ord, self.ring
-        window = range(lo, self.trunc)
+        series, tail = self.series, self.tail
+        terms = series._terms
+        # ord and trunc as the properties give them, from one read of the terms
+        if terms:
+            lo = min(terms)
+            hi = max(terms) + 1 if tail is None else tail
+        else:
+            lo = hi = 0 if tail is None else tail
+        ring = series.ring
         return {
             "ring": str(ring),
             "ord": lo,
             # the coefficients of [ord, trunc), with the zeros filled in
-            "coeffs": self.series.coeff_texts(window, ring.fmt),
-            "trunc": lo + len(window),
-            "exact": self.exact,
+            "coeffs": series.coeff_texts(range(lo, hi), ring.fmt),
+            "trunc": hi,
+            "exact": tail is None,
         }
 
 

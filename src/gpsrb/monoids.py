@@ -57,7 +57,8 @@ class OrderedMonoid:
     Windows are boxes: window(lo, hi) holds the carrier elements with every
     coordinate in lo..hi, and window_size counts them without building them.
     int_exponents is True when the elements are plain ints added as ints, so
-    a series product may pack its factors into big integers (series.py).
+    a series product may pack its factors into big integers, or sum the
+    exponents of its pairs without calling add (series.py).
     """
 
     int_exponents = False

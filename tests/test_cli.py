@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from gpsrb.cli import (
     MAX_SWEEP_SIZE,
     PAIR_BUDGET,
     UsageError,
+    _random_laurent,
     build_parser,
     main,
     parse_decomposition,
@@ -21,11 +24,15 @@ from gpsrb.cli import (
     parse_window_spec,
 )
 from gpsrb import (
+    QQ,
+    ZZ,
     FiniteTable,
     IntLine,
     IntVector,
     TooLarge,
+    Zmod,
     load_table,
+    make_laurent,
     verify_theorem_decomposition,
     zero_series,
 )
@@ -264,6 +271,51 @@ def test_laurent_demo_json(capsys, monkeypatch):
     assert len(data["pairs"]) == 3
     for pair in data["pairs"]:
         assert pair["defect"]["coeffs"] == []
+
+
+def test_laurent_demo_q_builds_no_fraction(capsys, monkeypatch):
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setenv("GPS_RB_SEED", "7")
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    code, out, _ = run(capsys, "laurent-demo", "--json", "--ring", "Q", "--count", "50")
+    assert code == 0 and json.loads(out)["all_defects_zero"] is True
+    assert built == []
+    # the counter is live: a value of Q is still a Fraction
+    QQ.from_ratio(1, 2)
+    assert built
+
+
+def make_laurent_draw(rng: random.Random, ring):
+    """The laurent-demo draw through the ring's values and make_laurent, as an oracle."""
+    lo = rng.randint(-3, 0)
+    hi = rng.randint(4, 6)
+    coeffs = []
+    for _ in range(lo, hi):
+        if rng.random() < 0.3:
+            coeffs.append(ring.zero())
+        elif ring is QQ:
+            coeffs.append(QQ.from_ratio(rng.randint(-9, 9), rng.randint(1, 9)))
+        else:
+            coeffs.append(ring.from_int(rng.randint(-9, 9)))
+    exact = rng.random() < 0.3
+    return make_laurent(ring, zip(range(lo, hi), coeffs), None if exact else hi)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZZ, Zmod(2), Zmod(7), Zmod(12)], ids=str)
+def test_random_laurent_matches_the_make_laurent_draw(ring):
+    for seed in range(500):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        got, want = _random_laurent(rng, ring), make_laurent_draw(oracle_rng, ring)
+        assert got == want and hash(got) == hash(want)
+        assert (got.series._terms, got.series._den, got.tail) == (want.series._terms, want.series._den, want.tail)
+        # the same draws, so the next value of a seed's run is the same too
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 def test_laurent_demo_rejects_empty_count(capsys):

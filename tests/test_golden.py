@@ -176,6 +176,10 @@ def test_arith_golden(capsys, argv, expected):
         ("Z/7", False, "laurent_demo_Z7.txt"),
         ("Q", True, "laurent_demo_Q_json.txt"),
         ("Q", False, "laurent_demo_Q.txt"),
+        # recorded from the make_laurent-based draw, before the draw built
+        # stored numerators directly; Z/12 has a composite modulus
+        ("Z", True, "laurent_demo_Z_json.txt"),
+        ("Z/12", True, "laurent_demo_Z12_json.txt"),
     ],
 )
 def test_laurent_demo_golden(capsys, monkeypatch, ring, json_flag, name):

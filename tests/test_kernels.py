@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gpsrb import (
     IntLine,
+    IntVector,
     Projector,
     QQ,
     Series,
@@ -26,7 +27,7 @@ from gpsrb import (
 )
 from gpsrb.parsing import render_laurent, render_series
 
-from gpsrb.series import slot_bytes
+from gpsrb.series import PACK_MIN_TERMS, slot_bytes
 
 from conftest import naive_convolve
 
@@ -204,6 +205,66 @@ def test_products_on_both_sides_of_the_packing_threshold(case):
 def packed(f: Series, g: Series) -> bool:
     """Does f * g take the packed path (over Q, on the stored numerators)?"""
     return bool(slot_bytes(f.monoid, f._terms, g._terms, f.ring.modulus))
+
+
+@st.composite
+def dict_loop_products(draw):
+    """(f, g, below, vf, vg): int-exponent factors whose product takes the dict
+    loop, the smaller below PACK_MIN_TERMS terms or both spread too wide to
+    pack, and two series over Z^2 under the product order."""
+    monoid = draw(st.sampled_from([M, IntLine(nonneg=True)]))
+    ring = draw(st.sampled_from([ZZ, QQ, Zmod(2), Zmod(7)]))
+    values = ring_values(ring).filter(bool)
+    lo = 0 if monoid.nonneg else -30
+    if draw(st.booleans()):
+        terms = st.lists(st.tuples(st.integers(lo, 30), values), max_size=PACK_MIN_TERMS - 1)
+        f, g = draw(terms), draw(st.lists(st.tuples(st.integers(lo, 30), values), max_size=40))
+    else:
+        # one term in each run of 997 exponents: the span outgrows the pairs
+        def wide():
+            n = draw(st.integers(PACK_MIN_TERMS, 20))
+            return [(lo + 997 * k + draw(st.integers(0, 996)), draw(values)) for k in range(n)]
+
+        f, g = wide(), wide()
+    hi = max([s for s, _ in f + g], default=lo)
+    below = draw(st.integers(2 * lo - 3, 2 * hi + 3))
+    vector = st.lists(st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), values), max_size=6)
+    V = IntVector(2)
+    return (
+        Series(monoid, ring, f),
+        Series(monoid, ring, g),
+        below,
+        Series(V, ring, draw(vector)),
+        Series(V, ring, draw(vector)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=dict_loop_products())
+def test_int_exponent_dict_loop_sums_without_monoid_add(case):
+    f, g, below, vf, vg = case
+    assert not packed(f, g)
+    want, vwant = naive_convolve(f, g), naive_convolve(vf, vg)
+    calls = []
+    vector_add = IntVector.add
+
+    def refuse(self, a, b):
+        raise AssertionError("IntLine.add called by an int-exponent product")
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return vector_add(self, a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntLine, "add", refuse)
+        mp.setattr(IntVector, "add", counting)
+        h, cut, vh = f * g, f.mul(g, below=below), vf * vg
+    assert_canonical_series(h)
+    assert h == want
+    assert cut == h.below(below)
+    # Z^2 exponents still sum through the monoid, once per pair
+    assert vh == vwant
+    assert len(calls) == vf.term_count() * vg.term_count()
 
 
 # top is the largest coefficient with 16 * top^2 below 2^bits

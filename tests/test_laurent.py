@@ -225,6 +225,36 @@ def test_subtraction_is_adding_the_negative(pair):
     assert d.is_zero() == f.exact
 
 
+def laurents_with_empty_windows(ring):
+    return st.one_of(
+        laurents(ring=ring), st.just(make_laurent(ring, {})), st.just(make_laurent(ring, {}, 3))
+    )
+
+
+@settings(max_examples=150)
+@given(
+    pair=st.one_of(
+        *(
+            st.tuples(laurents_with_empty_windows(r), laurents_with_empty_windows(r))
+            for r in (QQ, ZZ, Zmod(6))
+        )
+    )
+)
+def test_product_tail_and_json_follow_the_window_rule(pair):
+    f, g = pair
+    p = f * g
+    for h in (f, g, p):
+        data = h.to_json()
+        assert (data["ord"], data["trunc"], data["exact"]) == (h.ord, h.trunc, h.exact)
+        assert data["coeffs"] == [h.ring.fmt(h.coeff(n)) for n in range(h.ord, h.trunc)]
+    if f.is_zero() or g.is_zero():
+        # an exact zero factor annihilates the other's tail
+        assert p.is_zero()
+        return
+    bounds = [t.trunc + u.ord for t, u in ((f, g), (g, f)) if not t.exact]
+    assert p.tail == min(bounds, default=None)
+
+
 def test_sparse_products_over_wide_exponents_stay_on_the_dict_loop(capsys):
     # 20 terms a factor over 0..10^6: a packed product would allocate slots
     # for the whole span, megabytes, where the dict loop needs 400 terms
