@@ -20,14 +20,16 @@ Python steps per lexeme, not per character; the parser indexes the lexeme
 list. Positions are exact: a column counts characters from 1 within its
 line, and only "\n" starts a new line.
 
-The commonest term, the monomial INT ['/' INT] '*' VAR '^' exponent, is a
-production of term read in one step (_Parser.monomial), with the nodes
-factor would build. AST nodes are tuples built by tuple.__new__, and a sum
-of monomials evaluates with one membership check per exponent and
-coefficient, where each is made, and one merge of all the terms. So
-parsing costs a fixed, small number of Python steps per monomial. All the
-products of one expression share one ProductBudget, and a command passes
-one budget to all of its parses and products.
+parse_series first tries to read the whole text as a sum of monomials
+c*VAR^k (and, in Laurent mode, O(VAR^k) parts) in one regex pass, with no
+lexeme list and no AST (_read_sum); any other text, and any text whose
+parts the ring or monoid refuses, goes through the lexer, the parser and
+eval_series, which report every error with its position. AST nodes are
+tuples built by tuple.__new__, and a sum of monomials evaluates with one
+membership check per exponent and coefficient, where each is made, and one
+merge of all the terms. All the products of one expression share one
+ProductBudget, and a command passes one budget to all of its parses and
+products.
 
 Renderers produce strings this grammar parses back to an equal value
 (modular coefficients print as their canonical residue).
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate
 from typing import Union
 
@@ -245,60 +248,14 @@ class _Parser:
 
     def term(self) -> Node:
         words = self.words
-        factors = self.monomial(self.i)
-        if factors is None:
-            node = self.factor()
-            if words[self.i] != "*":
-                return node
-            factors = [node]
+        node = self.factor()
+        if words[self.i] != "*":
+            return node
+        factors = [node]
         while words[self.i] == "*":
             self.i += 1
             factors.append(self.factor())
-        first = factors[0]
-        return _new(Product, (tuple(factors), first.line, first.col))
-
-    def monomial(self, i: int) -> list | None:
-        """[Lit, Pow] for the lexemes INT ['/' INT] '*' VAR '^' exponent at i, or None.
-
-        The commonest term in one step: it reads the lexemes factor would
-        read, builds the same two nodes and moves past them. Anything else,
-        every error included, is left to factor. int() takes an INT lexeme
-        exactly when int_at does and refuses every other lexeme, the
-        sentinel too, so each lexeme is checked before the next is read.
-        """
-        words = self.words
-        try:
-            num, den, k = int(words[i]), 1, i + 1
-            if words[k] == "/":
-                den = int(words[k + 1])
-                k += 2
-            if words[k] != "*" or words[k + 1] != self.var or words[k + 2] != "^":
-                return None
-            at, k = k + 1, k + 3
-            if words[k] == "(":
-                coords = []
-                sep = ","
-                while sep == ",":
-                    if words[k + 1] == "-":
-                        k += 1
-                        coords.append(-int(words[k + 1]))
-                    else:
-                        coords.append(int(words[k + 1]))
-                    k += 2
-                    sep = words[k]
-                if sep != ")":
-                    return None
-                exponent = tuple(coords)
-            elif words[k] == "-":
-                k += 1
-                exponent = -int(words[k])
-            else:
-                exponent = int(words[k])
-        except ValueError:
-            return None
-        self.i = k + 1
-        lines, cols = self.lines, self.cols
-        return [_new(Lit, (num, den, lines[i], cols[i])), _new(Pow, (exponent, lines[at], cols[at]))]
+        return _new(Product, (tuple(factors), node.line, node.col))
 
     def factor(self) -> Node:
         words, i = self.words, self.i
@@ -396,7 +353,10 @@ class ProductBudget:
 
     def charge(self, f, g) -> str | None:
         """Charge the pairs of f * g; None when they fit, else why the product is refused."""
-        m, n = f.term_count(), g.term_count()
+        return self.charge_terms(f.term_count(), g.term_count())
+
+    def charge_terms(self, m: int, n: int) -> str | None:
+        """Charge the pairs of a product of m x n terms, as charge does."""
         pairs = m * n
         if self.spent + pairs <= PRODUCT_BUDGET:
             self.spent += pairs
@@ -505,6 +465,100 @@ def _monomial(node: Node, monoid: OrderedMonoid, ring: Ring):
     return s, ring.reduce(-c) if negated else c, d
 
 
+# A sum of monomials, the text the renderers print and most inputs are, is
+# read by one regex pass. The patterns are ASCII-only, so any other numeral,
+# name character or blank leaves the text to the general lexer, the one owner
+# of those rules. Every quantifier is possessive: the sub-language needs no
+# backtracking, so a refusal takes time linear in the text.
+_W = r"\s*+"
+_INT = r"[0-9]++"
+_SIGNED = rf"-?+{_W}{_INT}"
+_BLANKS = str.maketrans("", "", " \t\n\r\f\v")  # what \s matches under re.ASCII
+
+
+@lru_cache(maxsize=16)
+def _sum_reader(var: str, laurent: bool):
+    """(fullmatch, findall) for the sums of monomials in var, or None for a bad var.
+
+    The sub-language is [+|-] mono ((+|-) mono)*, where mono is
+    INT ['/' INT] ['*' VAR ['^' exponent]] or VAR ['^' exponent], and in
+    Laurent mode also O(VAR^signed); blanks may stand between any two
+    lexemes. fullmatch decides membership. No two adjacent lexemes of a
+    member are both INTs or names, so deleting its blanks keeps its meaning,
+    and on that compact text findall gives one tuple (sign, num, den, var, exponent,
+    tail) per mono, with the text of an int or tuple exponent and of the
+    exponent of O(...). A var that check_var refuses gives None: the
+    general parser reports it.
+    """
+    try:
+        check_var(var)
+    except ValueError:
+        return None
+    v = re.escape(var)
+    power = rf"{v}{_W}(?:\^{_W}(?:{_SIGNED}|\({_W}{_SIGNED}{_W}(?:,{_W}{_SIGNED}{_W})*+\)){_W})?+"
+    mono = rf"{_INT}{_W}(?:/{_W}{_INT}{_W})?+(?:\*{_W}{power})?+|{power}"
+    if laurent:
+        mono += rf"|O{_W}\({_W}{v}{_W}\^{_W}{_SIGNED}{_W}\){_W}"
+    valid = rf"{_W}[+-]?+{_W}(?:{mono})(?:[+-]{_W}(?:{mono}))*+"
+    # the lookahead keeps the end of the text from making an empty match
+    term = (
+        rf"([+-]?+)(?=.)(?:([0-9]++)(?:/([0-9]++))?+\*?+)?+"
+        rf"(?:({v})(?:\^(-?+[0-9]++|\([^)]*+\)))?+|O\({v}\^(-?+[0-9]++)\))?+"
+    )
+    return re.compile(valid, re.ASCII).fullmatch, re.compile(term, re.ASCII).findall
+
+
+def _read_sum(text: str, monoid: OrderedMonoid, ring: Ring, var: str, laurent: bool, budget: ProductBudget):
+    """The value of text when it is a sum of monomials that evaluates, else None.
+
+    None leaves text to the general parser, which evaluates to the same
+    value or raises the positioned ParseError: so does every error here, a
+    literal or exponent the ring or monoid refuses, an int past the
+    interpreter's digit limit, or a lone c*e^k (a product) past the budget.
+    """
+    reader = _sum_reader(var, laurent)
+    if reader is None:
+        return None
+    valid, terms = reader
+    if valid(text) is None:
+        return None
+    found = terms(text.translate(_BLANKS))
+    zero, from_exponent = monoid.zero(), monoid.from_exponent
+    ratio, m = ring.ratio, ring.modulus
+    parts, tails = [], []
+    try:
+        for sign, num, den, power, k, tail in found:
+            if den:
+                c, d = ratio(int(num), int(den))
+            elif num:
+                c, d = int(num), 1
+            elif power:
+                c, d = 1, 1
+            else:
+                tails.append(int(tail))
+                continue
+            if sign == "-":
+                c = -c
+            if m:
+                c %= m
+            if not power:
+                s = zero
+            elif not k:
+                s = from_exponent(1)
+            elif k[0] == "(":
+                s = from_exponent(tuple(map(int, k[1:-1].split(","))))
+            else:
+                s = from_exponent(int(k))
+            parts.append((((s, c),), d))
+    except (ValueError, ZeroDivisionError):
+        return None
+    # a lone c*e^k parses as a product, which is charged its one pair
+    if len(found) == 1 and num and power and budget.charge_terms(1 if c else 0, 1):
+        return None
+    total = Series._merged(monoid, ring, parts)
+    return TruncatedLaurent.from_series(total, min(tails, default=None)) if laurent else total
+
+
 def parse_series(
     text: str,
     monoid: OrderedMonoid,
@@ -515,11 +569,19 @@ def parse_series(
 ):
     """Parse and evaluate; Series normally, TruncatedLaurent in Laurent mode.
 
+    A sum of monomials is read in one regex pass (_read_sum); any other
+    text, or one that pass refuses, goes through parse_expr and eval_series.
     The products of the expression are charged to budget, a fresh
     ProductBudget when None; a command passes one budget to all its parses.
     """
-    node = parse_expr(text, var)
-    return eval_series(node, IntLine() if laurent else monoid, ring, laurent, budget)
+    if laurent:
+        monoid = IntLine()
+    if budget is None:
+        budget = ProductBudget()
+    value = _read_sum(text, monoid, ring, var, laurent, budget)
+    if value is None:
+        value = eval_series(parse_expr(text, var), monoid, ring, laurent, budget)
+    return value
 
 
 def _join_terms(f: Series, var: str, zero, rep) -> str:

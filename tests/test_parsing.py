@@ -1,8 +1,10 @@
 import operator
+import time
 from functools import reduce
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpsrb import (
     IntLine,
@@ -10,9 +12,11 @@ from gpsrb import (
     ParseError,
     QQ,
     Series,
+    TruncatedLaurent,
     Zmod,
     ZZ,
     indicator,
+    make_laurent,
     parse_series,
     render_laurent,
     render_series,
@@ -31,6 +35,7 @@ from gpsrb.parsing import (
     eval_series,
     parse_expr,
 )
+from gpsrb.cli import main
 
 from conftest import int_series, vec2_series
 
@@ -236,6 +241,9 @@ def _left_fold(text, ring, laurent):
         # evaluated parts over their own denominators, merged over the lcm
         ("1/2*e + (1/3*e)*(3/5) + 1/6 - 2/15*e", QQ, False, "1/6 + 17/30*e^1"),
         ("1/2*e + (1/3*e)*(3/2) + 1/6 + 5/6", QQ, False, "1 + e^1"),
+        # parts in parentheses leave the sum to the general parser
+        ("O(e^4) + (e) + O(e^2)", QQ, True, "e^1 + O(e^2)"),
+        ("(3*e^-1) + 6 + 4*e^-1 + O(e^1)", Zmod(7), True, "6 + O(e^1)"),
     ],
 )
 def test_one_pass_sum_matches_left_fold(text, ring, laurent, expected):
@@ -336,3 +344,211 @@ def test_products_of_one_budget_add_up(monkeypatch):
     assert f == parse_series("1 + e + e^2 + e^3", M, ZZ)
 
 
+
+
+# ---------------------------------------------------------------- one-pass sums
+# parse_series reads a sum of monomials in one regex pass and leaves every
+# other text, and every text whose parts do not evaluate, to parse_expr and
+# eval_series. Both paths must give the same value, stored alike, or the
+# same ParseError.
+
+
+def _outcome(parse):
+    try:
+        value = parse()
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+    laurent = isinstance(value, TruncatedLaurent)
+    series = value.series if laurent else value
+    return value, series._terms, series._den, hash(value), value.tail if laurent else None
+
+
+def assert_parses_as_general(text, monoid, ring, var="e", laurent=False):
+    def general():
+        return eval_series(parse_expr(text, var), M if laurent else monoid, ring, laurent)
+
+    def one_pass():
+        return parse_series(text, monoid, ring, var=var, laurent=laurent)
+
+    assert _outcome(one_pass) == _outcome(general), repr(text)
+
+
+@st.composite
+def monomial_sum(draw, var: str, dim: int, odd: bool) -> str:
+    """A sum of monomials in var as text, with exponents of dim coordinates
+    (an int when dim is 1). When odd, it may also hold a name that extends
+    var, a non-ASCII digit or blank, an int past the digit limit, an
+    exponent of another shape, or one token dropped or added."""
+    plain = [str(k) for k in range(13)] + ["0", "007", "123456789012"]
+    digits = st.sampled_from(plain + (["٣", "9" * 5000] if odd else []))
+    dens = st.sampled_from(["0", "1", "2", "3", "4", "6", "9"] + (["٣"] if odd else []))
+    signed = st.tuples(st.sampled_from(["", "-"]), digits).map(lambda t: [t[0], t[1]] if t[0] else [t[1]])
+    sizes = st.integers(1, 3) if odd else st.just(dim)
+    coords = sizes.flatmap(lambda n: st.lists(signed, min_size=n, max_size=n)).map(
+        lambda xs: ["(", *[tok for i, x in enumerate(xs) for tok in ([","] if i else []) + x], ")"]
+    )
+    exponent = (signed | coords) if odd else signed if dim == 1 else coords
+    names = st.sampled_from([var] * 4 + ([var + "x"] if odd else []))
+    power = names.map(lambda n: [n]) | st.tuples(names, exponent).map(lambda t: [t[0], "^", *t[1]])
+    coefficient = digits.map(lambda d: [d]) | st.tuples(digits, dens).map(lambda t: [t[0], "/", t[1]])
+    tail = st.tuples(names, signed).map(lambda t: ["O", "(", t[0], "^", *t[1], ")"])
+    mono = st.one_of(
+        coefficient, power, st.tuples(coefficient, power).map(lambda t: [*t[0], "*", *t[1]]), tail
+    )
+    terms = draw(st.lists(st.tuples(st.sampled_from(["", "+", "-", "-"]), mono), min_size=1, max_size=6))
+    tokens = []
+    for sign, toks in terms:
+        tokens += ([sign or "+"] if tokens else [sign] if sign else []) + toks
+    edit = draw(st.sampled_from(["none", "drop", "insert"])) if odd else "none"
+    if edit == "drop" and len(tokens) > 1:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    elif edit == "insert":
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(list("()^*/,+-$.O") + ["e", "²"])))
+    blank = st.sampled_from(["", "", " ", " ", "  ", "\n", "\t", " \n\t ", "\r\n"] + (["　", "\xa0"] if odd else []))
+    gaps = draw(st.lists(blank, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return gaps[0] + "".join(tok + gap for tok, gap in zip(tokens, gaps[1:]))
+
+
+MONOIDS = [M, IntLine(nonneg=True), V, IntVector(2, lex=True)]
+RINGS = [ZZ, QQ, Zmod(2), Zmod(7), Zmod(12)]
+
+
+@st.composite
+def sum_case(draw):
+    var = draw(st.sampled_from(["e", "e", "x", "t1", "_"]))
+    laurent = draw(st.booleans())
+    monoid = M if laurent else draw(st.sampled_from(MONOIDS))
+    dim = getattr(monoid, "dim", 1)
+    odd = draw(st.sampled_from([False, False, True]))
+    return draw(monomial_sum(var, dim, odd)), monoid, draw(st.sampled_from(RINGS)), var, laurent
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=sum_case())
+def test_sums_of_monomials_parse_as_the_general_parser_does(case):
+    text, monoid, ring, var, laurent = case
+    assert_parses_as_general(text, monoid, ring, var, laurent)
+
+
+@pytest.mark.parametrize(
+    "text,monoid,ring,laurent",
+    [
+        ("- 12*e^(0,-3) + 7/2*e^(1,-2)", V, QQ, False),
+        ("12*e^(-3,0) - 7/2*e^(1,-2)", IntVector(2, lex=True), Zmod(101), False),
+        ("- 12*e^-3 + 7/2*e^40", M, QQ, False),
+        ("- 12*e^-3 + 7*e^0 - 999*e^5 + O(e^40)", M, ZZ, True),
+        ("-7/2*e^-3 + O(e^-3) + 1/9*e^2", M, QQ, True),
+        ("O(e^-1)", M, QQ, True),
+        ("3*e^2", M, Zmod(7), False),
+        ("-3*e^2", M, ZZ, True),
+        ("0*e^4", M, Zmod(7), False),
+        ("7*e", M, Zmod(7), True),
+        (" 1 /\n2 *\te ^ ( - 1 ,\n2 ) - e ^(2,2) ", V, QQ, False),
+        ("e^3 - e^3 + 1/2 - 1/2", M, QQ, False),
+    ],
+)
+def test_bench_shaped_sums_skip_the_general_lexer(monkeypatch, text, monoid, ring, laurent):
+    expected = eval_series(parse_expr(text), M if laurent else monoid, ring, laurent)
+
+    def general_lexer(text):
+        raise AssertionError("a sum of monomials reached the general lexer")
+
+    monkeypatch.setattr(gpsrb.parsing, "_lex", general_lexer)
+    got = parse_series(text, monoid, ring, laurent=laurent)
+    assert got == expected and hash(got) == hash(expected)
+
+
+def _series_over(monoid, ring):
+    exps = st.integers(-12, 12) if monoid is M else st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    coeffs = st.tuples(st.integers(-50, 50), st.integers(1, 9) if ring is QQ else st.just(1))
+    return st.dictionaries(exps, coeffs, max_size=6).map(
+        lambda d: Series(monoid, ring, {s: ring.from_ratio(n, k) for s, (n, k) in d.items()})
+    )
+
+
+rendered = st.sampled_from([(M, ZZ), (M, QQ), (M, Zmod(7)), (V, QQ), (IntVector(2, lex=True), Zmod(12))]).flatmap(
+    lambda mr: _series_over(*mr)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=rendered, trunc=st.none() | st.integers(-12, 14), var=st.sampled_from(["e", "t1"]))
+def test_rendered_values_skip_the_general_lexer(f, trunc, var):
+    def general_lexer(text):
+        raise AssertionError("rendered text reached the general lexer")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gpsrb.parsing, "_lex", general_lexer)
+        assert parse_series(render_series(f, var), f.monoid, f.ring, var=var) == f
+        if f.monoid is M:
+            g = make_laurent(f.ring, {s: c for s, c in f.items() if trunc is None or s < trunc}, trunc)
+            assert parse_series(render_laurent(g, var), M, f.ring, var=var, laurent=True) == g
+
+
+@pytest.mark.parametrize(
+    "text,monoid,ring,laurent",
+    [
+        ("(1 + e) * (1 - e)", M, ZZ, False),  # not a sum of monomials
+        ("2 * 3 * e^2", M, ZZ, False),
+        ("e^2 + 1　+ e", M, ZZ, False),  # non-ASCII blank
+        ("٣*e^2", M, ZZ, False),  # non-ASCII digit
+        ("1 + O(e^2)", M, QQ, False),  # tail marker outside Laurent mode
+        ("1 + ex^2", M, QQ, False),  # a longer name
+        ("1/0*e", M, QQ, False),  # parts the pattern accepts but that do not evaluate
+        ("1/2*e + 1", M, ZZ, False),
+        ("1/2*e + 1", M, Zmod(4), True),
+        ("e^(1,2) + 1", M, ZZ, False),
+        ("e^-1 + 1", IntLine(nonneg=True), ZZ, False),
+        ("e^2 + 1", V, QQ, False),
+        ("e + " + "9" * 5000, M, ZZ, False),
+    ],
+)
+def test_other_texts_reach_the_general_parser(monkeypatch, text, monoid, ring, laurent):
+    expected = _outcome(lambda: eval_series(parse_expr(text), M if laurent else monoid, ring, laurent))
+    calls = []
+    lex = gpsrb.parsing._lex
+
+    def counted(text):
+        calls.append(text)
+        return lex(text)
+
+    monkeypatch.setattr(gpsrb.parsing, "_lex", counted)
+    assert _outcome(lambda: parse_series(text, monoid, ring, laurent=laurent)) == expected
+    assert calls == [text]
+
+
+def test_lone_product_is_charged_on_either_path(monkeypatch):
+    budget = ProductBudget()
+    parse_series("3*e^2", M, ZZ, budget=budget)
+    parse_series("-3*e^2 + O(e^5)", M, ZZ, laurent=True, budget=budget)  # a sum: no product
+    parse_series("0*e^2", M, Zmod(3), budget=budget)  # the literal 0 has no terms
+    assert budget.spent == 1
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 1)
+    with pytest.raises(ParseError) as err:
+        parse_series("-7*e", M, ZZ, laurent=True, budget=budget)
+    assert str(err.value) == (
+        "product of 1 x 1 terms = 1 coefficient pairs, above the budget of 1 with 1 spent by "
+        "earlier products (line 1, column 4)"
+    )
+
+
+@pytest.mark.parametrize(
+    "text,monoid",
+    [
+        ("1" + " " * 200_000 + "$", "Z"),
+        ("3" + " " * 50_000 + "*" + " " * 50_000 + "e" + " " * 50_000 + "^" + " " * 50_000 + "$", "Z"),
+        ("e^2 +" + " \n\t" * 66_000 + "+ 1", "Z"),
+        (" + ".join(f"{k + 10**8}*e^{k}" for k in range(10_000)) + " $", "Z"),
+        (" - ".join(f"{k}/7*e^(-{k}, {k})" for k in range(10_000)) + " (", "Z^2:product"),
+    ],
+    ids=["blank-run", "blank-runs-in-a-term", "newline-run", "terms-then-bad-char", "tuple-terms-then-paren"],
+)
+def test_long_refusals_take_linear_time(capsys, text, monoid):
+    assert len(text) >= 150_000
+    with pytest.raises(ParseError) as general:
+        parse_expr(text)
+    start = time.perf_counter()
+    code = main(["add", text, "0", "--monoid", monoid, "--ring", "Q"])
+    elapsed = time.perf_counter() - start
+    assert (code, capsys.readouterr().err) == (2, f"error: {general.value}\n")
+    assert elapsed < 10, f"{elapsed:.1f} s"
