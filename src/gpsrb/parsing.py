@@ -353,10 +353,7 @@ class ProductBudget:
 
     def charge(self, f, g) -> str | None:
         """Charge the pairs of f * g; None when they fit, else why the product is refused."""
-        return self.charge_terms(f.term_count(), g.term_count())
-
-    def charge_terms(self, m: int, n: int) -> str | None:
-        """Charge the pairs of a product of m x n terms, as charge does."""
+        m, n = f.term_count(), g.term_count()
         pairs = m * n
         if self.spent + pairs <= PRODUCT_BUDGET:
             self.spent += pairs
@@ -468,11 +465,13 @@ def _monomial(node: Node, monoid: OrderedMonoid, ring: Ring):
 # A sum of monomials, the text the renderers print and most inputs are, is
 # read by one regex pass. The patterns are ASCII-only, so any other numeral,
 # name character or blank leaves the text to the general lexer, the one owner
-# of those rules. Every quantifier is possessive: the sub-language needs no
-# backtracking, so a refusal takes time linear in the text.
-_W = r"\s*+"
-_INT = r"[0-9]++"
-_SIGNED = rf"-?+{_W}{_INT}"
+# of those rules. Between two blank runs of the pattern stands a character it
+# must match, and each choice is decided by the next character, so a refused
+# text is matched at most one way per position and the refusal takes time
+# linear in the text.
+_W = r"\s*"
+_INT = r"[0-9]+"
+_SIGNED = rf"(?:-{_W})?{_INT}"
 _BLANKS = str.maketrans("", "", " \t\n\r\f\v")  # what \s matches under re.ASCII
 
 
@@ -495,26 +494,27 @@ def _sum_reader(var: str, laurent: bool):
     except ValueError:
         return None
     v = re.escape(var)
-    power = rf"{v}{_W}(?:\^{_W}(?:{_SIGNED}|\({_W}{_SIGNED}{_W}(?:,{_W}{_SIGNED}{_W})*+\)){_W})?+"
-    mono = rf"{_INT}{_W}(?:/{_W}{_INT}{_W})?+(?:\*{_W}{power})?+|{power}"
+    power = rf"{v}{_W}(?:\^{_W}(?:{_SIGNED}|\({_W}{_SIGNED}{_W}(?:,{_W}{_SIGNED}{_W})*\)){_W})?"
+    mono = rf"{_INT}{_W}(?:/{_W}{_INT}{_W})?(?:\*{_W}{power})?|{power}"
     if laurent:
         mono += rf"|O{_W}\({_W}{v}{_W}\^{_W}{_SIGNED}{_W}\){_W}"
-    valid = rf"{_W}[+-]?+{_W}(?:{mono})(?:[+-]{_W}(?:{mono}))*+"
+    valid = rf"{_W}(?:[+-]{_W})?(?:{mono})(?:[+-]{_W}(?:{mono}))*"
     # the lookahead keeps the end of the text from making an empty match
     term = (
-        rf"([+-]?+)(?=.)(?:([0-9]++)(?:/([0-9]++))?+\*?+)?+"
-        rf"(?:({v})(?:\^(-?+[0-9]++|\([^)]*+\)))?+|O\({v}\^(-?+[0-9]++)\))?+"
+        rf"([+-]?)(?=.)(?:([0-9]+)(?:/([0-9]+))?\*?)?"
+        rf"(?:({v})(?:\^(-?[0-9]+|\([^)]*\)))?|O\({v}\^(-?[0-9]+)\))?"
     )
     return re.compile(valid, re.ASCII).fullmatch, re.compile(term, re.ASCII).findall
 
 
-def _read_sum(text: str, monoid: OrderedMonoid, ring: Ring, var: str, laurent: bool, budget: ProductBudget):
+def _read_sum(text: str, monoid: OrderedMonoid, ring: Ring, var: str, laurent: bool):
     """The value of text when it is a sum of monomials that evaluates, else None.
 
     None leaves text to the general parser, which evaluates to the same
     value or raises the positioned ParseError: so does every error here, a
-    literal or exponent the ring or monoid refuses, an int past the
-    interpreter's digit limit, or a lone c*e^k (a product) past the budget.
+    literal or exponent the ring or monoid refuses or an int past the
+    interpreter's digit limit. So does a lone c*e^k, which parses as a
+    product, for the general path to charge to the budget.
     """
     reader = _sum_reader(var, laurent)
     if reader is None:
@@ -523,6 +523,8 @@ def _read_sum(text: str, monoid: OrderedMonoid, ring: Ring, var: str, laurent: b
     if valid(text) is None:
         return None
     found = terms(text.translate(_BLANKS))
+    if len(found) == 1 and found[0][1] and found[0][3]:
+        return None
     zero, from_exponent = monoid.zero(), monoid.from_exponent
     ratio, m = ring.ratio, ring.modulus
     parts, tails = [], []
@@ -552,9 +554,6 @@ def _read_sum(text: str, monoid: OrderedMonoid, ring: Ring, var: str, laurent: b
             parts.append((((s, c),), d))
     except (ValueError, ZeroDivisionError):
         return None
-    # a lone c*e^k parses as a product, which is charged its one pair
-    if len(found) == 1 and num and power and budget.charge_terms(1 if c else 0, 1):
-        return None
     total = Series._merged(monoid, ring, parts)
     return TruncatedLaurent.from_series(total, min(tails, default=None)) if laurent else total
 
@@ -576,9 +575,7 @@ def parse_series(
     """
     if laurent:
         monoid = IntLine()
-    if budget is None:
-        budget = ProductBudget()
-    value = _read_sum(text, monoid, ring, var, laurent, budget)
+    value = _read_sum(text, monoid, ring, var, laurent)
     if value is None:
         value = eval_series(parse_expr(text, var), monoid, ring, laurent, budget)
     return value

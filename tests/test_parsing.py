@@ -439,10 +439,6 @@ def test_sums_of_monomials_parse_as_the_general_parser_does(case):
         ("- 12*e^-3 + 7*e^0 - 999*e^5 + O(e^40)", M, ZZ, True),
         ("-7/2*e^-3 + O(e^-3) + 1/9*e^2", M, QQ, True),
         ("O(e^-1)", M, QQ, True),
-        ("3*e^2", M, Zmod(7), False),
-        ("-3*e^2", M, ZZ, True),
-        ("0*e^4", M, Zmod(7), False),
-        ("7*e", M, Zmod(7), True),
         (" 1 /\n2 *\te ^ ( - 1 ,\n2 ) - e ^(2,2) ", V, QQ, False),
         ("e^3 - e^3 + 1/2 - 1/2", M, QQ, False),
     ],
@@ -474,8 +470,12 @@ rendered = st.sampled_from([(M, ZZ), (M, QQ), (M, Zmod(7)), (V, QQ), (IntVector(
 @settings(max_examples=150, deadline=None)
 @given(f=rendered, trunc=st.none() | st.integers(-12, 14), var=st.sampled_from(["e", "t1"]))
 def test_rendered_values_skip_the_general_lexer(f, trunc, var):
+    lex = gpsrb.parsing._lex
+
     def general_lexer(text):
-        raise AssertionError("rendered text reached the general lexer")
+        # only a lone c*e^k, a product, is left to the general path
+        assert "*" in text and " " not in text, "rendered text reached the general lexer"
+        return lex(text)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gpsrb.parsing, "_lex", general_lexer)
@@ -501,6 +501,10 @@ def test_rendered_values_skip_the_general_lexer(f, trunc, var):
         ("e^-1 + 1", IntLine(nonneg=True), ZZ, False),
         ("e^2 + 1", V, QQ, False),
         ("e + " + "9" * 5000, M, ZZ, False),
+        ("3*e^2", M, Zmod(7), False),  # a lone c*e^k: a product, charged to the budget
+        ("-3*e^2", M, ZZ, True),
+        ("0*e^4", M, Zmod(7), False),
+        ("7*e", M, Zmod(7), True),
     ],
 )
 def test_other_texts_reach_the_general_parser(monkeypatch, text, monoid, ring, laurent):
@@ -536,12 +540,15 @@ def test_lone_product_is_charged_on_either_path(monkeypatch):
     "text,monoid",
     [
         ("1" + " " * 200_000 + "$", "Z"),
+        (" " * 200_000 + "$", "Z"),
+        ("e^" + " \t" * 100_000 + "$", "Z"),
+        ("1 -" + " " * 200_000 + "$", "Z"),
         ("3" + " " * 50_000 + "*" + " " * 50_000 + "e" + " " * 50_000 + "^" + " " * 50_000 + "$", "Z"),
         ("e^2 +" + " \n\t" * 66_000 + "+ 1", "Z"),
         (" + ".join(f"{k + 10**8}*e^{k}" for k in range(10_000)) + " $", "Z"),
         (" - ".join(f"{k}/7*e^(-{k}, {k})" for k in range(10_000)) + " (", "Z^2:product"),
     ],
-    ids=["blank-run", "blank-runs-in-a-term", "newline-run", "terms-then-bad-char", "tuple-terms-then-paren"],
+    ids=["blank-run", "leading-blank-run", "blank-run-in-an-exponent", "blank-run-after-a-sign", "blank-runs-in-a-term", "newline-run", "terms-then-bad-char", "tuple-terms-then-paren"],
 )
 def test_long_refusals_take_linear_time(capsys, text, monoid):
     assert len(text) >= 150_000
