@@ -466,9 +466,10 @@ def _monomial(node: Node, monoid: OrderedMonoid, ring: Ring):
 # read by one regex pass. The patterns are ASCII-only, so any other numeral,
 # name character or blank leaves the text to the general lexer, the one owner
 # of those rules. Between two blank runs of the pattern stands a character it
-# must match, and each choice is decided by the next character, so a refused
+# must match, and each choice is settled by the next lexeme, so a refused
 # text is matched at most one way per position and the refusal takes time
-# linear in the text.
+# linear in the text. The quantifiers are greedy: re accepts possessive ones
+# only from Python 3.11.
 _W = r"\s*"
 _INT = r"[0-9]+"
 _SIGNED = rf"(?:-{_W})?{_INT}"
