@@ -8,7 +8,8 @@ seeded end-to-end run of the pole-part projector.
 Exit codes: 0 all checks passed (window-limited passes are flagged in the
 output), 1 a counterexample was found, 2 usage or input error (including an
 rb-check or cutoff-scan run above PAIR_BUDGET single-term pairs, products of
-parsed series above parsing.PRODUCT_BUDGET coefficient pairs in all, a Laurent
+parsed series above parsing.PRODUCT_BUDGET coefficient pairs in all, where a
+product of at most one pair is not counted, a Laurent
 --json window above LAURENT_JSON_BUDGET coefficients, Z^d with d above MAX_DIM,
 a table file above monoids.MAX_TABLE_SIZE elements, theorem-verify --max-size
 above MAX_SWEEP_SIZE or full scans above oracles.SCAN_PAIR_BUDGET single-term

@@ -25,11 +25,12 @@ c*VAR^k (and, in Laurent mode, O(VAR^k) parts) in one regex pass, with no
 lexeme list and no AST (_read_sum); any other text, and any text whose
 parts the ring or monoid refuses, goes through the lexer, the parser and
 eval_series, which report every error with its position. AST nodes are
-tuples built by tuple.__new__, and a sum of monomials evaluates with one
-membership check per exponent and coefficient, where each is made, and one
-merge of all the terms. All the products of one expression share one
-ProductBudget, and a command passes one budget to all of its parses and
-products.
+tuples built by tuple.__new__, and eval_series evaluates one node class per
+branch. All the products of one expression share one ProductBudget, and a
+command passes one budget to all of its parses and products. A product of
+at most one coefficient pair forms at most one term, as a monomial read in
+the one pass does, so it is neither charged nor refused; every other
+product is charged |f| x |g| pairs.
 
 Renderers produce strings this grammar parses back to an equal value
 (modular coefficients print as their canonical residue).
@@ -345,7 +346,8 @@ class ProductBudget:
 
     Each product is charged |f| x |g| coefficient pairs from the term counts
     before it is formed, so an expression of k products costs at most what
-    one product at the budget does, not k times that.
+    one product at the budget does, not k times that. A product of at most
+    one pair is never charged, so `3*e^2` costs nothing on either parse path.
     """
 
     def __init__(self):
@@ -355,6 +357,8 @@ class ProductBudget:
         """Charge the pairs of f * g; None when they fit, else why the product is refused."""
         m, n = f.term_count(), g.term_count()
         pairs = m * n
+        if pairs <= 1:  # at most one term, as a monomial read from text
+            return None
         if self.spent + pairs <= PRODUCT_BUDGET:
             self.spent += pairs
             return None
@@ -379,21 +383,14 @@ def eval_series(
         budget = ProductBudget()
     kind = type(node)
     if kind is Sum:
-        # one pass: monomials become terms directly, every other part is
-        # evaluated, and the parts are merged once; each exponent and each
-        # coefficient was checked where it was made
         parts, tails = [], []
         for part in node.parts:
-            term = _monomial(part, monoid, ring)
-            if term is not None:
-                s, c, d = term
-                parts.append((((s, c),), d))
-                continue
             value = eval_series(part, monoid, ring, laurent, budget)
-            series = value.series if laurent else value
-            parts.append(series._part())
-            if laurent and not value.exact:
-                tails.append(value.trunc)
+            if laurent:
+                if not value.exact:
+                    tails.append(value.trunc)
+                value = value.series
+            parts.append(value._part())
         total = Series._merged(monoid, ring, parts)
         # a Laurent sum is known below the smallest tail among its parts
         return TruncatedLaurent.from_series(total, min(tails, default=None)) if laurent else total
@@ -413,53 +410,22 @@ def eval_series(
         if not laurent:
             raise ParseError("O(...) tail marker is only valid in Laurent mode", node.line, node.col)
         return make_laurent(ring, {}, node.exponent)
-    term = _monomial(node, monoid, ring)
-    if term is None:
-        raise TypeError(f"unknown node {node!r}")
-    s, c, d = term
-    series = Series._merged(monoid, ring, [(((s, c),), d)])
-    return TruncatedLaurent.from_series(series) if laurent else series
-
-
-def _monomial(node: Node, monoid: OrderedMonoid, ring: Ring):
-    """(exponent, numerator, denominator) for c, e^k, c*e^k or a negation of one; else None.
-
-    The literal is read before the exponent, the order eval_series evaluates
-    them in, so the first bad literal or exponent raises the same ParseError
-    it would.
-    """
-    negated = False
-    while type(node) is Neg:
-        node, negated = node.inner, not negated
-    kind = type(node)
-    if kind is Product:
-        factors = node.factors
-        if len(factors) != 2:
-            return None
-        lit, power = factors
-        if type(lit) is not Lit or type(power) is not Pow:
-            return None
-    elif kind is Lit:
-        lit, power = node, None
+    if kind is Lit:
+        try:
+            c, d = ring.ratio(node.num, node.den)
+        except (ValueError, ZeroDenominator) as exc:
+            raise ParseError(str(exc), node.line, node.col) from None
+        s = monoid.zero()
     elif kind is Pow:
-        lit, power = None, node
-    else:
-        return None
-    if lit is None:
+        try:
+            s = monoid.from_exponent(node.exponent)
+        except BadElement as exc:
+            raise ParseError(str(exc), node.line, node.col) from None
         c, d = 1, 1
     else:
-        try:
-            c, d = ring.ratio(lit.num, lit.den)
-        except (ValueError, ZeroDenominator) as exc:
-            raise ParseError(str(exc), lit.line, lit.col) from None
-    if power is None:
-        s = monoid.zero()
-    else:
-        try:
-            s = monoid.from_exponent(power.exponent)
-        except BadElement as exc:
-            raise ParseError(str(exc), power.line, power.col) from None
-    return s, ring.reduce(-c) if negated else c, d
+        raise TypeError(f"unknown node {node!r}")
+    series = Series._merged(monoid, ring, [(((s, c),), d)])
+    return TruncatedLaurent.from_series(series) if laurent else series
 
 
 # A sum of monomials, the text the renderers print and most inputs are, is
@@ -514,8 +480,7 @@ def _read_sum(text: str, monoid: OrderedMonoid, ring: Ring, var: str, laurent: b
     None leaves text to the general parser, which evaluates to the same
     value or raises the positioned ParseError: so does every error here, a
     literal or exponent the ring or monoid refuses or an int past the
-    interpreter's digit limit. So does a lone c*e^k, which parses as a
-    product, for the general path to charge to the budget.
+    interpreter's digit limit.
     """
     reader = _sum_reader(var, laurent)
     if reader is None:
@@ -524,8 +489,6 @@ def _read_sum(text: str, monoid: OrderedMonoid, ring: Ring, var: str, laurent: b
     if valid(text) is None:
         return None
     found = terms(text.translate(_BLANKS))
-    if len(found) == 1 and found[0][1] and found[0][3]:
-        return None
     zero, from_exponent = monoid.zero(), monoid.from_exponent
     ratio, m = ring.ratio, ring.modulus
     parts, tails = [], []

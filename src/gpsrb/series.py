@@ -37,21 +37,15 @@ class Series:
 
     def __init__(self, monoid: OrderedMonoid, ring: Ring, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        contains, m = ring.contains, ring.modulus
-        acc: dict = {}
+        contains = ring.contains
+        parts = []
         for s, c in items:
             monoid.check_elem(s)
             if not contains(c):
                 raise TypeError(f"coefficient {c!r} is not in {ring}")
-            if s in acc:
-                c += acc[s]
-                if m:
-                    c %= m
-            acc[s] = c
-        # an int is its own numerator over 1, a Fraction is in lowest terms
-        den = lcm(*[c.denominator for c in acc.values()])
-        nums = {s: c.numerator * (den // c.denominator) for s, c in acc.items() if c}
-        out = Series._raw(monoid, ring, nums, den)
+            # an int is its own numerator over 1, a Fraction is in lowest terms
+            parts.append((((s, c.numerator),), c.denominator))
+        out = Series._merged(monoid, ring, parts)
         _set_monoid(self, monoid)
         _set_ring(self, ring)
         _set_terms(self, out._terms)

@@ -441,6 +441,10 @@ def test_sums_of_monomials_parse_as_the_general_parser_does(case):
         ("O(e^-1)", M, QQ, True),
         (" 1 /\n2 *\te ^ ( - 1 ,\n2 ) - e ^(2,2) ", V, QQ, False),
         ("e^3 - e^3 + 1/2 - 1/2", M, QQ, False),
+        ("3*e^2", M, Zmod(7), False),  # a lone c*e^k
+        ("-3*e^2", M, ZZ, True),
+        ("0*e^4", M, Zmod(7), False),
+        ("7*e", M, Zmod(7), True),
     ],
 )
 def test_bench_shaped_sums_skip_the_general_lexer(monkeypatch, text, monoid, ring, laurent):
@@ -470,12 +474,8 @@ rendered = st.sampled_from([(M, ZZ), (M, QQ), (M, Zmod(7)), (V, QQ), (IntVector(
 @settings(max_examples=150, deadline=None)
 @given(f=rendered, trunc=st.none() | st.integers(-12, 14), var=st.sampled_from(["e", "t1"]))
 def test_rendered_values_skip_the_general_lexer(f, trunc, var):
-    lex = gpsrb.parsing._lex
-
     def general_lexer(text):
-        # only a lone c*e^k, a product, is left to the general path
-        assert "*" in text and " " not in text, "rendered text reached the general lexer"
-        return lex(text)
+        raise AssertionError(f"rendered text {text!r} reached the general lexer")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gpsrb.parsing, "_lex", general_lexer)
@@ -501,10 +501,6 @@ def test_rendered_values_skip_the_general_lexer(f, trunc, var):
         ("e^-1 + 1", IntLine(nonneg=True), ZZ, False),
         ("e^2 + 1", V, QQ, False),
         ("e + " + "9" * 5000, M, ZZ, False),
-        ("3*e^2", M, Zmod(7), False),  # a lone c*e^k: a product, charged to the budget
-        ("-3*e^2", M, ZZ, True),
-        ("0*e^4", M, Zmod(7), False),
-        ("7*e", M, Zmod(7), True),
     ],
 )
 def test_other_texts_reach_the_general_parser(monkeypatch, text, monoid, ring, laurent):
@@ -521,18 +517,36 @@ def test_other_texts_reach_the_general_parser(monkeypatch, text, monoid, ring, l
     assert calls == [text]
 
 
-def test_lone_product_is_charged_on_either_path(monkeypatch):
+def test_products_of_at_most_one_pair_are_free(monkeypatch):
+    # such a product forms at most one term, as a monomial read in one pass
+    # does, so neither parse path charges it or refuses it
+    cases = [
+        ("3*e^2", False, Series(M, ZZ, {2: 3})),
+        ("(3*e^2)", False, Series(M, ZZ, {2: 3})),
+        ("2*3*e^2", False, Series(M, ZZ, {2: 6})),
+        ("-3*e^2 + O(e^5)", True, make_laurent(ZZ, {2: -3}, 5)),
+        ("(2*e + O(e^4)) * e^-1", True, make_laurent(ZZ, {0: 2}, 3)),
+    ]
     budget = ProductBudget()
-    parse_series("3*e^2", M, ZZ, budget=budget)
-    parse_series("-3*e^2 + O(e^5)", M, ZZ, laurent=True, budget=budget)  # a sum: no product
-    parse_series("0*e^2", M, Zmod(3), budget=budget)  # the literal 0 has no terms
-    assert budget.spent == 1
-    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 1)
+    for text, laurent, value in cases:
+        assert parse_series(text, M, ZZ, laurent=laurent, budget=budget) == value
+    assert budget.spent == 0
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 0)
+    for text, laurent, value in cases:
+        assert parse_series(text, M, ZZ, laurent=laurent) == value
+    # 19,999 products of one pair each
+    start = time.perf_counter()
+    assert parse_series("*".join(["e"] * 20_000), M, ZZ, budget=budget) == Series(M, ZZ, {20_000: 1})
+    assert budget.spent == 0 and time.perf_counter() - start < 10
+    # every larger product is charged all its pairs
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 4)
+    assert parse_series("(1 + e) * (1 - e)", M, ZZ, budget=budget) == Series(M, ZZ, {0: 1, 2: -1})
+    assert budget.spent == 4
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 3)
     with pytest.raises(ParseError) as err:
-        parse_series("-7*e", M, ZZ, laurent=True, budget=budget)
+        parse_series("(1 + e) * (1 - e)", M, ZZ)
     assert str(err.value) == (
-        "product of 1 x 1 terms = 1 coefficient pairs, above the budget of 1 with 1 spent by "
-        "earlier products (line 1, column 4)"
+        "product of 2 x 2 terms = 4 coefficient pairs, above the budget of 3 (line 1, column 12)"
     )
 
 
