@@ -36,8 +36,8 @@ DEFAULT_MAX_SIZE = 12  # the default of theorem-verify --max-size
 # single-term pairs the full scans of one sweep may cover: (closed +
 # rescanned masks) x n^2, known once the structural route has run and before
 # the first scan. max(12), whose 4,096 masks are all closed (589,824 pairs),
-# sweeps in 0.9-1.1 s; scans ran at 1.2-1.9 us a pair from max(12) to
-# max(14), so a sweep at the budget takes about 1.2-2 s, on one core of a
+# sweeps in 0.45-0.56 s; scans ran at 0.8-1.2 us a pair from max(12) to
+# max(14), so a sweep at the budget takes about 0.8-1.2 s, on one core of a
 # shared 2-vCPU x86 host with Python 3.11
 SCAN_PAIR_BUDGET = 1_000_000
 

@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Iterator
 from .monoids import FiniteTable, OrderedMonoid, _is_int
 from .outcomes import CheckOutcome, outcome_fail, outcome_on_window, outcome_pass
 from .scalars import ZZ, Ring
-from .series import Series, indicator
+from .series import Series, _convolve, indicator
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,12 @@ class Projector:
     label: str = "custom"
 
     def __call__(self, f: Series) -> Series:
+        self._check(f)
+        return f._kept(self.keeps)
+
+    def _check(self, f: Series) -> None:
         if f.monoid is not self.monoid and f.monoid != self.monoid:
             raise TypeError(f"projector on {self.monoid} applied to series over {f.monoid}")
-        return f._kept(self.keeps)
 
     def kept(self, window: Iterable) -> list:
         return [s for s in window if self.keeps(s)]
@@ -94,9 +97,31 @@ def defect_terms(P: Callable, f, g) -> tuple:
 
 
 def rb_defect(P: Callable, f, g):
-    """P(f)P(g) - P(f P(g)) - P(P(f) g) + P(f g), the signed sum of defect_terms."""
-    t1, t2, t3, t4 = defect_terms(P, f, g)
-    return t1 - t2 - t3 + t4
+    """P(f)P(g) - P(f P(g)) - P(P(f) g) + P(f g), the signed sum of defect_terms.
+
+    For a Projector this is one signed term map: the four products of the
+    numerators (series._convolve) over the one denominator of f g, the
+    exponents P kills dropped from the last three, reduced mod m once and
+    brought to lowest terms by one _raw. Any other projector callable
+    (laurent.pole_part) takes the signed sum of the four values.
+    """
+    if not isinstance(P, Projector):
+        t1, t2, t3, t4 = defect_terms(P, f, g)
+        return t1 - t2 - t3 + t4
+    P._check(f)
+    P._check(g)
+    f._check_peer(g)
+    monoid, keeps, m, F, G = P.monoid, P.keeps, f.ring.modulus, f._terms, g._terms
+    pF = {s: c for s, c in F.items() if keeps(s)}
+    pG = {s: c for s, c in G.items() if keeps(s)}
+    acc = _convolve(monoid, pF, pG, m)
+    get = acc.get
+    for sign, x, y in ((-1, F, pG), (-1, pF, G), (1, F, G)):
+        for s, c in _convolve(monoid, x, y, m).items():
+            if keeps(s):
+                acc[s] = get(s, 0) + sign * c
+    acc = {s: r for s, c in acc.items() if (r := c % m if m else c)}
+    return Series._raw(monoid, f.ring, acc, f._den * g._den)
 
 
 def closed_under_addition(monoid: OrderedMonoid, subset: Iterable, window: Iterable) -> CheckOutcome:

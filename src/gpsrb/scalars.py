@@ -32,9 +32,8 @@ class Ring:
     """Descriptor for one of the coefficient rings.
 
     Subclasses set `modulus`: None for Z and Q, m for Z/m. Sums and products
-    of stored numerators are computed on the bare ints and brought back into
-    the ring by `reduce`; the series kernels read `modulus` to reduce once
-    per output term.
+    of stored numerators are computed on the bare ints; the series kernels
+    read `modulus` and reduce each output term mod m once.
     """
 
     modulus: int | None
@@ -66,10 +65,6 @@ class Ring:
 
     def contains(self, c) -> bool:
         raise NotImplementedError
-
-    def reduce(self, c: int) -> int:
-        """The stored numerator an integer sum or product of numerators stands for."""
-        return c
 
     # the text of one value with denominator 1 (every value off Q), as
     # `__str__` and `to_json` show it: the builtin itself, so printing a term
@@ -144,9 +139,6 @@ class ModRing(Ring):
 
     def contains(self, c) -> bool:
         return type(c) is int and 0 <= c < self.modulus
-
-    def reduce(self, c: int) -> int:
-        return c % self.modulus
 
     def fmt(self, c: int) -> str:
         return f"{c} mod {self.modulus}"

@@ -207,65 +207,14 @@ class Series:
         return self.mul(other)
 
     def mul(self, other: "Series", below: int | None = None) -> "Series":
-        """The convolution product of the numerators, over the product of the denominators.
+        """The product of the numerators (`_convolve`), over the product of the denominators.
 
-        The integer product runs as one packed big-int product (`_packed`)
-        when the monoid has int exponents, the smaller factor has at least
-        PACK_MIN_TERMS terms and the pairs cover the product's exponent
-        span at least PACK_DENSITY times over, once more for every 16 bytes
-        of slot (`slot_bytes`); every other product runs the dict loop,
-        which adds each pair product into a map keyed by the exponent sum
-        (`u + v` inline on int exponents, `monoid.add` on any other monoid).
-        Over Q the result is brought to lowest terms once, by `_raw`.
-
-        With integer exponents, below drops every exponent >= below: each
-        factor is first trimmed to the terms that can land below it.
+        Over Q the result is brought to lowest terms once, by `_raw`. With
+        integer exponents, below drops every exponent >= below.
         """
         self._check_peer(other)
-        monoid, ring = self.monoid, self.ring
-        f, g = self._terms, other._terms
-        if below is not None and f and g:
-            f_lo, g_lo = min(f), min(g)
-            f = {u: c for u, c in f.items() if u < below - g_lo}
-            g = {v: c for v, c in g.items() if v < below - f_lo}
-        m = ring.modulus
-        # with a one-term factor each pair is its own output term, so packing
-        # could save nothing
-        nb = slot_bytes(monoid, f, g, m) if len(f) > 1 and len(g) > 1 else 0
-        if nb:
-            acc = _packed(f, g, m, below, nb)
-        else:
-            pairs = g.items()
-            if below is not None:
-                pairs = sorted(pairs)
-                keys = [v for v, _ in pairs]
-            acc = {}
-            if monoid.int_exponents:
-                # the same loop with the sum inline, which costs half of a
-                # bound-method call per pair
-                for u, cu in f.items():
-                    for v, cv in pairs if below is None else pairs[: bisect_left(keys, below - u)]:
-                        s = u + v
-                        if s in acc:
-                            acc[s] += cu * cv
-                        else:
-                            acc[s] = cu * cv
-            else:
-                add = monoid.add
-                for u, cu in f.items():
-                    for v, cv in pairs if below is None else pairs[: bisect_left(keys, below - u)]:
-                        s = add(u, v)
-                        if s in acc:
-                            acc[s] += cu * cv
-                        else:
-                            acc[s] = cu * cv
-            if m:
-                acc = {s: r for s, c in acc.items() if (r := c % m)}
-            elif len(acc) < len(f) * len(g):
-                # over Z and Q a product of nonzero terms is nonzero, so a
-                # zero sum needs two pairs landing on the same exponent
-                acc = {s: c for s, c in acc.items() if c}
-        return Series._raw(monoid, ring, acc, self._den * other._den)
+        acc = _convolve(self.monoid, self._terms, other._terms, self.ring.modulus, below)
+        return Series._raw(self.monoid, self.ring, acc, self._den * other._den)
 
     def below(self, bound: int) -> "Series":
         """The terms at integer exponents < bound."""
@@ -344,6 +293,62 @@ _set_monoid, _set_ring, _set_terms, _set_den = (Series.__dict__[name].__set__ fo
 # over, once more for every 16 bytes of slot (README, "Packed products").
 PACK_MIN_TERMS = 12
 PACK_DENSITY = 4
+
+
+def _convolve(monoid: OrderedMonoid, f: dict, g: dict, m: int | None, below: int | None = None) -> dict:
+    """The convolution of two numerator maps, reduced mod m when m is set; zeros dropped.
+
+    The integer product runs as one packed big-int product (`_packed`)
+    when the monoid has int exponents, the smaller factor has at least
+    PACK_MIN_TERMS terms and the pairs cover the product's exponent span at
+    least PACK_DENSITY times over, once more for every 16 bytes of slot
+    (`slot_bytes`); every other product runs the dict loop, which adds each
+    pair product into a map keyed by the exponent sum (`u + v` inline on int
+    exponents, `monoid.add` on any other monoid).
+
+    With integer exponents, below drops every exponent >= below: each
+    factor is first trimmed to the terms that can land below it.
+    """
+    if below is not None and f and g:
+        f_lo, g_lo = min(f), min(g)
+        f = {u: c for u, c in f.items() if u < below - g_lo}
+        g = {v: c for v, c in g.items() if v < below - f_lo}
+    # with a one-term factor each pair is its own output term, so packing
+    # could save nothing
+    nb = slot_bytes(monoid, f, g, m) if len(f) > 1 and len(g) > 1 else 0
+    if nb:
+        return _packed(f, g, m, below, nb)
+    pairs = g.items()
+    if below is not None:
+        pairs = sorted(pairs)
+        keys = [v for v, _ in pairs]
+    acc = {}
+    if monoid.int_exponents:
+        # the same loop with the sum inline, which costs half of a
+        # bound-method call per pair
+        for u, cu in f.items():
+            for v, cv in pairs if below is None else pairs[: bisect_left(keys, below - u)]:
+                s = u + v
+                if s in acc:
+                    acc[s] += cu * cv
+                else:
+                    acc[s] = cu * cv
+    else:
+        add = monoid.add
+        for u, cu in f.items():
+            for v, cv in pairs if below is None else pairs[: bisect_left(keys, below - u)]:
+                s = add(u, v)
+                if s in acc:
+                    acc[s] += cu * cv
+                else:
+                    acc[s] = cu * cv
+    if m:
+        return {s: r for s, c in acc.items() if (r := c % m)}
+    if len(acc) < len(f) * len(g):
+        # over Z and Q a product of nonzero terms is nonzero, so a zero sum
+        # needs two pairs landing on the same exponent
+        return {s: c for s, c in acc.items() if c}
+    return acc
 
 
 def slot_bytes(monoid: OrderedMonoid, f: dict, g: dict, m: int | None) -> int:

@@ -73,7 +73,7 @@ def naive_convolve(f: Series, g: Series) -> Series:
             for v in g.support():
                 if add(u, v) == s:
                     total = total + f.coeff(u) * g.coeff(v)
-        terms[s] = f.ring.reduce(total)
+        terms[s] = total % f.ring.modulus if f.ring.modulus else total
     return Series(f.monoid, f.ring, terms)
 
 

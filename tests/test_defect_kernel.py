@@ -1,0 +1,200 @@
+"""rb_defect on a Projector, one signed term map, against the four values of defect_terms.
+
+On a Projector, rb_defect forms the four products of the stored numerators
+over one denominator, drops the exponents P kills from the last three and
+sums them with their signs in one map. defect_terms builds the four terms as
+Series values, through P(.), * and the projections of whole products, and is
+the oracle here: the signed sum t1 - t2 - t3 + t4 of its terms must store the
+same numerators over the same denominator, on every monoid, ring and kind of
+projector, and every refusal must be the one the P(f)-first path makes.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gpsrb.series
+from gpsrb import (
+    IntLine,
+    IntVector,
+    MonoidMismatch,
+    Projector,
+    QQ,
+    RingMismatch,
+    Series,
+    ZZ,
+    Zmod,
+    default_corpus,
+    int_window,
+    rb_defect,
+    vector_window,
+)
+from gpsrb.cli import parse_decomposition
+from gpsrb.projectors import defect_terms
+from gpsrb.series import PACK_MIN_TERMS
+
+from conftest import rat_scalars
+
+M = IntLine()
+NAT = IntLine(nonneg=True)
+PROD = IntVector(2)
+LEX = IntVector(2, lex=True)
+Z7 = Zmod(7)
+RINGS = (ZZ, QQ, Z7)
+
+
+def signed_sum(P, f, g) -> Series:
+    t1, t2, t3, t4 = defect_terms(P, f, g)
+    return t1 - t2 - t3 + t4
+
+
+def assert_matches_oracle(P, f, g) -> Series:
+    d, want = rb_defect(P, f, g), signed_sum(P, f, g)
+    assert (d._terms, d._den) == (want._terms, want._den)
+    return d
+
+
+def with_complements(projectors: list) -> list:
+    return projectors + [P.complement() for P in projectors]
+
+
+# (monoid, window the operands draw their exponents from, projectors); a
+# finite table draws a mask instead
+INFINITE_CASES = [
+    (M, list(int_window(-6, 6)), with_complements([
+        Projector.cutoff(M, 0),
+        Projector.cutoff(M, 3),
+        parse_decomposition(M, "evens"),
+        parse_decomposition(M, "odds"),
+        Projector(M, lambda s: s % 3 == 0, "multiples-of-3"),
+    ])),
+    (NAT, list(int_window(0, 8)), with_complements([
+        Projector.cutoff(NAT, 3),
+        parse_decomposition(NAT, "odds"),
+        Projector(NAT, lambda s: s in (1, 4, 5), "custom"),
+    ])),
+    (PROD, list(vector_window(-2, 2, 2)), with_complements([
+        Projector.cutoff(PROD, (0, 0)),
+        Projector.cutoff(PROD, (1, -1)),
+        Projector(PROD, lambda s: s[0] >= s[1], "custom"),
+    ])),
+    (LEX, list(vector_window(-2, 2, 2)), with_complements([
+        Projector.cutoff(LEX, (0, 1)),
+        Projector(LEX, lambda s: (s[0] + s[1]) % 2 == 0, "custom"),
+    ])),
+]
+TABLES = default_corpus()
+
+
+def scalars(ring):
+    if ring is QQ:
+        return rat_scalars
+    return st.integers(-30, 30).map(ring.from_int)
+
+
+@st.composite
+def defect_cases(draw):
+    if draw(st.booleans()):
+        monoid, elems, projectors = draw(st.sampled_from(INFINITE_CASES))
+        P = draw(st.sampled_from(projectors))
+    else:
+        monoid = draw(st.sampled_from(TABLES))
+        elems = list(monoid.carrier())
+        P = Projector.from_mask(monoid, draw(st.integers(0, (1 << monoid.n) - 1)))
+        if draw(st.booleans()):
+            P = P.complement()
+    ring = draw(st.sampled_from(RINGS))
+    series = st.dictionaries(st.sampled_from(elems), scalars(ring), max_size=6)
+    f, g = (Series(monoid, ring, draw(series)) for _ in range(2))
+    return P, f, g
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=defect_cases())
+def test_projector_defect_is_the_signed_sum_of_defect_terms(case):
+    assert_matches_oracle(*case)
+
+
+def test_corpus_single_term_pairs_on_every_mask():
+    for table in TABLES:
+        ones = [Series(table, ZZ, {s: 1}) for s in table.carrier()]
+        for mask in range(1 << table.n):
+            P = Projector.from_mask(table, mask)
+            for eu in ones:
+                for ev in ones:
+                    assert_matches_oracle(P, eu, ev)
+
+
+def test_projection_that_lowers_the_denominator():
+    # P(f) = 1/2 e^1 is stored over 2, f over 6: the kernel works over
+    # f._den * g._den and must still land on lowest terms
+    P = Projector(M, lambda s: s == 1, "only-1")
+    f = Series(M, QQ, {1: Fraction(1, 2), 2: Fraction(1, 3)})
+    assert (f._den, P(f)._den) == (6, 2)
+    nonzero = 0
+    for g in (f, Series(M, QQ, {0: Fraction(3, 5), 1: Fraction(1, 4)}), Series(M, QQ, {-1: Fraction(2, 3)})):
+        for Q in (P, P.complement()):
+            nonzero += not assert_matches_oracle(Q, f, g).is_zero()
+            nonzero += not assert_matches_oracle(Q, g, f).is_zero()
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z7])
+def test_dense_operands_take_the_packed_product(monkeypatch, ring):
+    calls = []
+    real = gpsrb.series._packed
+    monkeypatch.setattr(gpsrb.series, "_packed", lambda *a: calls.append(a) or real(*a))
+    n = 2 * PACK_MIN_TERMS
+    f = Series(M, ring, {k: ring.from_int(k % 5 - 2 or 7) for k in range(n)})
+    g = Series(M, ring, {k: ring.from_int(3 - k % 4 or 5) for k in range(-3, n - 3)})
+    for spec in ("evens", "odds", "below(9)"):
+        P = parse_decomposition(M, spec)
+        assert not assert_matches_oracle(P, f, g).is_zero()
+    assert calls
+
+
+def kinds(P, f, g):
+    """The exception class and message of rb_defect and of the P(f)-first signed sum."""
+    out = []
+    for fn in (rb_defect, signed_sum):
+        with pytest.raises(TypeError) as info:
+            fn(P, f, g)
+        out.append((type(info.value), str(info.value)))
+    return out
+
+
+def test_refusals_match_the_signed_sum_path():
+    P = Projector.cutoff(M, 0)
+    on_m, on_nat, on_prod = Series(M, ZZ, {1: 1}), Series(NAT, ZZ, {1: 1}), Series(PROD, ZZ, {(0, 1): 1})
+    # f off P's monoid is reported first, as a plain TypeError naming f's monoid
+    for f, g in ((on_prod, on_m), (on_prod, on_nat), (on_nat, on_prod)):
+        new, old = kinds(P, f, g)
+        assert new == old and new[0] is TypeError and str(f.monoid) in new[1]
+    # f on P's monoid, g not: g is reported, a monoid mismatch between them
+    new, old = kinds(P, on_m, on_prod)
+    assert new == old and new[0] is TypeError and str(PROD) in new[1]
+    assert not issubclass(new[0], MonoidMismatch)
+    # one monoid, two rings
+    new, old = kinds(P, on_m, Series(M, QQ, {1: Fraction(1, 2)}))
+    assert new == old and new[0] is RingMismatch
+
+
+def test_projector_defect_makes_no_series_values(monkeypatch):
+    P, Q = parse_decomposition(M, "odds"), Projector.from_mask(TABLES[4], 0b10110)
+    cases = [
+        (P, Series(M, QQ, {1: Fraction(1, 2), 2: Fraction(1, 3)}), Series(M, QQ, {1: Fraction(3, 4), -2: Fraction(1, 5)})),
+        (P.complement(), Series(M, Z7, {1: 3, 4: 6}), Series(M, Z7, {3: 5})),
+        (Q, Series(Q.monoid, ZZ, {1: 2, 3: -1}), Series(Q.monoid, ZZ, {2: 1, 4: 3})),
+    ]
+    want = [signed_sum(*case) for case in cases]
+    assert any(not d.is_zero() for d in want)
+
+    def refuse(*args):
+        raise AssertionError("rb_defect on a Projector built a Series value")
+
+    for name in ("__mul__", "__add__", "__sub__", "mul"):
+        monkeypatch.setattr(Series, name, refuse)
+    monkeypatch.setattr(Projector, "__call__", refuse)
+    assert [rb_defect(*case) for case in cases] == want

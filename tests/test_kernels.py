@@ -68,7 +68,9 @@ def laurent_pairs(draw):
 
 def naive_add(f: Series, g: Series) -> Series:
     exps = set(f.support()) | set(g.support())
-    return Series(f.monoid, f.ring, {s: f.ring.reduce(f.coeff(s) + g.coeff(s)) for s in exps})
+    m = f.ring.modulus
+    sums = {s: f.coeff(s) + g.coeff(s) for s in exps}
+    return Series(f.monoid, f.ring, {s: c % m if m else c for s, c in sums.items()})
 
 
 def assert_canonical_series(h: Series) -> None:
@@ -286,7 +288,7 @@ def test_every_output_slot_at_the_slot_bound(ring, sign):
     assert packed(f, g)
     h = f * g
     assert h == naive_convolve(f, g)
-    assert h.coeff(n - 4) == ring.reduce(sign * bound)
+    assert h.coeff(n - 4) == (sign * bound % ring.modulus if ring.modulus else sign * bound)
     assert f.mul(g, below=n - 3) == naive_convolve(f, g).below(n - 3)
 
 

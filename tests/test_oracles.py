@@ -407,7 +407,8 @@ def local_defect(zero_pattern, where=lambda u, v: True):
                 kv, ks = int(keeps(v)), int(keeps(s))
                 if (ku, kv, ks) != zero_pattern or not where(u, v):
                     acc[s] = acc.get(s, 0) + a * b * (ku * kv - kv * ks - ku * ks + ks)
-        return Series(f.monoid, ring, {s: ring.reduce(c) for s, c in acc.items()})
+        m = ring.modulus
+        return Series(f.monoid, ring, {s: c % m if m else c for s, c in acc.items()})
 
     return fake
 
