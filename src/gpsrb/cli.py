@@ -28,9 +28,10 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from typing import Sequence
 
-from .laurent import TruncatedLaurent, pole_part
+from .laurent import TruncatedLaurent, pole_defect_terms, signed_defect
 from .monoids import (
     BadElement,
     BadTable,
@@ -60,7 +61,6 @@ from .parsing import (
 from .projectors import (
     Projector,
     closed_under_addition,
-    defect_terms,
     indicator_pair_scan,
     rb_defect,
 )
@@ -192,9 +192,10 @@ def parse_decomposition(monoid: OrderedMonoid, spec: str) -> Projector:
     if spec in _PLAIN_VOCAB:
         if spec in ("evens", "odds") and not monoid.int_exponents:
             raise UsageError(f"{spec!r} needs an integer line monoid")
+        if spec in ("negatives", "nonnegatives"):
+            P = Projector.cutoff(monoid, zero)
+            return replace(P if spec == "negatives" else P.complement(), label=spec)
         keeps = {
-            "negatives": lambda s: monoid.lt(s, zero),
-            "nonnegatives": lambda s: not monoid.lt(s, zero),
             "positives": lambda s: monoid.lt(zero, s),
             "nonpositives": lambda s: not monoid.lt(zero, s),
             "evens": lambda s: s % 2 == 0,
@@ -443,14 +444,14 @@ def cmd_laurent_demo(args) -> int:
     for k in range(1, args.count + 1):
         f = _random_laurent(rng, ring)
         g = _random_laurent(rng, ring)
-        t1, t2, t3, t4 = defect_terms(pole_part, f, g)
+        t1, t2, t3, t4 = pole_defect_terms(f, g)
         terms = {
             "pole(f)*pole(g)": t1,
             "pole(f*pole(g))": t2,
             "pole(pole(f)*g)": t3,
             "pole(f*g)": t4,
         }
-        defect = t1 - t2 - t3 + t4
+        defect = signed_defect(t1, t2, t3, t4)
         all_zero = all_zero and defect.is_zero()
         if args.json:
             pairs.append(

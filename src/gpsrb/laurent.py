@@ -26,10 +26,10 @@ coefficients are either stored or provably zero.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Mapping
 
 from .monoids import IntLine
-from .projectors import rb_defect
 from .scalars import Ring
 from .series import Series
 
@@ -115,7 +115,8 @@ class TruncatedLaurent:
             return NotImplemented
         return TruncatedLaurent.from_series(self.series - other.series, _min_tail(self, other))
 
-    def __mul__(self, other):
+    def mul(self, other, pole: bool = False):
+        """The product; with pole, pole_part of it, from the pairs that land below x^0 only."""
         if not isinstance(other, TruncatedLaurent):
             return self.scale(other)
         # the stored terms and tails read once: ord is the lowest stored
@@ -129,7 +130,11 @@ class TruncatedLaurent:
                 bound = g_tail + (min(f) if f else f_tail)
                 if tail is None or bound < tail:
                     tail = bound
+        if pole:  # the precision check on the product's tail is pole_part's own
+            return pole_part(TruncatedLaurent._raw(self.series.mul(other.series, below=0), tail))
         return TruncatedLaurent._raw(self.series.mul(other.series, below=tail), tail)
+
+    __mul__ = mul
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -199,7 +204,26 @@ def pole_part(f: TruncatedLaurent) -> TruncatedLaurent:
     return TruncatedLaurent._raw(f.series.below(0), None)
 
 
+def pole_defect_terms(f: TruncatedLaurent, g: TruncatedLaurent) -> tuple:
+    """projectors.defect_terms(pole_part, f, g), the last three as products bounded at 0."""
+    pf, pg = pole_part(f), pole_part(g)
+    return pf * pg, f.mul(pg, pole=True), pf.mul(g, pole=True), f.mul(g, pole=True)
+
+
+def signed_defect(*terms: TruncatedLaurent) -> TruncatedLaurent:
+    """t1 - t2 - t3 + t4 of four exact values: one signed term map over the lcm of their dens."""
+    series = [t.series for t in terms]
+    ring, den, acc = series[0].ring, lcm(*[x._den for x in series]), {}
+    get, m = acc.get, ring.modulus
+    for sign, x in zip((1, -1, -1, 1), series, strict=True):
+        k = sign * (den // x._den)
+        for s, c in x._terms.items():
+            acc[s] = get(s, 0) + k * c
+    acc = {s: r for s, c in acc.items() if (r := c % m if m else c)}
+    return TruncatedLaurent._raw(Series._raw(_LINE, ring, acc, den), None)
+
+
 def tl_rb_defect(f: TruncatedLaurent, g: TruncatedLaurent) -> TruncatedLaurent:
-    """The weight -1 defect for the pole-part projection; see projectors.rb_defect."""
-    return rb_defect(pole_part, f, g)
+    """The weight -1 defect for the pole-part projection, the signed sum of pole_defect_terms."""
+    return signed_defect(*pole_defect_terms(f, g))
 

@@ -4,7 +4,9 @@ A Projector(monoid, keeps, label) splits the monoid carrier into a kept part
 {s : keeps(s)} and a killed part, its complement, and zeroes every
 coefficient whose exponent falls in the killed part. Projector.cutoff keeps
 the exponents strictly below a threshold, Projector.from_mask a bitmask of a
-finite carrier, and complement() swaps the two parts. The central question
+finite carrier, and complement() swaps the two parts. A cutoff on Z or N
+carries its threshold as `bound`: it projects through Series.below, and
+rb_defect multiplies only the pairs that land below it. The central question
 downstream is when such an operator P satisfies the weight -1 identity
 
     P(f) P(g) = P(f P(g)) + P(P(f) g) - P(f g)
@@ -31,16 +33,17 @@ class Projector:
     """Linear operator on series that keeps the exponents s with keeps(s), kills the rest.
 
     The kept subset of the carrier determines the projector; the killed
-    subset is its complement.
+    subset is its complement. Only cutoff sets bound, where keeps(s) is s < bound.
     """
 
     monoid: OrderedMonoid
     keeps: Callable[[object], bool]
     label: str = "custom"
+    bound: int | None = None
 
     def __call__(self, f: Series) -> Series:
         self._check(f)
-        return f._kept(self.keeps)
+        return f._kept(self.keeps) if self.bound is None else f.below(self.bound)
 
     def _check(self, f: Series) -> None:
         if f.monoid is not self.monoid and f.monoid != self.monoid:
@@ -63,10 +66,15 @@ class Projector:
 
         "Not below w" is evaluated literally as not(s < w); under a partial
         order that is weaker than w <= s, and the two must not be conflated.
+        On int exponents keeps is the C method w.__gt__ and the projector
+        carries w as its bound; complement() drops the bound.
         """
         monoid.check_elem(w)
+        label = f"below({monoid.elem_repr(w)})"
+        if monoid.int_exponents:
+            return Projector(monoid, w.__gt__, label, w)
         lt = monoid.lt
-        return Projector(monoid, lambda s: lt(s, w), f"below({monoid.elem_repr(w)})")
+        return Projector(monoid, lambda s: lt(s, w), label)
 
     @staticmethod
     def from_mask(monoid: FiniteTable, mask: int, label: str | None = None) -> "Projector":
@@ -102,8 +110,10 @@ def rb_defect(P: Callable, f, g):
     For a Projector this is one signed term map: the four products of the
     numerators (series._convolve) over the one denominator of f g, the
     exponents P kills dropped from the last three, reduced mod m once and
-    brought to lowest terms by one _raw. Any other projector callable
-    (laurent.pole_part) takes the signed sum of the four values.
+    brought to lowest terms by one _raw; a bounded cutoff forms those three
+    from the pairs that land below its bound only, and P(f)P(g) whole. Any
+    other projector callable (laurent.pole_part) takes the signed sum of the
+    four values.
     """
     if not isinstance(P, Projector):
         t1, t2, t3, t4 = defect_terms(P, f, g)
@@ -111,14 +121,18 @@ def rb_defect(P: Callable, f, g):
     P._check(f)
     P._check(g)
     f._check_peer(g)
-    monoid, keeps, m, F, G = P.monoid, P.keeps, f.ring.modulus, f._terms, g._terms
-    pF = {s: c for s, c in F.items() if keeps(s)}
-    pG = {s: c for s, c in G.items() if keeps(s)}
+    monoid, keeps, bound, m, F, G = P.monoid, P.keeps, P.bound, f.ring.modulus, f._terms, g._terms
+    if bound is None:
+        pF = {s: c for s, c in F.items() if keeps(s)}
+        pG = {s: c for s, c in G.items() if keeps(s)}
+    else:
+        pF = {s: c for s, c in F.items() if s < bound}
+        pG = {s: c for s, c in G.items() if s < bound}
     acc = _convolve(monoid, pF, pG, m)
     get = acc.get
     for sign, x, y in ((-1, F, pG), (-1, pF, G), (1, F, G)):
-        for s, c in _convolve(monoid, x, y, m).items():
-            if keeps(s):
+        for s, c in _convolve(monoid, x, y, m, bound).items():
+            if bound is not None or keeps(s):
                 acc[s] = get(s, 0) + sign * c
     acc = {s: r for s, c in acc.items() if (r := c % m if m else c)}
     return Series._raw(monoid, f.ring, acc, f._den * g._den)

@@ -21,6 +21,7 @@ from gpsrb import (
     rb_defect,
     tl_rb_defect,
 )
+from gpsrb.laurent import pole_defect_terms, signed_defect
 from gpsrb.projectors import defect_terms
 
 from conftest import rat_scalars
@@ -64,3 +65,55 @@ def test_generic_path_raises_when_a_tail_cuts_below_zero():
         rb_defect(pole_part, f, g)
     with pytest.raises(InsufficientPrecision):
         defect_terms(pole_part, f, g)
+
+
+def laurents(ring):
+    """Exact values and values known below a tail in -3..7, which can starve pole_part."""
+    scalars = rat_scalars if ring is QQ else st.integers(-20, 20).map(ring.from_int)
+    terms = st.dictionaries(st.integers(-5, 6), scalars, max_size=6)
+    tails = st.one_of(st.none(), st.integers(-3, 7))
+    return st.tuples(terms, tails).map(
+        lambda d: make_laurent(ring, {s: c for s, c in d[0].items() if d[1] is None or s < d[1]}, d[1])
+    )
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and message of the InsufficientPrecision it raises."""
+    try:
+        return fn(*args)
+    except InsufficientPrecision as exc:
+        return InsufficientPrecision, str(exc)
+
+
+mixed_pairs = st.one_of(*(st.tuples(laurents(ring), laurents(ring)) for ring in (ZZ, QQ, Z7)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=mixed_pairs)
+def test_bounded_pole_terms_are_the_projected_whole_products(pair):
+    f, g = pair
+    want = outcome(defect_terms, pole_part, f, g)
+    got = outcome(pole_defect_terms, f, g)
+    assert got == want
+    if isinstance(want[0], type):
+        assert outcome(tl_rb_defect, f, g) == want
+        return
+    assert all(t.exact for t in got)
+    assert [(t.series._terms, t.series._den) for t in got] == [(t.series._terms, t.series._den) for t in want]
+    t1, t2, t3, t4 = want
+    d, signed = signed_defect(*got), t1 - t2 - t3 + t4
+    assert d.exact and (d.series._terms, d.series._den) == (signed.series._terms, signed.series._den)
+    assert tl_rb_defect(f, g) == d == rb_defect(pole_part, f, g)
+
+
+def test_bounded_pole_product_raises_on_a_tail_below_zero():
+    # the pole parts of f and g are known, but f P(g) only below x^-3, so the
+    # first bounded product starves, with pole_part's message
+    f = make_laurent(QQ, {-3: QQ.one(), 0: QQ.one()}, trunc=1)
+    g = make_laurent(QQ, {-4: QQ.one()}, trunc=1)
+    message = "pole part needs all coefficients below x^0, input is only known to O(x^-3)"
+    for fn in (pole_defect_terms, tl_rb_defect):
+        with pytest.raises(InsufficientPrecision) as info:
+            fn(f, g)
+        assert str(info.value) == message
+    assert outcome(defect_terms, pole_part, f, g) == (InsufficientPrecision, message)

@@ -6,7 +6,10 @@ sums them with their signs in one map. defect_terms builds the four terms as
 Series values, through P(.), * and the projections of whole products, and is
 the oracle here: the signed sum t1 - t2 - t3 + t4 of its terms must store the
 same numerators over the same denominator, on every monoid, ring and kind of
-projector, and every refusal must be the one the P(f)-first path makes.
+projector, and every refusal must be the one the P(f)-first path makes. A
+cutoff on Z or N carries its bound and multiplies only the pairs landing
+below it; it must store what a projector with the same keeps and no bound
+stores.
 """
 
 from fractions import Fraction
@@ -198,3 +201,53 @@ def test_projector_defect_makes_no_series_values(monkeypatch):
         monkeypatch.setattr(Series, name, refuse)
     monkeypatch.setattr(Projector, "__call__", refuse)
     assert [rb_defect(*case) for case in cases] == want
+
+
+def unbounded(P: Projector) -> Projector:
+    """P with the same keeps and no bound: rb_defect takes the keeps path."""
+    return Projector(P.monoid, P.keeps, P.label)
+
+
+BOUNDED = [Projector.cutoff(M, w) for w in (-3, 0, 2, 5)] + [Projector.cutoff(NAT, w) for w in (0, 1, 4)]
+BOUNDED += [parse_decomposition(monoid, "negatives") for monoid in (M, NAT)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_bounded_cutoff_defect_is_the_keeps_path(data):
+    P = data.draw(st.sampled_from(BOUNDED))
+    ring = data.draw(st.sampled_from(RINGS))
+    exps = st.integers(0 if P.monoid.nonneg else -8, 10)
+    terms = st.dictionaries(exps, scalars(ring), max_size=7)
+    f, g = (Series(P.monoid, ring, data.draw(terms)) for _ in range(2))
+    d, want = rb_defect(P, f, g), rb_defect(unbounded(P), f, g)
+    assert (d._terms, d._den) == (want._terms, want._den)
+    assert P(f) == unbounded(P)(f)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z7])
+def test_dense_bounded_cutoff_takes_the_packed_product_below_its_bound(monkeypatch, ring):
+    bounds = []
+    real = gpsrb.series._packed
+    monkeypatch.setattr(gpsrb.series, "_packed", lambda *a: bounds.append(a[3]) or real(*a))
+    n = 3 * PACK_MIN_TERMS
+    f = Series(M, ring, {k: ring.from_int(k % 5 - 2 or 7) for k in range(-n, n)})
+    g = Series(M, ring, {k: ring.from_int(3 - k % 4 or 5) for k in range(-n, n)})
+    P = Projector.cutoff(M, 4)
+    d = rb_defect(P, f, g)
+    assert not d.is_zero()
+    assert 4 in bounds
+    want = rb_defect(unbounded(P), f, g)
+    assert (d._terms, d._den) == (want._terms, want._den) == (signed_sum(P, f, g)._terms, 1)
+
+
+def test_only_cutoffs_on_int_exponents_carry_a_bound():
+    for P in BOUNDED:
+        window = P.monoid.window(-12, 12)
+        assert P.bound is not None
+        assert [P.keeps(s) for s in window] == [s < P.bound for s in window]
+        assert P.complement().bound is None
+    others = [parse_decomposition(X, spec) for X in (M, NAT, PROD) for spec in ("nonnegatives", "positives")]
+    others += [Projector.cutoff(PROD, (0, 0)), Projector.cutoff(LEX, (0, 1)), parse_decomposition(PROD, "negatives")]
+    others += [parse_decomposition(M, "odds"), Projector.from_mask(TABLES[4], 0b101)]
+    assert [P.label for P in others if P.bound is not None] == []

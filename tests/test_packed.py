@@ -8,7 +8,6 @@ per single-term pair.
 
 import pytest
 
-import gpsrb.laurent
 import gpsrb.projectors
 from conftest import direct_product_table, max_chain_table, pairwise_defect_pairs
 from gpsrb import (
@@ -180,14 +179,17 @@ def test_scan_witness_defect_is_over_the_callers_ring():
 
 
 def test_laurent_demo_forms_four_products_per_pair(monkeypatch, capsys):
+    # counted at the series product, which every Laurent product goes
+    # through: P(f)P(g) of two exact pole parts whole, the three projected
+    # products bounded at 0
     calls = []
-    real = gpsrb.laurent.TruncatedLaurent.__mul__
+    real = Series.mul
 
-    def counting(self, other):
-        calls.append(1)
-        return real(self, other)
+    def counting(self, other, below=None):
+        calls.append(below)
+        return real(self, other, below)
 
-    monkeypatch.setattr(gpsrb.laurent.TruncatedLaurent, "__mul__", counting)
+    monkeypatch.setattr(Series, "mul", counting)
     assert main(["laurent-demo", "--count", "5", "--ring", "Z/7", "--json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 4 * 5
+    assert calls == [None, 0, 0, 0] * 5
