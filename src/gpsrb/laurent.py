@@ -26,7 +26,6 @@ coefficients are either stored or provably zero.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Mapping
 
 from .monoids import IntLine
@@ -130,8 +129,9 @@ class TruncatedLaurent:
                 bound = g_tail + (min(f) if f else f_tail)
                 if tail is None or bound < tail:
                     tail = bound
-        if pole:  # the precision check on the product's tail is pole_part's own
-            return pole_part(TruncatedLaurent._raw(self.series.mul(other.series, below=0), tail))
+        if pole:  # pole_part's precision check, on the product's tail, before any pair is formed
+            _check_poles_known(tail)
+            return TruncatedLaurent._raw(self.series.mul(other.series, below=0), None)
         return TruncatedLaurent._raw(self.series.mul(other.series, below=tail), tail)
 
     __mul__ = mul
@@ -197,11 +197,16 @@ def pole_part(f: TruncatedLaurent) -> TruncatedLaurent:
     Demands that every negative-exponent coefficient be known, so an inexact
     input must satisfy trunc >= 0.
     """
-    if f.tail is not None and f.tail < 0:
-        raise InsufficientPrecision(
-            f"pole part needs all coefficients below x^0, input is only known to O(x^{f.tail})"
-        )
+    _check_poles_known(f.tail)
     return TruncatedLaurent._raw(f.series.below(0), None)
+
+
+def _check_poles_known(tail: int | None) -> None:
+    """InsufficientPrecision unless every coefficient below x^0 is known under the tail."""
+    if tail is not None and tail < 0:
+        raise InsufficientPrecision(
+            f"pole part needs all coefficients below x^0, input is only known to O(x^{tail})"
+        )
 
 
 def pole_defect_terms(f: TruncatedLaurent, g: TruncatedLaurent) -> tuple:
@@ -210,17 +215,12 @@ def pole_defect_terms(f: TruncatedLaurent, g: TruncatedLaurent) -> tuple:
     return pf * pg, f.mul(pg, pole=True), pf.mul(g, pole=True), f.mul(g, pole=True)
 
 
-def signed_defect(*terms: TruncatedLaurent) -> TruncatedLaurent:
-    """t1 - t2 - t3 + t4 of four exact values: one signed term map over the lcm of their dens."""
-    series = [t.series for t in terms]
-    ring, den, acc = series[0].ring, lcm(*[x._den for x in series]), {}
-    get, m = acc.get, ring.modulus
-    for sign, x in zip((1, -1, -1, 1), series, strict=True):
-        k = sign * (den // x._den)
-        for s, c in x._terms.items():
-            acc[s] = get(s, 0) + k * c
-    acc = {s: r for s, c in acc.items() if (r := c % m if m else c)}
-    return TruncatedLaurent._raw(Series._raw(_LINE, ring, acc, den), None)
+def signed_defect(t1, t2, t3, t4) -> TruncatedLaurent:
+    """t1 - t2 - t3 + t4 of four exact values, summed by one Series._merged over the lcm of their dens."""
+    if not all(t.exact for t in (t1, t2, t3, t4)):
+        raise ValueError("signed_defect sums exact values only")
+    parts = [t1.series._part(), (-t2.series)._part(), (-t3.series)._part(), t4.series._part()]
+    return TruncatedLaurent._raw(Series._merged(_LINE, t1.ring, parts), None)
 
 
 def tl_rb_defect(f: TruncatedLaurent, g: TruncatedLaurent) -> TruncatedLaurent:

@@ -5,9 +5,9 @@ A Projector(monoid, keeps, label) splits the monoid carrier into a kept part
 coefficient whose exponent falls in the killed part. Projector.cutoff keeps
 the exponents strictly below a threshold, Projector.from_mask a bitmask of a
 finite carrier, and complement() swaps the two parts. A cutoff on Z or N
-carries its threshold as `bound`: it projects through Series.below, and
-rb_defect multiplies only the pairs that land below it. The central question
-downstream is when such an operator P satisfies the weight -1 identity
+carries its threshold as `bound`, and rb_defect multiplies only the pairs
+that land below it. The central question downstream is when such an
+operator P satisfies the weight -1 identity
 
     P(f) P(g) = P(f P(g)) + P(P(f) g) - P(f g)
 
@@ -33,7 +33,7 @@ class Projector:
     """Linear operator on series that keeps the exponents s with keeps(s), kills the rest.
 
     The kept subset of the carrier determines the projector; the killed
-    subset is its complement. Only cutoff sets bound, where keeps(s) is s < bound.
+    subset is its complement. Only a cutoff on int exponents carries a bound.
     """
 
     monoid: OrderedMonoid
@@ -41,9 +41,14 @@ class Projector:
     label: str = "custom"
     bound: int | None = None
 
+    def __post_init__(self):
+        w = self.bound
+        if w is not None and not (self.monoid.int_exponents and _is_int(w) and self.keeps == w.__gt__):
+            raise ValueError(f"bound {w!r} is not the threshold of a cutoff on {self.monoid}")
+
     def __call__(self, f: Series) -> Series:
         self._check(f)
-        return f._kept(self.keeps) if self.bound is None else f.below(self.bound)
+        return f._kept(self.keeps)
 
     def _check(self, f: Series) -> None:
         if f.monoid is not self.monoid and f.monoid != self.monoid:
@@ -121,18 +126,14 @@ def rb_defect(P: Callable, f, g):
     P._check(f)
     P._check(g)
     f._check_peer(g)
-    monoid, keeps, bound, m, F, G = P.monoid, P.keeps, P.bound, f.ring.modulus, f._terms, g._terms
-    if bound is None:
-        pF = {s: c for s, c in F.items() if keeps(s)}
-        pG = {s: c for s, c in G.items() if keeps(s)}
-    else:
-        pF = {s: c for s, c in F.items() if s < bound}
-        pG = {s: c for s, c in G.items() if s < bound}
+    monoid, keeps, m, F, G = P.monoid, P.keeps, f.ring.modulus, f._terms, g._terms
+    pF = {s: c for s, c in F.items() if keeps(s)}
+    pG = {s: c for s, c in G.items() if keeps(s)}
     acc = _convolve(monoid, pF, pG, m)
     get = acc.get
     for sign, x, y in ((-1, F, pG), (-1, pF, G), (1, F, G)):
-        for s, c in _convolve(monoid, x, y, m, bound).items():
-            if bound is not None or keeps(s):
+        for s, c in _convolve(monoid, x, y, m, P.bound).items():
+            if keeps(s):
                 acc[s] = get(s, 0) + sign * c
     acc = {s: r for s, c in acc.items() if (r := c % m if m else c)}
     return Series._raw(monoid, f.ring, acc, f._den * g._den)

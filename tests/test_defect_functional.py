@@ -6,6 +6,8 @@ matching term of the generalized-power-series defect, over Z, Q and Z/7.
 """
 
 import pytest
+
+import gpsrb.series
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,3 +119,26 @@ def test_bounded_pole_product_raises_on_a_tail_below_zero():
             fn(f, g)
         assert str(info.value) == message
     assert outcome(defect_terms, pole_part, f, g) == (InsufficientPrecision, message)
+
+
+def test_bounded_pole_product_checks_precision_before_forming_a_pair(monkeypatch):
+    f = make_laurent(ZZ, {-3: 1, 0: 2}, trunc=1)
+    g = make_laurent(ZZ, {-4: 1, -1: 5}, trunc=2)
+
+    def refuse(*args):
+        raise AssertionError("a pair was formed")
+
+    monkeypatch.setattr(gpsrb.series, "_convolve", refuse)
+    with pytest.raises(InsufficientPrecision, match=r"only known to O\(x\^-3\)$"):
+        f.mul(g, pole=True)
+
+
+def test_signed_defect_sums_exact_values_only():
+    exact = make_laurent(Z7, {-1: Z7.from_int(3)})
+    cut = make_laurent(Z7, {-1: Z7.from_int(3)}, trunc=2)
+    assert signed_defect(exact, exact, exact, exact).is_zero()
+    for i in range(4):
+        terms = [exact] * 4
+        terms[i] = cut
+        with pytest.raises(ValueError, match="exact values only"):
+            signed_defect(*terms)

@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dataclasses import replace
+
 import gpsrb.series
 from gpsrb import (
     IntLine,
@@ -222,7 +224,7 @@ def test_bounded_cutoff_defect_is_the_keeps_path(data):
     f, g = (Series(P.monoid, ring, data.draw(terms)) for _ in range(2))
     d, want = rb_defect(P, f, g), rb_defect(unbounded(P), f, g)
     assert (d._terms, d._den) == (want._terms, want._den)
-    assert P(f) == unbounded(P)(f)
+    assert d == signed_sum(P, f, g)
 
 
 @pytest.mark.parametrize("ring", [ZZ, Z7])
@@ -251,3 +253,21 @@ def test_only_cutoffs_on_int_exponents_carry_a_bound():
     others += [Projector.cutoff(PROD, (0, 0)), Projector.cutoff(LEX, (0, 1)), parse_decomposition(PROD, "negatives")]
     others += [parse_decomposition(M, "odds"), Projector.from_mask(TABLES[4], 0b101)]
     assert [P.label for P in others if P.bound is not None] == []
+
+
+def test_a_bound_that_is_not_the_cutoffs_own_is_refused():
+    P = Projector.cutoff(M, 3)
+    assert replace(P, label="negatives").bound == 3
+    refused = [
+        lambda: Projector(M, lambda s: s % 2 == 0, "evens", 3),
+        lambda: Projector(M, (3).__gt__, "below(3)", 4),
+        lambda: replace(P, keeps=lambda s: s < 3),
+        lambda: replace(P, bound=2),
+        lambda: Projector(M, True.__gt__, "below(True)", True),
+        lambda: Projector(M, (2.5).__gt__, "below(2.5)", 2.5),
+        lambda: Projector(PROD, (0, 0).__gt__, "below((0, 0))", (0, 0)),
+        lambda: Projector(TABLES[4], (1).__gt__, "below(1)", 1),
+    ]
+    for build in refused:
+        with pytest.raises(ValueError, match="is not the threshold of a cutoff"):
+            build()
