@@ -104,7 +104,8 @@ class TruncatedLaurent:
     def __add__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         if not isinstance(other, TruncatedLaurent):
             return NotImplemented
-        return TruncatedLaurent.from_series(self.series + other.series, _min_tail(self, other))
+        tails = [t for t in (self.tail, other.tail) if t is not None]
+        return TruncatedLaurent.from_series(self.series + other.series, min(tails, default=None))
 
     def __neg__(self) -> "TruncatedLaurent":
         return TruncatedLaurent._raw(-self.series, self.tail)
@@ -112,7 +113,7 @@ class TruncatedLaurent:
     def __sub__(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         if not isinstance(other, TruncatedLaurent):
             return NotImplemented
-        return TruncatedLaurent.from_series(self.series - other.series, _min_tail(self, other))
+        return self + -other
 
     def mul(self, other, pole: bool = False):
         """The product; with pole, pole_part of it, from the pairs that land below x^0 only."""
@@ -171,12 +172,6 @@ class TruncatedLaurent:
             "trunc": hi,
             "exact": tail is None,
         }
-
-
-def _min_tail(f: TruncatedLaurent, g: TruncatedLaurent) -> int | None:
-    """The tail bound of a sum or difference: the lower of the two, None when both are exact."""
-    tails = [t.tail for t in (f, g) if t.tail is not None]
-    return min(tails, default=None)
 
 
 def make_laurent(ring: Ring, terms: Mapping | Iterable, trunc: int | None = None) -> TruncatedLaurent:

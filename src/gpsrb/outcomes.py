@@ -32,10 +32,6 @@ class CheckOutcome:
     def __bool__(self) -> bool:
         return self.verdict != "fail"
 
-    @property
-    def conclusive(self) -> bool:
-        return self.verdict != "pass-on-window"
-
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {"verdict": self.verdict}
         if self.witness is not None:

@@ -11,10 +11,12 @@ operator P satisfies the weight -1 identity
 
     P(f) P(g) = P(f P(g)) + P(P(f) g) - P(f g)
 
-for all series f, g. The defect functional rb_defect returns the difference
-of the two sides; the identity holds exactly when the defect vanishes
-identically, and for these projectors that happens exactly when both the kept
-part and the killed part are closed under addition.
+for all series f, g. The defect functional rb_defect(P, f, g) returns the
+difference of the two sides for a Projector P, as one signed term map; the
+pole-part defect of Laurent values is laurent.tl_rb_defect. The identity
+holds exactly when the defect vanishes identically, and for these projectors
+that happens exactly when both the kept part and the killed part are closed
+under addition.
 """
 
 from __future__ import annotations
@@ -103,26 +105,27 @@ def defect_terms(P: Callable, f, g) -> tuple:
     """P(f)P(g), P(f P(g)), P(P(f) g) and P(f g), each computed independently.
 
     P is any projector callable on values with +, - and *: a Projector on
-    Series, or laurent.pole_part on TruncatedLaurent values.
+    Series, or laurent.pole_part on TruncatedLaurent values. This is the test
+    oracle of rb_defect and of tl_rb_defect, which form the same four terms
+    by bounded products; no command calls it.
     """
     pf, pg = P(f), P(g)
     return pf * pg, P(f * pg), P(pf * g), P(f * g)
 
 
-def rb_defect(P: Callable, f, g):
+def rb_defect(P: Projector, f: Series, g: Series) -> Series:
     """P(f)P(g) - P(f P(g)) - P(P(f) g) + P(f g), the signed sum of defect_terms.
 
-    For a Projector this is one signed term map: the four products of the
-    numerators (series._convolve) over the one denominator of f g, the
-    exponents P kills dropped from the last three, reduced mod m once and
-    brought to lowest terms by one _raw; a bounded cutoff forms those three
-    from the pairs that land below its bound only, and P(f)P(g) whole. Any
-    other projector callable (laurent.pole_part) takes the signed sum of the
-    four values.
+    One signed term map: the four products of the numerators
+    (series._convolve) over the one denominator of f g, the exponents P
+    kills dropped from the last three, reduced mod m once and brought to
+    lowest terms by one _raw; a bounded cutoff forms those three from the
+    pairs that land below its bound only, and P(f)P(g) whole. P must be a
+    Projector (TypeError otherwise); the pole-part defect of Laurent values
+    is laurent.tl_rb_defect.
     """
     if not isinstance(P, Projector):
-        t1, t2, t3, t4 = defect_terms(P, f, g)
-        return t1 - t2 - t3 + t4
+        raise TypeError(f"rb_defect takes a Projector, not {P!r}")
     P._check(f)
     P._check(g)
     f._check_peer(g)

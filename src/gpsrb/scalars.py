@@ -33,23 +33,16 @@ class Ring:
 
     Subclasses set `modulus`: None for Z and Q, m for Z/m. Sums and products
     of stored numerators are computed on the bare ints; the series kernels
-    read `modulus` and reduce each output term mod m once.
+    read `modulus` and reduce each output term mod m once. The methods:
+    `from_int` makes the value of an int, `ratio` splits p/q into the stored
+    form and `value` builds the value back from it, `contains` checks
+    membership, and `fmt` prints a value.
     """
 
     modulus: int | None
 
-    def zero(self):
-        return self.from_int(0)
-
-    def one(self):
-        return self.from_int(1)
-
     def from_int(self, n: int):
         raise NotImplementedError
-
-    def from_ratio(self, num: int, den: int):
-        """num/den as an element of this ring, or ValueError when it has none."""
-        return self.value(*self.ratio(num, den))
 
     def ratio(self, num: int, den: int) -> tuple[int, int]:
         """num/den as (numerator, denominator > 0) in lowest terms, as a series stores it.

@@ -143,23 +143,18 @@ class Series:
         if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch(f"series over {self.ring} vs {other.ring}")
 
-    def _over_lcm(self, other: "Series") -> tuple[dict, dict, int]:
-        """The numerators of both series over the lcm of their two (unequal) denominators."""
-        f, g, d, e = self._terms, other._terms, self._den, other._den
-        den = lcm(d, e)
-        if den != d:
-            f = {s: c * (den // d) for s, c in f.items()}
-        if den != e:
-            g = {s: c * (den // e) for s, c in g.items()}
-        return f, g, den
-
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         self._check_peer(other)
         f, g, den = self._terms, other._terms, self._den
         if den != other._den:
-            f, g, den = self._over_lcm(other)
+            d, e = den, other._den
+            den = lcm(d, e)
+            if den != d:
+                f = {s: c * (den // d) for s, c in f.items()}
+            if den != e:
+                g = {s: c * (den // e) for s, c in g.items()}
         m = self.ring.modulus
         acc = dict(f)
         for s, c in g.items():
@@ -182,24 +177,7 @@ class Series:
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_peer(other)
-        f, g, den = self._terms, other._terms, self._den
-        if den != other._den:
-            f, g, den = self._over_lcm(other)
-        m = self.ring.modulus
-        acc = dict(f)
-        for s, c in g.items():
-            if s in acc:
-                c = acc[s] - c
-                if m:
-                    c %= m
-                if not c:
-                    del acc[s]
-                    continue
-                acc[s] = c
-            else:
-                acc[s] = m - c if m else -c
-        return Series._raw(self.monoid, self.ring, acc, den)
+        return self + -other
 
     def __mul__(self, other):
         if not isinstance(other, Series):

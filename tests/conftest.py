@@ -68,7 +68,7 @@ def naive_convolve(f: Series, g: Series) -> Series:
     sums = {add(u, v) for u in f.support() for v in g.support()}
     terms = {}
     for s in sums:
-        total = f.ring.zero()
+        total = f.ring.from_int(0)
         for u in f.support():
             for v in g.support():
                 if add(u, v) == s:
@@ -565,7 +565,7 @@ def reference_series_to_json(f: Series) -> dict:
 
 def reference_laurent_to_json(f) -> dict:
     lo = f.ord
-    window = [f.ring.zero()] * (f.trunc - lo)
+    window = [f.ring.from_int(0)] * (f.trunc - lo)
     for n, c in f.series.items():
         window[n - lo] = c
     ring = f.ring

@@ -81,7 +81,7 @@ def test_c03_violation_witness_defect_is_exactly_one():
     checked_kept = checked_killed = 0
     for table in default_corpus():
         elems = list(table.carrier())
-        one = ZZ.one()
+        one = ZZ.from_int(1)
         for mask in range(1 << table.n):
             P = Projector.from_mask(table, mask)
             kept, killed = set(P.kept(elems)), set(P.killed(elems))
@@ -187,7 +187,7 @@ def test_c09_truncated_laurent_agrees_with_series_convolution(rng):
     def sample(lo_min, hi_min):
         lo = rng.randint(lo_min, 2)
         hi = rng.randint(max(lo, hi_min), 6)
-        coeffs = [random_rat(rng) if rng.random() > 0.25 else QQ.zero() for _ in range(lo, hi)]
+        coeffs = [random_rat(rng) if rng.random() > 0.25 else QQ.from_int(0) for _ in range(lo, hi)]
         exact = rng.random() < 0.4
         return make_laurent(QQ, zip(range(lo, hi), coeffs), None if exact else hi)
 

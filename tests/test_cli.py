@@ -287,7 +287,7 @@ def test_laurent_demo_q_builds_no_fraction(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["all_defects_zero"] is True
     assert built == []
     # the counter is live: a value of Q is still a Fraction
-    QQ.from_ratio(1, 2)
+    QQ.value(*QQ.ratio(1, 2))
     assert built
 
 
@@ -298,9 +298,9 @@ def make_laurent_draw(rng: random.Random, ring):
     coeffs = []
     for _ in range(lo, hi):
         if rng.random() < 0.3:
-            coeffs.append(ring.zero())
+            coeffs.append(ring.from_int(0))
         elif ring is QQ:
-            coeffs.append(QQ.from_ratio(rng.randint(-9, 9), rng.randint(1, 9)))
+            coeffs.append(QQ.value(*QQ.ratio(rng.randint(-9, 9), rng.randint(1, 9))))
         else:
             coeffs.append(ring.from_int(rng.randint(-9, 9)))
     exact = rng.random() < 0.3

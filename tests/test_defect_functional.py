@@ -1,4 +1,4 @@
-"""The Laurent defect is the generic defect functional with pole_part as P.
+"""The Laurent defect is the defect functional with pole_part as P.
 
 pole_part on TruncatedLaurent is the cutoff projector at 0 on (Z, +), so each
 of the four defect terms, an exact value, must have as its series over Z the
@@ -54,19 +54,26 @@ def test_laurent_defect_terms_are_the_cutoff_defect_terms(pair):
     assert all(t.exact for t in laurent_terms)
     assert [t.series for t in laurent_terms] == list(series_terms)
     t1, t2, t3, t4 = series_terms
-    d = rb_defect(pole_part, f, g)
+    l1, l2, l3, l4 = laurent_terms
+    d = l1 - l2 - l3 + l4
     assert d.exact and d.series == t1 - t2 - t3 + t4
-    assert rb_defect(pole_part, f, g) == tl_rb_defect(f, g)
+    assert d == tl_rb_defect(f, g)
 
 
 def test_generic_path_raises_when_a_tail_cuts_below_zero():
-    f = make_laurent(QQ, {-3: QQ.one()}, trunc=1)
-    g = make_laurent(QQ, {-4: QQ.one()}, trunc=1)
+    f = make_laurent(QQ, {-3: QQ.from_int(1)}, trunc=1)
+    g = make_laurent(QQ, {-4: QQ.from_int(1)}, trunc=1)
     # f*g is only known below exponent -2, so its pole part is out of reach
     with pytest.raises(InsufficientPrecision):
-        rb_defect(pole_part, f, g)
+        tl_rb_defect(f, g)
     with pytest.raises(InsufficientPrecision):
         defect_terms(pole_part, f, g)
+
+
+def test_rb_defect_takes_a_projector_only():
+    f = make_laurent(QQ, {-1: QQ.from_int(1)})
+    with pytest.raises(TypeError, match="rb_defect takes a Projector"):
+        rb_defect(pole_part, f, f)
 
 
 def laurents(ring):
@@ -105,14 +112,14 @@ def test_bounded_pole_terms_are_the_projected_whole_products(pair):
     t1, t2, t3, t4 = want
     d, signed = signed_defect(*got), t1 - t2 - t3 + t4
     assert d.exact and (d.series._terms, d.series._den) == (signed.series._terms, signed.series._den)
-    assert tl_rb_defect(f, g) == d == rb_defect(pole_part, f, g)
+    assert tl_rb_defect(f, g) == d == signed
 
 
 def test_bounded_pole_product_raises_on_a_tail_below_zero():
     # the pole parts of f and g are known, but f P(g) only below x^-3, so the
     # first bounded product starves, with pole_part's message
-    f = make_laurent(QQ, {-3: QQ.one(), 0: QQ.one()}, trunc=1)
-    g = make_laurent(QQ, {-4: QQ.one()}, trunc=1)
+    f = make_laurent(QQ, {-3: QQ.from_int(1), 0: QQ.from_int(1)}, trunc=1)
+    g = make_laurent(QQ, {-4: QQ.from_int(1)}, trunc=1)
     message = "pole part needs all coefficients below x^0, input is only known to O(x^-3)"
     for fn in (pole_defect_terms, tl_rb_defect):
         with pytest.raises(InsufficientPrecision) as info:

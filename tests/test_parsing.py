@@ -78,7 +78,7 @@ def test_flat_sum_over_int_line():
 
 def test_vector_exponents():
     f = parse_series("e^(1,-2) + 2*e^(0,0)", V, ZZ)
-    assert f == Series(V, ZZ, {(1, -2): ZZ.one(), (0, 0): ZZ.from_int(2)})
+    assert f == Series(V, ZZ, {(1, -2): ZZ.from_int(1), (0, 0): ZZ.from_int(2)})
 
 
 def test_laurent_mode_with_tail():
@@ -91,7 +91,7 @@ def test_laurent_mode_with_tail():
 
 def test_products_and_parens():
     f = parse_series("(1 + e^1) * (1 - e^1)", M, ZZ)
-    assert f == Series(M, ZZ, {0: ZZ.one(), 2: ZZ.from_int(-1)})
+    assert f == Series(M, ZZ, {0: ZZ.from_int(1), 2: ZZ.from_int(-1)})
     g = parse_series("2 * 3 * e^2", M, ZZ)
     assert g == indicator(M, 2, ZZ).scale(ZZ.from_int(6))
 
@@ -103,8 +103,8 @@ def test_leading_minus_and_bare_var():
 
 def test_scalar_fractions():
     f = parse_series("1/2 + 3/4*e^1", M, QQ)
-    assert f.coeff(0) == QQ.from_ratio(1, 2)
-    assert f.coeff(1) == QQ.from_ratio(3, 4)
+    assert f.coeff(0) == QQ.value(*QQ.ratio(1, 2))
+    assert f.coeff(1) == QQ.value(*QQ.ratio(3, 4))
     with pytest.raises(ParseError):
         parse_series("1/2", M, ZZ)  # not an integer
     with pytest.raises(ParseError):
@@ -462,7 +462,7 @@ def _series_over(monoid, ring):
     exps = st.integers(-12, 12) if monoid is M else st.tuples(st.integers(-3, 3), st.integers(-3, 3))
     coeffs = st.tuples(st.integers(-50, 50), st.integers(1, 9) if ring is QQ else st.just(1))
     return st.dictionaries(exps, coeffs, max_size=6).map(
-        lambda d: Series(monoid, ring, {s: ring.from_ratio(n, k) for s, (n, k) in d.items()})
+        lambda d: Series(monoid, ring, {s: ring.value(*ring.ratio(n, k)) for s, (n, k) in d.items()})
     )
 
 

@@ -23,19 +23,19 @@ M = IntLine()
 
 
 def test_normalization_drops_zeros_and_merges():
-    f = Series(M, ZZ, [(1, ZZ.from_int(2)), (1, ZZ.from_int(-2)), (3, ZZ.from_int(5)), (4, ZZ.zero())])
+    f = Series(M, ZZ, [(1, ZZ.from_int(2)), (1, ZZ.from_int(-2)), (3, ZZ.from_int(5)), (4, ZZ.from_int(0))])
     assert f.support() == [3]
-    assert f.coeff(1) == ZZ.zero()
+    assert f.coeff(1) == ZZ.from_int(0)
     assert f.coeff(3) == ZZ.from_int(5)
 
 
 def test_element_and_coefficient_checks():
     with pytest.raises(BadElement):
-        Series(M, ZZ, {"x": ZZ.one()})
+        Series(M, ZZ, {"x": ZZ.from_int(1)})
     with pytest.raises(TypeError):
-        Series(M, ZZ, {0: QQ.one()})
+        Series(M, ZZ, {0: QQ.from_int(1)})
     with pytest.raises(BadElement):
-        Series(IntLine(nonneg=True), ZZ, {-1: ZZ.one()})
+        Series(IntLine(nonneg=True), ZZ, {-1: ZZ.from_int(1)})
 
 
 def test_convolution_example():
@@ -58,19 +58,19 @@ def test_indicator_is_unit_at_neutral():
 
 
 def test_mismatch_errors():
-    f = Series(M, ZZ, {0: ZZ.one()})
-    g = Series(IntLine(nonneg=True), ZZ, {0: ZZ.one()})
+    f = Series(M, ZZ, {0: ZZ.from_int(1)})
+    g = Series(IntLine(nonneg=True), ZZ, {0: ZZ.from_int(1)})
     with pytest.raises(MonoidMismatch):
         f + g
     assert f != g
-    h = Series(M, QQ, {0: QQ.one()})
+    h = Series(M, QQ, {0: QQ.from_int(1)})
     with pytest.raises(TypeError):
         f * h
 
 
 def test_scale_and_neg():
     f = Series(M, QQ, {1: QQ.from_int(2), 2: QQ.from_int(-3)})
-    assert f.scale(QQ.zero()).is_zero()
+    assert f.scale(QQ.from_int(0)).is_zero()
     assert f.scale(QQ.from_int(2)).coeff(2) == QQ.from_int(-6)
     assert (-f) + f == zero_series(M, QQ)
     assert QQ.from_int(2) * f == f * QQ.from_int(2)
@@ -78,15 +78,15 @@ def test_scale_and_neg():
 
 def test_vector_monoid_series():
     V = IntVector(2)
-    f = Series(V, ZZ, {(1, 0): ZZ.one(), (0, 1): ZZ.one()})
+    f = Series(V, ZZ, {(1, 0): ZZ.from_int(1), (0, 1): ZZ.from_int(1)})
     p = f * f
     assert p.coeff((1, 1)) == ZZ.from_int(2)
-    assert p.coeff((2, 0)) == ZZ.one()
+    assert p.coeff((2, 0)) == ZZ.from_int(1)
     assert p.support() == [(0, 2), (1, 1), (2, 0)]
 
 
 def test_str_and_json():
-    f = Series(M, QQ, {-1: QQ.from_ratio(1, 2), 0: QQ.from_int(-3)})
+    f = Series(M, QQ, {-1: QQ.value(*QQ.ratio(1, 2)), 0: QQ.from_int(-3)})
     assert "1/2" in str(f)
     j = f.to_json()
     assert j["ring"] == "Q"
