@@ -12,7 +12,7 @@ parsed series above parsing.PRODUCT_BUDGET coefficient pairs in all, where a
 product of at most one pair is not counted, a Laurent
 --json window above LAURENT_JSON_BUDGET coefficients, Z^d with d above MAX_DIM,
 a table file above monoids.MAX_TABLE_SIZE elements, theorem-verify --max-size
-above MAX_SWEEP_SIZE or full scans above oracles.SCAN_PAIR_BUDGET single-term
+outside 1..MAX_SWEEP_SIZE or full scans above oracles.SCAN_PAIR_BUDGET single-term
 pairs, or laurent-demo --count above MAX_DEMO_COUNT), 3 internal fault: the
 structural and semantic routes of cutoff-scan or theorem-verify disagreed
 (theorem-verify still prints its report first), or an unexpected exception
@@ -381,6 +381,8 @@ def cmd_cutoff_scan(args) -> int:
 
 
 def cmd_theorem_verify(args) -> int:
+    if args.max_size < 1:
+        raise UsageError(f"--max-size must be at least 1, got {args.max_size}")
     if args.max_size > MAX_SWEEP_SIZE:
         raise UsageError(f"--max-size must be at most {MAX_SWEEP_SIZE}, got {args.max_size}")
     table = load_table(args.table)
@@ -522,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True, help="JSON table file")
     p.add_argument(
         "--max-size", type=int, default=DEFAULT_MAX_SIZE, dest="max_size",
-        help=f"largest table to sweep, at most {MAX_SWEEP_SIZE}",
+        help=f"largest table to sweep, 1..{MAX_SWEEP_SIZE}",
     )
     p.add_argument("--ring", default="Z")
     p.add_argument("--json", action="store_true")
@@ -540,7 +542,16 @@ _DASH_VALUE_FLAGS = ("--window", "--w-range", "--f", "--g")
 
 
 def _normalize_argv(argv: Sequence[str]) -> list[str]:
-    """Glue values onto flags whose values may start with '-' (ranges, series)."""
+    """Glue values onto flags whose values may start with '-' (ranges, series).
+
+    An add/mul expression that begins with '-' (say -3*e^2, as render_series
+    prints it) gets a trailing blank: argparse reads a dash token with a
+    blank as a positional, and the parser skips the blank, so neither the
+    value nor any error position changes. -h... and --flags stay options,
+    and a dash token after --monoid, --ring or --var, or a prefix of one, is
+    left to argparse.
+    """
+    exprs = len(argv) > 0 and argv[0] in ("add", "mul")
     out: list[str] = []
     i = 0
     while i < len(argv):
@@ -549,6 +560,13 @@ def _normalize_argv(argv: Sequence[str]) -> list[str]:
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
             continue
+        if exprs and tok[:1] == "-" and tok[1:2] not in ("", "-", "h") and " " not in tok:
+            prev = out[-1]
+            takes_value = prev[:2] == "--" and len(prev) > 2 and any(
+                flag.startswith(prev) for flag in ("--monoid", "--ring", "--var")
+            )
+            if not takes_value:
+                tok += " "
         out.append(tok)
         i += 1
     return out

@@ -177,8 +177,11 @@ def nonzero_defect_pairs(P: Projector, window: Iterable, ring: Ring) -> Iterator
 
     One rb_defect call decides a whole block of rows u_0, u_1, ... of an
     n-element window. P keeps or kills each term, so each of the four terms
-    of D(e_u, e_v) is 0 or +-e_{u+v}, and every coefficient of it lies in
-    [-2, 2]. The defect is bilinear, so over Z with F = sum_i 8^(n i) e_{u_i}
+    of D(e_u, e_v) is 0 or +-e_{u+v}: with k_s = 1 when P keeps s, its
+    coefficient is k_u k_v - k_v k_{u+v} - k_u k_{u+v} + k_{u+v}, which a
+    correct kernel makes 0 or 1. The decoding accepts every coefficient in
+    [-2, 2], the bound of four such terms, so a faulty kernel's digits still
+    decode. The defect is bilinear, so over Z with F = sum_i 8^(n i) e_{u_i}
     and G = sum_j 8^j e_{v_j} the pair (i, j) lands only at u_i + v_j, in
     digit n i + j, and every coefficient of D(F, G) is a base-8 number whose
     balanced digit n i + j is the coefficient of D(e_{u_i}, e_{v_j}), even

@@ -14,9 +14,10 @@ denominator, `_den`. Over Z and Z/m the denominator is 1 and the numerators
 are the values themselves (residues 0..m-1 over Z/m). Over Q the pair is
 kept in lowest terms, gcd(_den, all numerators) == 1, so equal series store
 equal data and compare and hash on it. Every kernel (products, sums,
-scaling, projections, printing) works on the numerators and builds no
-`Fraction`; the public constructor, `coeff`, `items` and `sorted_items`
-take and give the ring's values (see scalars.py), a `Fraction` over Q.
+projections, printing) works on the numerators and builds no `Fraction`;
+the public constructor, `coeff` and `items` take and give the ring's values
+(see scalars.py), a `Fraction` over Q. A scalar c is the series c·e^0 at
+the neutral exponent, and multiplies as any other series does.
 """
 
 from __future__ import annotations
@@ -122,15 +123,6 @@ class Series:
         value, den = self.ring.value, self._den
         return [(s, value(c, den)) for s, c in self._terms.items()]
 
-    def sorted_items(self) -> list:
-        """The (exponent, coefficient) terms by increasing exponent, as printed.
-
-        Exponents sort as Python values (ints, or tuples of ints), which on
-        a partial order is a display order, not the monoid's.
-        """
-        terms, value, den = self._terms, self.ring.value, self._den
-        return [(s, value(terms[s], den)) for s in sorted(terms)]
-
     def term_count(self) -> int:
         return len(self._terms)
 
@@ -181,7 +173,7 @@ class Series:
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            return self.scale(other)
+            return NotImplemented
         return self.mul(other)
 
     def mul(self, other: "Series", below: int | None = None) -> "Series":
@@ -193,28 +185,6 @@ class Series:
         self._check_peer(other)
         acc = _convolve(self.monoid, self._terms, other._terms, self.ring.modulus, below)
         return Series._raw(self.monoid, self.ring, acc, self._den * other._den)
-
-    def below(self, bound: int) -> "Series":
-        """The terms at integer exponents < bound."""
-        # filtered here, not through _kept: a predicate call per term made
-        # this projection of the Laurent path about 1.5 times slower
-        kept = {s: c for s, c in self._terms.items() if s < bound}
-        return Series._raw(self.monoid, self.ring, kept, self._den)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "Series":
-        if not self.ring.contains(c):
-            raise TypeError(f"scalar {c!r} is not in {self.ring}")
-        m = self.ring.modulus
-        terms = self._terms.items()
-        if m:
-            return Series._raw(self.monoid, self.ring, {s: r for s, v in terms if (r := c * v % m)})
-        # an int is its own numerator over 1, a Fraction is in lowest terms
-        num = c.numerator
-        acc = {s: num * v for s, v in terms} if num else {}
-        return Series._raw(self.monoid, self.ring, acc, self._den * c.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):

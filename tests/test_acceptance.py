@@ -130,7 +130,7 @@ def test_c05_defect_bilinearity_double_sum(rng):
         total = zero_series(M, QQ)
         for u in f.support():
             for v in g.support():
-                total = total + rb_defect(P, e(u), e(v)).scale(f.coeff(u) * g.coeff(v))
+                total = total + Series(M, QQ, {0: f.coeff(u) * g.coeff(v)}) * rb_defect(P, e(u), e(v))
         assert rb_defect(P, f, g) == total
 
 

@@ -61,6 +61,25 @@ def test_mul_basic(capsys):
     assert out.strip() == "3*e^-1 + 5*e^1"
 
 
+@pytest.mark.parametrize("ring", ["Z", "Q", "Z/7"])
+@pytest.mark.parametrize("laurent", [(), ("--laurent",)])
+@pytest.mark.parametrize("f,g", [("-e^2", "e"), ("e", "-3*e^-2"), ("-2*e^-1", "-e^-1"), ("-5", "e^3")])
+def test_a_one_term_result_reads_back(capsys, ring, laurent, f, g):
+    # an expression that begins with '-' and has no blank is an expression,
+    # not an option, so a printed one-term result feeds back as it is
+    code, out, _ = run(capsys, "mul", f, g, "--ring", ring, *laurent)
+    assert code == 0 and " " not in out.strip()
+    assert run(capsys, "add", out.strip(), "0", "--ring", ring, *laurent) == (0, out, "")
+
+
+@pytest.mark.parametrize("flag,name", [("--var", "--var"), ("--va", "--var"), ("--ring", "--ring"), ("--monoid", "--monoid")])
+def test_a_dash_token_after_a_value_option_is_left_to_argparse(capsys, flag, name):
+    with pytest.raises(SystemExit) as exc:
+        main(["add", "e", "e", flag, "-x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {name}: expected one argument\n")
+
+
 def test_add_json(capsys):
     code, out, _ = run(capsys, "add", "e^1", "e^1", "--json")
     assert code == 0
@@ -202,6 +221,17 @@ def test_theorem_verify_max_size_ceiling(capsys, monkeypatch):
     code, out, err = run(capsys, "theorem-verify", "--table", str(TABLES / "z4.json"), "--max-size", "64")
     assert (code, out) == (2, "")
     assert err == "error: --max-size must be at most 20, got 64\n"
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_theorem_verify_max_size_floor(capsys, monkeypatch, size):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the --max-size check")
+
+    monkeypatch.setattr(gpsrb.cli, "load_table", unreachable)
+    code, out, err = run(capsys, "theorem-verify", "--table", str(TABLES / "z4.json"), "--max-size", size)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-size must be at least 1, got {size}\n"
 
 
 def test_theorem_verify_at_the_max_size_ceiling(capsys):

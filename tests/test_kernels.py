@@ -118,7 +118,7 @@ def test_zero_divisors_without_collision():
     f, g = Series(M, Z12, {1: 3}), Series(M, Z12, {2: 4})
     p = f * g
     assert p == zero_series(M, Z12) and not list(p.items())
-    assert (f.scale(4)).is_zero()
+    assert (Series(M, Z12, {0: 4}) * f).is_zero()
     # four products, four distinct exponents, every product 0 mod 12
     assert (Series(M, Z12, {0: 6, 1: 3}) * Series(M, Z12, {0: 4, 2: 8})).is_zero()
     tf, tg = make_laurent(Z12, {1: 3}), make_laurent(Z12, {2: 4})
@@ -155,9 +155,36 @@ def test_membership_checks_at_constructors(ring, bad):
     with pytest.raises(TypeError):
         make_laurent(ring, {0: bad})
     with pytest.raises(TypeError):
-        Series(M, ring, {0: ring.from_int(1)}).scale(bad)
+        Series(M, ring, {0: ring.from_int(1)}) * bad
     with pytest.raises(TypeError):
-        make_laurent(ring, {0: ring.from_int(1)}).scale(bad)
+        bad * make_laurent(ring, {0: ring.from_int(1)})
+
+
+@pytest.mark.parametrize(
+    "ring,c",
+    [(ZZ, 0), (ZZ, -1), (QQ, Fraction(0)), (QQ, Fraction(-1)), (QQ, Fraction(-3, 4)),
+     (Zmod(7), 0), (Zmod(7), 6), (Zmod(7), 3)],
+)
+def test_a_scalar_is_the_constant_series(ring, c):
+    # c·e^0 times f is c times each coefficient of f, on either side; a
+    # truncated Laurent value keeps its tail unless c is 0, the exact zero
+    terms = {-2: ring.from_int(3), 0: ring.from_int(1), 5: ring.from_int(-4)}
+    f, k = Series(M, ring, terms), Series(M, ring, {0: c})
+    m = ring.modulus
+    want = {s: v for s, x in terms.items() if (v := c * x % m if m else c * x)}
+    assert dict((k * f).items()) == want and f * k == k * f
+    for tail in (None, 7):
+        t = make_laurent(ring, {0: c}) * make_laurent(ring, terms, tail)
+        assert dict(t.items()) == want and t.tail == (tail if c else None)
+
+
+@pytest.mark.parametrize("c", [2, Fraction(1, 2)])
+def test_a_bare_scalar_is_no_factor(c):
+    for x in (Series(M, QQ, {1: Fraction(2)}), make_laurent(QQ, {1: Fraction(2)}, 3)):
+        with pytest.raises(TypeError):
+            c * x
+        with pytest.raises(TypeError):
+            x * c
 
 
 # Products large and dense enough for the packed big-int path, and products
@@ -201,7 +228,7 @@ def test_products_on_both_sides_of_the_packing_threshold(case):
     assert h == want
     cut = f.mul(g, below=below)
     assert_canonical_series(cut)
-    assert cut == want.below(below)
+    assert cut == want._kept(below.__gt__)
 
 
 def packed(f: Series, g: Series) -> bool:
@@ -263,7 +290,7 @@ def test_int_exponent_dict_loop_sums_without_monoid_add(case):
         h, cut, vh = f * g, f.mul(g, below=below), vf * vg
     assert_canonical_series(h)
     assert h == want
-    assert cut == h.below(below)
+    assert cut == h._kept(below.__gt__)
     # Z^2 exponents still sum through the monoid, once per pair
     assert vh == vwant
     assert len(calls) == vf.term_count() * vg.term_count()
@@ -289,7 +316,7 @@ def test_every_output_slot_at_the_slot_bound(ring, sign):
     h = f * g
     assert h == naive_convolve(f, g)
     assert h.coeff(n - 4) == (sign * bound % ring.modulus if ring.modulus else sign * bound)
-    assert f.mul(g, below=n - 3) == naive_convolve(f, g).below(n - 3)
+    assert f.mul(g, below=n - 3) == naive_convolve(f, g)._kept((n - 3).__gt__)
 
 
 def test_below_cuts_inside_both_operands():
@@ -297,7 +324,7 @@ def test_below_cuts_inside_both_operands():
     g = Series(M, ZZ, {i: 3 - i for i in range(-5, 25) if i != 3})
     assert packed(f, g)
     below = 12  # keeps f below 17 and g below 22, of 30 and 25
-    want = naive_convolve(f, g).below(below)
+    want = naive_convolve(f, g)._kept(below.__gt__)
     assert f.mul(g, below=below) == want
     assert f.mul(g, below=below) == g.mul(f, below=below)
 
@@ -416,9 +443,8 @@ def test_kernels_keep_the_stored_pair_canonical(case):
         (f + g, oracle_sum(ring, F, G)),
         (f - g, oracle_sum(ring, F, G, -1)),
         (-f, oracle_series(ring, {s: -c for s, c in F.items()})),
-        (f.scale(scalar), oracle_series(ring, {s: scalar * c for s, c in F.items()})),
-        (f.below(0 if below is None else below),
-         {s: c for s, c in F.items() if s < (0 if below is None else below)}),
+        (Series(M, ring, {0: scalar}) * f, oracle_series(ring, {s: scalar * c for s, c in F.items()})),
+        (f._kept(cutoff.keeps), {s: c for s, c in F.items() if cutoff.keeps(s)}),
         (cutoff(g), {s: c for s, c in G.items() if cutoff.keeps(s)}),
         (evens(f), {s: c for s, c in F.items() if s % 2 == 0}),
     ]
@@ -438,11 +464,12 @@ def test_q_sums_that_cancel_to_an_integer_or_to_zero():
     difference = f - f
     assert (difference._den, difference._terms) == (1, {})
     assert difference == zero_series(M, QQ)
-    # a product of two halves and a scaling by 2 are integral as well
+    # products of halves by the constants 2, 1/3 and 2/3 are integral as well
     half = Series(M, QQ, {1: Fraction(1, 2), 3: Fraction(-3, 2)})
-    assert (half * Series(M, QQ, {0: Fraction(2)}))._den == 1
-    assert half.scale(Fraction(2))._terms == {1: 1, 3: -3}
-    assert (half - half.scale(Fraction(1, 3)) - half.scale(Fraction(2, 3))).is_zero()
+    twice = half * Series(M, QQ, {0: Fraction(2)})
+    assert (twice._den, twice._terms) == (1, {1: 1, 3: -3})
+    thirds = [half * Series(M, QQ, {0: Fraction(k, 3)}) for k in (1, 2)]
+    assert (half - thirds[0] - thirds[1]).is_zero()
 
 
 def test_q_kernels_build_no_fraction(monkeypatch):

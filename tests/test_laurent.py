@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gpsrb import (
     InsufficientPrecision,
     IntLine,
+    Projector,
     QQ,
     Series,
     TruncatedLaurent,
@@ -141,7 +142,7 @@ def test_equality_is_structural():
 
 def test_scale():
     f = L({-1: 2, 2: 3}, trunc=4)
-    g = f.scale(QQ.value(*QQ.ratio(1, 2)))
+    g = L({0: (1, 2)}) * f
     assert g.coeff(-1) == one and g.trunc == 4 and not g.exact
 
 
@@ -209,6 +210,18 @@ def test_pole_plus_nonneg_is_identity_on_window(f):
     assert p.exact
     if not p.is_zero():
         assert p.trunc <= 0
+
+
+@settings(max_examples=120)
+@given(f=st.one_of(*(laurents(ring=r) for r in (QQ, ZZ, Zmod(7)))))
+def test_pole_part_is_the_cutoff_at_zero(f):
+    if f.exact or f.tail >= 0:
+        assert pole_part(f).series == Projector.cutoff(IntLine(), 0)(f.series)
+        return
+    message = f"pole part needs all coefficients below x^0, input is only known to O(x^{f.tail})"
+    with pytest.raises(InsufficientPrecision) as err:
+        pole_part(f)
+    assert str(err.value) == message
 
 
 @settings(max_examples=120)
