@@ -74,7 +74,7 @@ class UsageError(ValueError):
 
 # single-term pairs one rb-check or cutoff-scan run may examine: 13.5x the
 # largest benchmark job (cutoff-scan on Z, 11 thresholds x 41^2 = 18,491 pairs);
-# a run at the budget takes 0.32-1.8 s (one core of a shared 2-vCPU x86 host,
+# a run at the budget takes 0.16-0.74 s (one core of a shared 2-vCPU x86 host,
 # Python 3.11)
 PAIR_BUDGET = 250_000
 
@@ -85,7 +85,7 @@ LAURENT_JSON_BUDGET = 1_000_000
 
 # largest d of Z^d, checked before any d-tuple is built: 2^8 = 256 is the
 # largest box with two points per axis under PAIR_BUDGET; on Z^8 a run at the
-# pair budget takes 0.24-1.9 s, and a product of half PRODUCT_BUDGET with all
+# pair budget takes 0.25-0.5 s, and a product of half PRODUCT_BUDGET with all
 # sums distinct 5.1 s at 437 MB, against 4.2 s at 336 MB on Z^2 (same host)
 MAX_DIM = 8
 
@@ -309,8 +309,8 @@ def cmd_rb_check(args) -> int:
         budget = ProductBudget()
         f = _parse(args, args.f, monoid, ring, budget)
         g = _parse(args, args.g, monoid, ring, budget)
-        for _ in range(4):  # rb_defect forms four products of at most |f| x |g| pairs
-            _charge_product(budget, f, g)
+        # rb_defect forms Pf Pg and Qf Qg, at most |f| x |g| pairs together
+        _charge_product(budget, f, g)
         d = rb_defect(P, f, g)
         if args.json:
             print(json.dumps({"decomposition": P.label, "defect": _printable(d.to_json)}))

@@ -119,10 +119,13 @@ class TruncatedLaurent:
             return NotImplemented
         return self + -other
 
-    def mul(self, other, pole: bool = False):
-        """The product; with pole, pole_part of it, from the pairs that land below x^0 only."""
+    def mul(self, other: "TruncatedLaurent", pole: bool = False) -> "TruncatedLaurent":
+        """The product; with pole, pole_part of it, from the pairs that land below x^0 only.
+
+        A factor that is not a TruncatedLaurent is a TypeError.
+        """
         if not isinstance(other, TruncatedLaurent):
-            return NotImplemented
+            raise TypeError(f"a Laurent value multiplies a Laurent value, not {type(other).__name__}")
         # the stored terms and tails read once: ord is the lowest stored
         # exponent, or the tail when nothing is stored
         f, g, f_tail, g_tail = self.series._terms, other.series._terms, self.tail, other.tail
@@ -139,7 +142,10 @@ class TruncatedLaurent:
             return TruncatedLaurent._raw(self.series.mul(other.series, below=0), None)
         return TruncatedLaurent._raw(self.series.mul(other.series, below=tail), tail)
 
-    __mul__ = mul
+    def __mul__(self, other):
+        if not isinstance(other, TruncatedLaurent):
+            return NotImplemented
+        return self.mul(other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedLaurent):

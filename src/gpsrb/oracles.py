@@ -36,8 +36,8 @@ DEFAULT_MAX_SIZE = 12  # the default of theorem-verify --max-size
 # single-term pairs the full scans of one sweep may cover: (closed +
 # rescanned masks) x n^2, known once the structural route has run and before
 # the first scan. max(12), whose 4,096 masks are all closed (589,824 pairs),
-# sweeps in 0.45-0.56 s; scans ran at 0.8-1.2 us a pair from max(12) to
-# max(14), so a sweep at the budget takes about 0.8-1.2 s, on one core of a
+# sweeps in 0.16-0.34 s; scans ran at 0.25-0.58 us a pair from max(12) to
+# max(16), so a sweep at the budget takes about 0.25-0.6 s, on one core of a
 # shared 2-vCPU x86 host with Python 3.11
 SCAN_PAIR_BUDGET = 1_000_000
 
@@ -123,16 +123,16 @@ def verify_theorem_decomposition(
 
     The semantic route is witness-first. At a witness (u, v), the defect of
     the single-term pair (e_u, e_v) has coefficient
-    k_u k_v - k_v k_{u+v} - k_u k_{u+v} + k_{u+v} = 1 at e_{u+v}, where k_s
-    is 1 when s is kept. P acts term by term, so that defect depends only
-    on (u, v) and on whether P keeps u, v and u + v. The masks settled at
-    (u, v) split by side into at most two such patterns, and one rb_defect
-    call, at the lowest mask of each, decides all masks of that part: at
-    most 2 n^2 witness calls per sweep. A mask that is closed, or whose
-    witness defect is zero, gets the full n^2 semantic scan, in ascending
-    mask order, so a disagreement in either direction still shows. TooLarge
-    is raised before the first scan when those scans would cover more than
-    SCAN_PAIR_BUDGET single-term pairs.
+    (k_u - k_{u+v})(k_v - k_{u+v}) = 1 at e_{u+v}, where k_s is 1 when s is
+    kept. P acts term by term, so that defect depends only on (u, v) and
+    on whether P keeps u, v and u + v. The masks settled at (u, v) split by
+    side into at most two such patterns, and one rb_defect call, at the
+    lowest mask of each, decides all masks of that part: at most 2 n^2
+    witness calls per sweep. A mask that is closed, or whose witness defect
+    is zero, gets the full n^2 semantic scan, in ascending mask order, so a
+    disagreement in either direction still shows. TooLarge is raised before
+    the first scan when those scans would cover more than SCAN_PAIR_BUDGET
+    single-term pairs.
     """
     if not isinstance(monoid, FiniteTable):
         raise TypeError("exhaustive decomposition sweeps need a finite carrier")

@@ -5,18 +5,20 @@ A Projector(monoid, keeps, label) splits the monoid carrier into a kept part
 coefficient whose exponent falls in the killed part. Projector.cutoff keeps
 the exponents strictly below a threshold, Projector.from_mask a bitmask of a
 finite carrier, and complement() swaps the two parts. A cutoff on Z or N
-carries its threshold as `bound`, and rb_defect multiplies only the pairs
-that land below it. The central question downstream is when such an
-operator P satisfies the weight -1 identity
+carries its threshold as `bound`. The central question downstream is when
+such an operator P satisfies the weight -1 identity
 
     P(f) P(g) = P(f P(g)) + P(P(f) g) - P(f g)
 
 for all series f, g. The defect functional rb_defect(P, f, g) returns the
-difference of the two sides for a Projector P, as one signed term map; the
-pole-part defect of Laurent values is laurent.tl_rb_defect. The identity
-holds exactly when the defect vanishes identically, and for these projectors
-that happens exactly when both the kept part and the killed part are closed
-under addition.
+difference of the two sides for a Projector P. With Q = 1 - P it equals
+
+    Q(P(f) P(g)) + P(Q(f) Q(g)),
+
+the products inside the kept part that land in the killed part plus the
+products inside the killed part that land in the kept part, so it vanishes
+identically exactly when both parts are closed under addition; the
+pole-part defect of Laurent values is laurent.tl_rb_defect.
 """
 
 from __future__ import annotations
@@ -106,8 +108,9 @@ def defect_terms(P: Callable, f, g) -> tuple:
 
     P is any projector callable on values with +, - and *: a Projector on
     Series, or laurent.pole_part on TruncatedLaurent values. This is the test
-    oracle of rb_defect and of tl_rb_defect, which form the same four terms
-    by bounded products; no command calls it.
+    oracle of rb_defect, which forms the same signed sum from two projected
+    products, and of tl_rb_defect, which forms the four terms by bounded
+    products; no command calls it.
     """
     pf, pg = P(f), P(g)
     return pf * pg, P(f * pg), P(pf * g), P(f * g)
@@ -116,29 +119,32 @@ def defect_terms(P: Callable, f, g) -> tuple:
 def rb_defect(P: Projector, f: Series, g: Series) -> Series:
     """P(f)P(g) - P(f P(g)) - P(P(f) g) + P(f g), the signed sum of defect_terms.
 
-    One signed term map: the four products of the numerators
-    (series._convolve) over the one denominator of f g, the exponents P
-    kills dropped from the last three, reduced mod m once and brought to
-    lowest terms by one _raw; a bounded cutoff forms those three from the
-    pairs that land below its bound only, and P(f)P(g) whole. P must be a
-    Projector (TypeError otherwise); the pole-part defect of Laurent values
-    is laurent.tl_rb_defect.
+    With Q = 1 - P, linearity and P^2 = P reduce the four terms to
+    Q(Pf Pg) + P(Qf Qg): two products of the numerators (series._convolve)
+    over the one denominator of f g, the first keeping the sums P kills and
+    the second the sums P keeps, so their supports are disjoint and nothing
+    cancels. Each operand is split once by keeps; a product with an empty
+    factor is not formed, and a bounded cutoff forms Qf Qg from the pairs
+    that land below its bound only. P must be a Projector (TypeError
+    otherwise); the pole-part defect of Laurent values is
+    laurent.tl_rb_defect.
     """
     if not isinstance(P, Projector):
         raise TypeError(f"rb_defect takes a Projector, not {P!r}")
     P._check(f)
     P._check(g)
     f._check_peer(g)
-    monoid, keeps, m, F, G = P.monoid, P.keeps, f.ring.modulus, f._terms, g._terms
-    pF = {s: c for s, c in F.items() if keeps(s)}
-    pG = {s: c for s, c in G.items() if keeps(s)}
-    acc = _convolve(monoid, pF, pG, m)
-    get = acc.get
-    for sign, x, y in ((-1, F, pG), (-1, pF, G), (1, F, G)):
-        for s, c in _convolve(monoid, x, y, m, P.bound).items():
-            if keeps(s):
-                acc[s] = get(s, 0) + sign * c
-    acc = {s: r for s, c in acc.items() if (r := c % m if m else c)}
+    monoid, keeps, m = P.monoid, P.keeps, f.ring.modulus
+    pF, qF, pG, qG = {}, {}, {}, {}
+    for s, c in f._terms.items():
+        (pF if keeps(s) else qF)[s] = c
+    for s, c in g._terms.items():
+        (pG if keeps(s) else qG)[s] = c
+    acc = {}
+    if pF and pG:
+        acc = {s: c for s, c in _convolve(monoid, pF, pG, m).items() if not keeps(s)}
+    if qF and qG:
+        acc.update([(s, c) for s, c in _convolve(monoid, qF, qG, m, P.bound).items() if keeps(s)])
     return Series._raw(monoid, f.ring, acc, f._den * g._den)
 
 
@@ -176,18 +182,20 @@ def nonzero_defect_pairs(P: Projector, window: Iterable, ring: Ring) -> Iterator
     the first failing pair a nested scan would meet.
 
     One rb_defect call decides a whole block of rows u_0, u_1, ... of an
-    n-element window. P keeps or kills each term, so each of the four terms
-    of D(e_u, e_v) is 0 or +-e_{u+v}: with k_s = 1 when P keeps s, its
-    coefficient is k_u k_v - k_v k_{u+v} - k_u k_{u+v} + k_{u+v}, which a
-    correct kernel makes 0 or 1. The decoding accepts every coefficient in
-    [-2, 2], the bound of four such terms, so a faulty kernel's digits still
-    decode. The defect is bilinear, so over Z with F = sum_i 8^(n i) e_{u_i}
-    and G = sum_j 8^j e_{v_j} the pair (i, j) lands only at u_i + v_j, in
-    digit n i + j, and every coefficient of D(F, G) is a base-8 number whose
-    balanced digit n i + j is the coefficient of D(e_{u_i}, e_{v_j}), even
-    when several pairs share one sum. Reduction mod m is a ring map, so a
-    digit reduced mod m is the Z/m coefficient; Q contains Z. A block holds
-    max(1, BLOCK_DIGITS // n) rows, which caps the digits of one call.
+    n-element window. P keeps or kills each term, so D(e_u, e_v) =
+    Q(P(e_u) P(e_v)) + P(Q(e_u) Q(e_v)) is 0 or e_{u+v}: with k_s = 1 when
+    P keeps s, its coefficient is (k_u - k_{u+v})(k_v - k_{u+v}), 1 exactly
+    when u and v lie on one side and u + v on the other. The decoding
+    accepts every coefficient in [-2, 2], the bound of the four terms of the
+    identity, so the digits of a faulty kernel, one that is off the closed
+    form, still decode. The defect is bilinear, so over Z with
+    F = sum_i 8^(n i) e_{u_i} and G = sum_j 8^j e_{v_j} the pair (i, j)
+    lands only at u_i + v_j, in digit n i + j, and every coefficient of
+    D(F, G) is a base-8 number whose balanced digit n i + j is the
+    coefficient of D(e_{u_i}, e_{v_j}), even when several pairs share one
+    sum. Reduction mod m is a ring map, so a digit reduced mod m is the Z/m
+    coefficient; Q contains Z. A block holds max(1, BLOCK_DIGITS // n) rows,
+    which caps the digits of one call.
     """
     elems = list(window)
     if len(set(elems)) != len(elems):

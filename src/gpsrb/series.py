@@ -180,8 +180,11 @@ class Series:
         """The product of the numerators (`_convolve`), over the product of the denominators.
 
         Over Q the result is brought to lowest terms once, by `_raw`. With
-        integer exponents, below drops every exponent >= below.
+        integer exponents, below drops every exponent >= below. A factor
+        that is not a Series is a TypeError; a scalar c is the series c·e^0.
         """
+        if not isinstance(other, Series):
+            raise TypeError(f"a series multiplies a series, not {type(other).__name__}")
         self._check_peer(other)
         acc = _convolve(self.monoid, self._terms, other._terms, self.ring.modulus, below)
         return Series._raw(self.monoid, self.ring, acc, self._den * other._den)

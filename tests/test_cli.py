@@ -697,15 +697,15 @@ def test_all_products_of_one_command_share_the_budget(capsys, monkeypatch):
         "product of 2 x 2 terms = 4 coefficient pairs, above the budget of 30 "
         "with 28 spent by earlier products (line 1, column 12)\n"
     )
-    # rb-check charges its four products at most |f| x |g| = 4 x 2 pairs each,
-    # after the 4 pairs of its --f: 36 in all
+    # rb-check charges its two products |f| x |g| = 4 x 2 pairs together,
+    # after the 4 pairs of its --f: 12 in all
     argv = ["rb-check", "--decomp", "negatives", "--f", "(e^-2 + e) * (1 + e^5)", "--g", "e^-1 + e^3"]
-    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 35)
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 11)
     assert run(capsys, *argv) == (2, "", (
-        "error: product of 4 x 2 terms = 8 coefficient pairs, above the budget of 35 "
-        "with 28 spent by earlier products\n"
+        "error: product of 4 x 2 terms = 8 coefficient pairs, above the budget of 11 "
+        "with 4 spent by earlier products\n"
     ))
-    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 36)
+    monkeypatch.setattr(gpsrb.parsing, "PRODUCT_BUDGET", 12)
     assert run(capsys, *argv)[0] == 0
 
 

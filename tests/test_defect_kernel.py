@@ -1,15 +1,15 @@
-"""rb_defect on a Projector, one signed term map, against the four values of defect_terms.
+"""rb_defect on a Projector, two projected products, against the four values of defect_terms.
 
-On a Projector, rb_defect forms the four products of the stored numerators
-over one denominator, drops the exponents P kills from the last three and
-sums them with their signs in one map. defect_terms builds the four terms as
-Series values, through P(.), * and the projections of whole products, and is
-the oracle here: the signed sum t1 - t2 - t3 + t4 of its terms must store the
-same numerators over the same denominator, on every monoid, ring and kind of
-projector, and every refusal must be the one the P(f)-first path makes. A
-cutoff on Z or N carries its bound and multiplies only the pairs landing
-below it; it must store what a projector with the same keeps and no bound
-stores.
+On a Projector, rb_defect splits the stored numerators of each operand into
+kept and killed terms and forms Q(Pf Pg) + P(Qf Qg), Q = 1 - P: at most two
+products over one denominator, with disjoint supports. defect_terms builds
+the four terms of the identity as Series values, through P(.), * and the
+projections of whole products, and is the oracle here: the signed sum
+t1 - t2 - t3 + t4 of its terms must store the same numerators over the same
+denominator, on every monoid, ring and kind of projector, and every refusal
+must be the one the P(f)-first path makes. A cutoff on Z or N carries its
+bound and multiplies only the pairs of Qf Qg landing below it; it must store
+what a projector with the same keeps and no bound stores.
 """
 
 from fractions import Fraction
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from dataclasses import replace
 
+import gpsrb.projectors
 import gpsrb.series
 from gpsrb import (
     IntLine,
@@ -186,6 +187,49 @@ def test_refusals_match_the_signed_sum_path():
     assert new == old and new[0] is RingMismatch
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=defect_cases())
+def test_defect_terms_sit_where_one_side_is_not_closed(case):
+    # D = Q(Pf Pg) + P(Qf Qg): a term at s needs kept u, v with s killed,
+    # or killed u, v with s kept
+    P, f, g = case
+    add, keeps = P.monoid.add, P.keeps
+    allowed = {
+        add(u, v)
+        for u in f._terms
+        for v in g._terms
+        if keeps(u) == keeps(v) != keeps(add(u, v))
+    }
+    assert set(rb_defect(P, f, g)._terms) <= allowed
+
+
+def test_at_most_two_products_and_none_across_the_sides(monkeypatch):
+    calls = []
+    real = gpsrb.projectors._convolve
+    monkeypatch.setattr(gpsrb.projectors, "_convolve", lambda *a: calls.append(a) or real(*a))
+    table = TABLES[4]
+    for P in (Projector.cutoff(M, 0), parse_decomposition(M, "odds"), Projector.from_mask(table, 0b10110)):
+        for Q in (P, P.complement()):
+            window = list(table.carrier()) if Q.monoid is table else list(int_window(-4, 4))
+            kept, killed = Q.kept(window), Q.killed(window)
+            one = lambda s: Series(Q.monoid, ZZ, {s: 1})
+            # one term on each side: neither Pf Pg nor Qf Qg has two factors
+            for u, v in ((kept[0], killed[0]), (killed[-1], kept[-1])):
+                calls.clear()
+                assert_matches_oracle(Q, one(u), one(v))
+                assert calls == []
+            # a single-term pair on one side forms its one product
+            for u, v in ((kept[0], kept[-1]), (killed[0], killed[-1])):
+                calls.clear()
+                assert_matches_oracle(Q, one(u), one(v))
+                assert len(calls) == 1
+            # operands on both sides form both, and no more
+            both = Series(Q.monoid, ZZ, {s: i + 1 for i, s in enumerate(window)})
+            calls.clear()
+            assert_matches_oracle(Q, both, both)
+            assert len(calls) == 2
+
+
 def test_projector_defect_makes_no_series_values(monkeypatch):
     P, Q = parse_decomposition(M, "odds"), Projector.from_mask(TABLES[4], 0b10110)
     cases = [
@@ -235,10 +279,13 @@ def test_dense_bounded_cutoff_takes_the_packed_product_below_its_bound(monkeypat
     n = 3 * PACK_MIN_TERMS
     f = Series(M, ring, {k: ring.from_int(k % 5 - 2 or 7) for k in range(-n, n)})
     g = Series(M, ring, {k: ring.from_int(3 - k % 4 or 5) for k in range(-n, n)})
-    P = Projector.cutoff(M, 4)
+    # a threshold below 0: from 0 up, two killed exponents never sum below
+    # it, so Qf Qg trims to nothing and no product is bounded
+    w = -2 * PACK_MIN_TERMS
+    P = Projector.cutoff(M, w)
     d = rb_defect(P, f, g)
     assert not d.is_zero()
-    assert 4 in bounds
+    assert w in bounds
     want = rb_defect(unbounded(P), f, g)
     assert (d._terms, d._den) == (want._terms, want._den) == (signed_sum(P, f, g)._terms, 1)
 

@@ -21,7 +21,7 @@ CALLERS = [
 # subclasses of Class
 NO_CALLER = {
     "Ring.from_int": "the API-boundary constructor of a ring value from an int; tests spell 0 and 1 with it",
-    "defect_terms": "the test oracle of rb_defect and tl_rb_defect, which form the same four terms by bounded products",
+    "defect_terms": "the four-term test oracle of rb_defect, which forms two projected products, and of tl_rb_defect",
 }
 
 

@@ -187,6 +187,32 @@ def test_a_bare_scalar_is_no_factor(c):
             x * c
 
 
+@pytest.mark.parametrize("c", [2, Fraction(1, 2), None])
+def test_series_mul_by_name_refuses_a_scalar(c):
+    for ring in (ZZ, QQ):
+        f = Series(M, ring, {1: ring.from_int(2)})
+        with pytest.raises(TypeError, match="a series multiplies a series, not"):
+            f.mul(c)
+        with pytest.raises(TypeError, match="a series multiplies a series, not"):
+            f.mul(c, below=3)
+    assert Series(M, ZZ, {1: 2}).__mul__(2) is NotImplemented
+
+
+@pytest.mark.parametrize("c", [2, Fraction(1, 2), None])
+def test_laurent_mul_by_name_refuses_a_scalar(c):
+    for tail in (None, 3):
+        f = make_laurent(ZZ, {1: 2}, tail)
+        with pytest.raises(TypeError, match="a Laurent value multiplies a Laurent value, not"):
+            f.mul(c)
+        with pytest.raises(TypeError, match="a Laurent value multiplies a Laurent value, not"):
+            f.mul(c, pole=True)
+        # a bare Series is no Laurent value either
+        with pytest.raises(TypeError, match="not Series"):
+            f.mul(f.series)
+        assert f.__mul__(c) is NotImplemented
+        assert f.mul(f) == f * f
+
+
 # Products large and dense enough for the packed big-int path, and products
 # just short of it, against the same oracle. Coefficients reach 10^40 so the
 # slot size grows past the sizes the density rule scales with.
