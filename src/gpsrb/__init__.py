@@ -51,7 +51,7 @@ from .scalars import (
     Zmod,
     ZZ,
 )
-from .series import Series, indicator, zero_series
+from .series import Series, indicator
 
 __all__ = [
     "CheckOutcome",
@@ -98,5 +98,4 @@ __all__ = [
     "validate_monoid",
     "vector_window",
     "verify_theorem_decomposition",
-    "zero_series",
 ]

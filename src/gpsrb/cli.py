@@ -162,11 +162,14 @@ def parse_window_spec(
 ) -> list:
     """Window elements from "a..b"; vectors get the box [a,b]^d, tables their carrier.
 
-    TooLarge comes first when |thresholds| x |window|^2 single-term pairs
-    exceed the budget; the sizes come from the bounds alone, so an
-    oversized box is never built.
+    A range the carrier misses is a --window error. TooLarge comes next when
+    |thresholds| x |window|^2 single-term pairs exceed the budget; the sizes
+    come from the bounds alone, so an oversized box is never built.
     """
-    bounds = monoid.default_bounds() if text is None else parse_range(text)
+    try:
+        bounds = monoid.bounds(*(monoid.default_bounds() if text is None else parse_range(text)))
+    except BadElement as exc:
+        raise UsageError(f"--window {exc}") from None
     size = monoid.window_size(*bounds)
     count = 1 if thresholds is None else monoid.window_size(*thresholds)
     pairs = count * size * size
@@ -345,10 +348,12 @@ def cmd_rb_check(args) -> int:
 def cmd_cutoff_scan(args) -> int:
     monoid = parse_monoid_spec(args.monoid)
     ring = parse_ring_spec(args.ring)
-    w_range = parse_range(args.w_range)
-    window = parse_window_spec(monoid, args.window, w_range)
     # the header names the thresholds scanned: the range trimmed to the carrier
-    w_lo, w_hi = monoid.bounds(*w_range)
+    try:
+        w_lo, w_hi = monoid.bounds(*parse_range(args.w_range))
+    except BadElement as exc:
+        raise UsageError(f"--w-range {exc}") from None
+    window = parse_window_spec(monoid, args.window, (w_lo, w_hi))
     results = scan_cutoffs(monoid, monoid.window(w_lo, w_hi), window, ring)
     rep = monoid.elem_repr
     if args.json:
@@ -491,19 +496,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, laurent_flag: bool = False):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--monoid", default="Z", help="Z, N, Z^d:product, Z^d:lex, table:<path>")
         p.add_argument("--ring", default="Q", help="Z, Q, or Z/m")
-        p.add_argument("--var", default="e", help="variable name in expressions")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if laurent_flag:
-            p.add_argument("--laurent", action="store_true", help="truncation-aware arithmetic")
 
     for name in ("add", "mul"):
         p = sub.add_parser(name, help=f"{name} two series expressions")
         p.add_argument("expr1")
         p.add_argument("expr2")
-        common(p, laurent_flag=True)
+        p.add_argument("--var", default="e", help="variable name in expressions")
+        p.add_argument("--laurent", action="store_true", help="truncation-aware arithmetic")
+        common(p)
         p.set_defaults(run=cmd_arith)
 
     p = sub.add_parser("rb-check", help="test the weight -1 identity for a decomposition")
@@ -511,6 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default=None, help="a..b")
     p.add_argument("--f", default=None, help="explicit series (with --g)")
     p.add_argument("--g", default=None)
+    p.add_argument("--var", default="e", help="variable name in --f and --g")
     common(p)
     p.set_defaults(run=cmd_rb_check)
 

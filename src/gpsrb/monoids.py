@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Sequence
 
-from .outcomes import CheckOutcome, outcome_fail, outcome_pass
+from .outcomes import CheckOutcome
 
 
 class BadElement(ValueError):
@@ -52,7 +52,7 @@ def _is_square(rows, n: int) -> bool:
 
 
 class OrderedMonoid:
-    """Commutative monoid with a strict partial order; subclasses fill in the ops.
+    """Commutative monoid with a strict partial order lt; subclasses fill in the ops.
 
     Windows are boxes: window(lo, hi) holds the carrier elements with every
     coordinate in lo..hi, and window_size counts them without building them.
@@ -69,11 +69,8 @@ class OrderedMonoid:
     def add(self, a, b):
         raise NotImplementedError
 
-    def leq(self, a, b) -> bool:
-        raise NotImplementedError
-
     def lt(self, a, b) -> bool:
-        return a != b and self.leq(a, b)
+        raise NotImplementedError
 
     def check_elem(self, x) -> None:
         """Raise BadElement unless x belongs to the carrier."""
@@ -94,7 +91,7 @@ class OrderedMonoid:
         return value
 
     def bounds(self, lo: int, hi: int) -> tuple[int, int]:
-        """Window bounds trimmed to the carrier; BadElement when nothing is left."""
+        """The range lo..hi trimmed to the carrier; BadElement when nothing is left."""
         return lo, hi
 
     def default_bounds(self, radius: int = 3) -> tuple[int, int]:
@@ -125,9 +122,6 @@ class IntLine(OrderedMonoid):
     def add(self, a: int, b: int) -> int:
         return a + b
 
-    def leq(self, a: int, b: int) -> bool:
-        return a <= b
-
     def lt(self, a: int, b: int) -> bool:
         return a < b
 
@@ -149,7 +143,7 @@ class IntLine(OrderedMonoid):
 
     def bounds(self, lo: int, hi: int) -> tuple[int, int]:
         if self.nonneg and hi < 0:
-            raise BadElement(f"window '{lo}..{hi}' contains no naturals")
+            raise BadElement(f"'{lo}..{hi}' contains no naturals")
         return (max(lo, 0) if self.nonneg else lo), hi
 
     def default_bounds(self, radius: int = 3) -> tuple[int, int]:
@@ -190,11 +184,8 @@ class IntVector(OrderedMonoid):
     def add(self, a, b):
         return tuple(map(operator.add, a, b))
 
-    def leq(self, a, b) -> bool:
-        # tuple comparison is lexicographic
-        return a <= b if self.lex else all(map(operator.le, a, b))
-
     def lt(self, a, b) -> bool:
+        # tuple comparison is lexicographic
         return a < b if self.lex else a != b and all(map(operator.le, a, b))
 
     def check_elem(self, x) -> None:
@@ -233,9 +224,10 @@ class IntVector(OrderedMonoid):
 class FiniteTable(OrderedMonoid):
     """Finite commutative monoid given by an addition table and an order matrix.
 
-    Elements are indices 0..n-1. leq[i][j] is the order relation; the default
-    (identity matrix) is the trivial order, which is strictly compatible for
-    free. Construction validates shape only; validate_monoid checks the axioms.
+    Elements are indices 0..n-1. leq_table, i <= j at [i][j], is the table's
+    order data and lt that relation off the diagonal; the default identity
+    matrix is the trivial order, strictly compatible for free. Construction
+    validates shape only; validate_monoid checks the axioms.
     """
 
     n: int
@@ -287,8 +279,8 @@ class FiniteTable(OrderedMonoid):
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def leq(self, a: int, b: int) -> bool:
-        return self.leq_table[a][b]
+    def lt(self, a: int, b: int) -> bool:
+        return a != b and self.leq_table[a][b]
 
     def check_elem(self, x) -> None:
         if not (_is_int(x) and 0 <= x < self.n):
@@ -304,7 +296,7 @@ class FiniteTable(OrderedMonoid):
 
     def bounds(self, lo: int, hi: int) -> tuple[int, int]:
         if max(lo, 0) > min(hi, self.n - 1):
-            raise BadElement(f"window '{lo}..{hi}' misses the carrier 0..{self.n - 1}")
+            raise BadElement(f"'{lo}..{hi}' misses the carrier 0..{self.n - 1}")
         return max(lo, 0), min(hi, self.n - 1)
 
     def default_bounds(self, radius: int = 3) -> tuple[int, int]:
@@ -386,22 +378,21 @@ def validate_monoid(table: FiniteTable) -> CheckOutcome:
     rep = table.elem_repr
     for a in range(n):
         if add[a][z] != a or add[z][a] != a:
-            return outcome_fail({"axiom": "neutral", "a": rep(a)}, desc)
+            return CheckOutcome("fail", {"axiom": "neutral", "a": rep(a)}, desc)
     for a, (row, col) in enumerate(zip(add, zip(*add))):
         if row != col:
             b = next(b for b in range(n) if row[b] != col[b])
-            return outcome_fail({"axiom": "commutative", "a": rep(a), "b": rep(b)}, desc)
+            return CheckOutcome("fail", {"axiom": "commutative", "a": rep(a), "b": rep(b)}, desc)
     for a, row in enumerate(table.leq_table):
         if row.count(True) != 1 or not row[a]:
             b = next(b for b in range(n) if row[b] != (a == b))
-            return outcome_fail({"axiom": "trivial-order", "a": rep(a), "b": rep(b)}, desc)
+            return CheckOutcome("fail", {"axiom": "trivial-order", "a": rep(a), "b": rep(b)}, desc)
     rows = [list(row) for row in add]
     for a, row_a in enumerate(rows):
         for b, ab in enumerate(row_a):
             left, right = rows[ab], [row_a[x] for x in rows[b]]
             if left != right:
                 c = next(c for c in range(n) if left[c] != right[c])
-                return outcome_fail(
-                    {"axiom": "associative", "a": rep(a), "b": rep(b), "c": rep(c)}, desc
-                )
-    return outcome_pass(desc)
+                witness = {"axiom": "associative", "a": rep(a), "b": rep(b), "c": rep(c)}
+                return CheckOutcome("fail", witness, desc)
+    return CheckOutcome.clean(table, table.carrier(), desc)

@@ -17,7 +17,7 @@ from itertools import product
 from typing import Any, Iterable, Iterator
 
 from .monoids import FiniteTable, OrderedMonoid
-from .outcomes import CheckOutcome, outcome_fail, outcome_on_window, outcome_pass
+from .outcomes import CheckOutcome
 from .projectors import Projector, cutoff_violation_pairs, nonzero_defect_pairs, rb_defect
 from .scalars import Ring, ZZ
 from .series import indicator
@@ -209,7 +209,6 @@ def scan_cutoffs(
     elems = list(window)
     rep = monoid.elem_repr
     results: list[tuple[Any, CheckOutcome]] = []
-    exhaustive = monoid.covers(elems)
     for w in w_set:
         drop_in, escape = cutoff_violation_pairs(monoid, w, elems)
         flagged = set(drop_in) | set(escape)
@@ -228,9 +227,9 @@ def scan_cutoffs(
                 "drop_in": [[rep(u), rep(v)] for u, v in drop_in],
                 "escape": [[rep(u), rep(v)] for u, v in escape],
             }
-            results.append((w, outcome_fail(witness, desc)))
+            results.append((w, CheckOutcome("fail", witness, desc)))
         else:
-            results.append((w, outcome_pass(desc) if exhaustive else outcome_on_window(desc)))
+            results.append((w, CheckOutcome.clean(monoid, elems, desc)))
     return results
 
 

@@ -6,13 +6,14 @@ window, so a plain bool would overclaim. The three verdicts are:
 - "pass": conclusive, the property holds everywhere (only claimable when the
   whole carrier was examined, i.e. finite monoids);
 - "pass-on-window": no violation among the examined elements, silent beyond;
-- "fail": conclusive, a concrete witness is attached.
+  CheckOutcome.clean is the one constructor of the two passes;
+- "fail": conclusive, with its witness: CheckOutcome("fail", witness, window).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 VERDICTS = ("pass", "pass-on-window", "fail")
 
@@ -29,6 +30,11 @@ class CheckOutcome:
         if (self.verdict == "fail") != (self.witness is not None):
             raise ValueError("witness is attached exactly when verdict is 'fail'")
 
+    @staticmethod
+    def clean(monoid, elems: Iterable, window: str) -> "CheckOutcome":
+        """No violation among elems: "pass" if they cover the carrier of monoid, else "pass-on-window"."""
+        return CheckOutcome("pass" if monoid.covers(elems) else "pass-on-window", window=window)
+
     def __bool__(self) -> bool:
         return self.verdict != "fail"
 
@@ -40,14 +46,3 @@ class CheckOutcome:
             out["window"] = self.window
         return out
 
-
-def outcome_pass(window: str | None = None) -> CheckOutcome:
-    return CheckOutcome("pass", window=window)
-
-
-def outcome_on_window(window: str) -> CheckOutcome:
-    return CheckOutcome("pass-on-window", window=window)
-
-
-def outcome_fail(witness: dict, window: str | None = None) -> CheckOutcome:
-    return CheckOutcome("fail", witness=witness, window=window)

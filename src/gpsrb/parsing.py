@@ -444,7 +444,7 @@ _BLANKS = str.maketrans("", "", " \t\n\r\f\v")  # what \s matches under re.ASCII
 
 @lru_cache(maxsize=16)
 def _sum_reader(var: str, laurent: bool):
-    """(fullmatch, findall) for the sums of monomials in var, or None for a bad var.
+    """(fullmatch, findall) for the sums of monomials in var.
 
     The sub-language is [+|-] mono ((+|-) mono)*, where mono is
     INT ['/' INT] ['*' VAR ['^' exponent]] or VAR ['^' exponent], and in
@@ -453,13 +453,9 @@ def _sum_reader(var: str, laurent: bool):
     member are both INTs or names, so deleting its blanks keeps its meaning,
     and on that compact text findall gives one tuple (sign, num, den, var, exponent,
     tail) per mono, with the text of an int or tuple exponent and of the
-    exponent of O(...). A var that check_var refuses gives None: the
-    general parser reports it.
+    exponent of O(...). check_var's ValueError for a bad var propagates.
     """
-    try:
-        check_var(var)
-    except ValueError:
-        return None
+    check_var(var)
     v = re.escape(var)
     power = rf"{v}{_W}(?:\^{_W}(?:{_SIGNED}|\({_W}{_SIGNED}{_W}(?:,{_W}{_SIGNED}{_W})*\)){_W})?"
     mono = rf"{_INT}{_W}(?:/{_W}{_INT}{_W})?(?:\*{_W}{power})?|{power}"
@@ -482,10 +478,7 @@ def _read_sum(text: str, monoid: OrderedMonoid, ring: Ring, var: str, laurent: b
     literal or exponent the ring or monoid refuses or an int past the
     interpreter's digit limit.
     """
-    reader = _sum_reader(var, laurent)
-    if reader is None:
-        return None
-    valid, terms = reader
+    valid, terms = _sum_reader(var, laurent)
     if valid(text) is None:
         return None
     found = terms(text.translate(_BLANKS))
@@ -532,6 +525,7 @@ def parse_series(
 ):
     """Parse and evaluate; Series normally, TruncatedLaurent in Laurent mode.
 
+    A var that check_var refuses raises its ValueError before text is read.
     A sum of monomials is read in one regex pass (_read_sum); any other
     text, or one that pass refuses, goes through parse_expr and eval_series.
     The products of the expression are charged to budget, a fresh

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
 from .monoids import FiniteTable, OrderedMonoid, _is_int
-from .outcomes import CheckOutcome, outcome_fail, outcome_on_window, outcome_pass
+from .outcomes import CheckOutcome
 from .scalars import ZZ, Ring
 from .series import Series, _convolve, indicator
 
@@ -165,8 +165,8 @@ def closed_under_addition(monoid: OrderedMonoid, subset: Iterable, window: Itera
             s = monoid.add(u, v)
             if s in window_set and s not in part:
                 rep = monoid.elem_repr
-                return outcome_fail({"u": rep(u), "v": rep(v), "u+v": rep(s)}, desc)
-    return outcome_pass(desc) if monoid.covers(window_set) else outcome_on_window(desc)
+                return CheckOutcome("fail", {"u": rep(u), "v": rep(v), "u+v": rep(s)}, desc)
+    return CheckOutcome.clean(monoid, window_set, desc)
 
 
 # Digits of one packed rb_defect call in nonzero_defect_pairs: a block of
@@ -241,8 +241,8 @@ def indicator_pair_scan(P: Projector, window: Iterable, ring: Ring) -> CheckOutc
         u, v = first
         d = rb_defect(P, indicator(monoid, u, ring), indicator(monoid, v, ring))
         rep = monoid.elem_repr
-        return outcome_fail({"u": rep(u), "v": rep(v), "defect": d.to_json()["terms"]}, desc)
-    return outcome_pass(desc) if monoid.covers(elems) else outcome_on_window(desc)
+        return CheckOutcome("fail", {"u": rep(u), "v": rep(v), "defect": d.to_json()["terms"]}, desc)
+    return CheckOutcome.clean(monoid, elems, desc)
 
 
 def cutoff_violation_pairs(monoid: OrderedMonoid, w, window: Iterable) -> tuple[list, list]:

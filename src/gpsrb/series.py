@@ -363,10 +363,6 @@ def _packed(f: dict, g: dict, m: int | None, below: int | None, nb: int) -> dict
     return {base + i: c - half for i, c in enumerate(digits) if c != half}
 
 
-def zero_series(monoid: OrderedMonoid, ring: Ring) -> Series:
-    return Series._raw(monoid, ring, {})
-
-
 def indicator(monoid: OrderedMonoid, w, ring: Ring) -> Series:
     """The series with coefficient 1 at w and 0 elsewhere."""
     monoid.check_elem(w)

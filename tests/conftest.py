@@ -243,7 +243,7 @@ def relabel_table(table: FiniteTable, rng: random.Random) -> FiniteTable:
     for i in range(table.n):
         for j in range(table.n):
             add[perm[i]][perm[j]] = perm[table.add(i, j)]
-            leq[perm[i]][perm[j]] = table.leq(i, j)
+            leq[perm[i]][perm[j]] = table.leq_table[i][j]
     return FiniteTable.from_lists(table.n, perm[table.neutral], add, leq, name=f"{table.name}~")
 
 

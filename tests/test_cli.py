@@ -29,12 +29,12 @@ from gpsrb import (
     FiniteTable,
     IntLine,
     IntVector,
+    Series,
     TooLarge,
     Zmod,
     load_table,
     make_laurent,
     verify_theorem_decomposition,
-    zero_series,
 )
 import gpsrb.cli
 import gpsrb.monoids
@@ -500,7 +500,7 @@ def test_cutoff_scan_route_disagreement_exits_three(capsys, monkeypatch):
     # a semantic route that sees no defect anywhere contradicts the obstruction pairs
     import gpsrb.projectors
 
-    monkeypatch.setattr(gpsrb.projectors, "rb_defect", lambda P, f, g: zero_series(f.monoid, f.ring))
+    monkeypatch.setattr(gpsrb.projectors, "rb_defect", lambda P, f, g: Series(f.monoid, f.ring))
     code, out, err = run(capsys, "cutoff-scan", "--w-range", "-1..-1", "--window", "-2..2")
     assert code == 3
     assert out == ""
@@ -513,7 +513,7 @@ def test_theorem_verify_route_mismatch_exits_three(capsys, monkeypatch):
     import gpsrb.oracles
     import gpsrb.projectors
 
-    zero = lambda P, f, g: zero_series(f.monoid, f.ring)
+    zero = lambda P, f, g: Series(f.monoid, f.ring)
     for module in (gpsrb.projectors, gpsrb.oracles):
         monkeypatch.setattr(module, "rb_defect", zero)
     err_line = "internal error: routes disagree on 14 decompositions, first mask 0x1: defect-free-but-not-closed\n"
@@ -552,9 +552,34 @@ def test_deep_parentheses_exit_two(capsys):
          "variable name 'x y' is not a name: a letter or _, then letters, digits or _"),
         (["rb-check", "--decomp", "odds", "--f", "1", "--g", "1", "--var", "x-1"],
          "variable name 'x-1' is not a name: a letter or _, then letters, digits or _"),
+        (["mul", "e", "e", "--ring", "Z/x"], "bad modulus in 'Z/x'"),
+        (["mul", "e", "e", "--ring", "R"], "unknown ring spec 'R' (want Z, Q, or Z/m)"),
+        (["rb-check", "--decomp", "odds", "--window", "3"], "range must look like a..b, got '3'"),
+        (["rb-check", "--decomp", "odds", "--window", "a..b"], "range bounds must be integers: 'a..b'"),
+        (["rb-check", "--monoid", "TABLE", "--decomp", "BAD.json"],
+         "cannot read decomposition file BAD.json: "
+         "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (["GPS_RB_SEED=abc", "laurent-demo"], "GPS_RB_SEED must be an integer, got 'abc'"),
+        (["rb-check", "--monoid", "TABLE", "--decomp", "below(x)"], "not an element index: 'x'"),
+        (["rb-check", "--monoid", "TABLE", "--decomp", "below(9)"], "not an index in 0..3: 9"),
+        (["rb-check", "--monoid", "table:NONCOMM.json", "--decomp", "mask:1"],
+         "table file NONCOMM.json fails monoid axioms: {'axiom': 'commutative', 'a': '1', 'b': '2'}"),
+        (["add", "O(1)", "e", "--laurent"], "expected 'name', found '1' (line 1, column 3)"),
     ],
 )
-def test_user_input_value_errors_exit_two(capsys, argv, message):
+def test_user_input_value_errors_exit_two(capsys, monkeypatch, tmp_path, argv, message):
+    # TABLE is the Z/4 table, BAD.json a file that is not JSON and NONCOMM a
+    # table whose neutral element is right but which is not commutative; a
+    # leading NAME=value sets the environment, as in a shell
+    (tmp_path / "BAD.json").write_text("{x")
+    (tmp_path / "NONCOMM.json").write_text(
+        json.dumps({"n": 3, "neutral": 0, "add": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]})
+    )
+    monkeypatch.chdir(tmp_path)
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     argv = [f"table:{TABLES / 'z4.json'}" if a == "TABLE" else a for a in argv]
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 

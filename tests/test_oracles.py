@@ -38,7 +38,6 @@ from gpsrb import (
     validate_monoid,
     vector_window,
     verify_theorem_decomposition,
-    zero_series,
 )
 from gpsrb.projectors import BLOCK_DIGITS, nonzero_defect_pairs
 
@@ -250,7 +249,7 @@ def plant_defect(monkeypatch, fake):
 
 def test_sweep_catches_planted_zero_defect(monkeypatch):
     table = cyclic_table(4)
-    plant_defect(monkeypatch, lambda P, f, g: zero_series(f.monoid, f.ring))
+    plant_defect(monkeypatch, lambda P, f, g: Series(f.monoid, f.ring))
     report = verify_theorem_decomposition(table)
     unclosed = [m for m in range(16) if m not in (0b0000, 0b1111)]
     assert report.mismatches == tuple((m, "defect-free-but-not-closed") for m in unclosed)
@@ -270,7 +269,7 @@ def test_sweep_catches_planted_nonzero_defect(monkeypatch):
 
 def test_scan_cutoffs_raises_on_planted_zero_defect(monkeypatch):
     # at w=-1 the killed pair (-1, -1) drops into the kept part at -2
-    plant_defect(monkeypatch, lambda P, f, g: zero_series(f.monoid, f.ring))
+    plant_defect(monkeypatch, lambda P, f, g: Series(f.monoid, f.ring))
     with pytest.raises(RouteDisagreement, match=r"w=-1, pair \(-1, -1\): defect zero but in an"):
         scan_cutoffs(IntLine(), [-1], int_window(-2, 2))
 

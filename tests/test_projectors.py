@@ -21,7 +21,6 @@ from gpsrb import (
     rb_defect,
     truncated_addition_table,
     vector_window,
-    zero_series,
 )
 
 from conftest import int_series, max_chain_table, rat_scalars
@@ -74,7 +73,7 @@ def test_defect_zero_for_closed_decomposition():
 
 def test_defect_zero_series_input():
     P = ODDS
-    assert rb_defect(P, zero_series(M, QQ), e(1)).is_zero()
+    assert rb_defect(P, Series(M, QQ), e(1)).is_zero()
 
 
 def test_closure_checks():
@@ -174,7 +173,7 @@ decomp_menu = st.sampled_from(
 @settings(max_examples=50)
 @given(P=decomp_menu, f=int_series(max_terms=4), g=int_series(max_terms=4))
 def test_defect_bilinearity_basis_reduction(P, f, g):
-    total = zero_series(M, QQ)
+    total = Series(M, QQ)
     for u in f.support():
         for v in g.support():
             term = Series(M, QQ, {0: f.coeff(u) * g.coeff(v)}) * rb_defect(P, e(u), e(v))

@@ -14,7 +14,6 @@ from gpsrb import (
     ZZ,
     Zmod,
     indicator,
-    zero_series,
 )
 
 from conftest import int_series, naive_convolve, rat_scalars, vec2_series
@@ -73,7 +72,7 @@ def test_scale_and_neg():
     two = Series(M, QQ, {0: QQ.from_int(2)})
     assert (Series(M, QQ, {0: QQ.from_int(0)}) * f).is_zero()
     assert (two * f).coeff(2) == QQ.from_int(-6)
-    assert (-f) + f == zero_series(M, QQ)
+    assert (-f) + f == Series(M, QQ)
     assert two * f == f * two
 
 
@@ -114,7 +113,7 @@ def test_ring_axioms(f, g, h):
     assert (f * g) * h == f * (g * h)
     assert f * g == g * f  # the monoid is commutative
     assert f * (g + h) == f * g + f * h
-    assert f + zero_series(M, QQ) == f
+    assert f + Series(M, QQ) == f
     assert f * indicator(M, M.zero(), QQ) == f
 
 
