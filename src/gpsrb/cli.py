@@ -31,7 +31,7 @@ import sys
 from dataclasses import replace
 from typing import Sequence
 
-from .laurent import TruncatedLaurent, pole_defect_terms, signed_defect
+from .laurent import _LINE, TruncatedLaurent, pole_defect_terms, signed_defect
 from .monoids import (
     BadElement,
     BadTable,
@@ -70,6 +70,12 @@ from .series import Series
 
 class UsageError(ValueError):
     pass
+
+
+# every --json document and witness goes through one encoder: each is a tree
+# the command has just built, so the check for cycles that json.dumps makes
+# could find none, and the bytes are those of json.dumps
+_dumps = json.JSONEncoder(check_circular=False).encode
 
 
 # single-term pairs one rb-check or cutoff-scan run may examine: 13.5x the
@@ -249,7 +255,7 @@ def _decomposition_from_json(monoid: OrderedMonoid, spec: str) -> Projector:
 def _outcome_text(oc: CheckOutcome) -> str:
     bits = [oc.verdict]
     if oc.witness is not None:
-        bits.append(f"witness {json.dumps(oc.witness)}")
+        bits.append(f"witness {_dumps(oc.witness)}")
     if oc.window is not None:
         bits.append(f"[{oc.window}]")
     return "  ".join(bits)
@@ -297,7 +303,7 @@ def cmd_arith(args) -> int:
             f"above the budget of {LAURENT_JSON_BUDGET}; without --json the result prints sparse"
         )
     render = render_laurent if args.laurent else render_series
-    print(json.dumps(_printable(out.to_json)) if args.json else _printable(render, out, args.var))
+    print(_dumps(_printable(out.to_json)) if args.json else _printable(render, out, args.var))
     return 0
 
 
@@ -316,7 +322,7 @@ def cmd_rb_check(args) -> int:
         _charge_product(budget, f, g)
         d = rb_defect(P, f, g)
         if args.json:
-            print(json.dumps({"decomposition": P.label, "defect": _printable(d.to_json)}))
+            print(_dumps({"decomposition": P.label, "defect": _printable(d.to_json)}))
         else:
             print(f"decomposition: {P.label} on {monoid}")
             print(f"defect: {_printable(render_series, d, args.var)}")
@@ -327,7 +333,7 @@ def cmd_rb_check(args) -> int:
     scan = indicator_pair_scan(P, window, ring)
     if args.json:
         print(
-            json.dumps(
+            _dumps(
                 {
                     "decomposition": P.label,
                     "monoid": str(monoid),
@@ -358,7 +364,7 @@ def cmd_cutoff_scan(args) -> int:
     rep = monoid.elem_repr
     if args.json:
         print(
-            json.dumps(
+            _dumps(
                 {
                     "monoid": str(monoid),
                     "window": args.window,
@@ -394,7 +400,7 @@ def cmd_theorem_verify(args) -> int:
     ring = parse_ring_spec(args.ring)
     report = verify_theorem_decomposition(table, ring, max_size=args.max_size)
     if args.json:
-        print(json.dumps(report.to_json()))
+        print(_dumps(report.to_json()))
     else:
         print(f"monoid: {report.monoid} ({report.size} elements)")
         print(f"decompositions: {report.decompositions_total}")
@@ -428,7 +434,7 @@ def _random_laurent(rng: random.Random, ring: Ring) -> TruncatedLaurent:
         c, d = ring.ratio(num, rng.randint(1, 9) if ring is QQ else 1)
         parts.append((((s, c),), d))
     exact = rng.random() < 0.3  # drawn last: a seed fixes its pairs by this order
-    series = Series._merged(IntLine(), ring, parts)
+    series = Series._merged(_LINE, ring, parts)
     return TruncatedLaurent._raw(series, None if exact else hi)
 
 
@@ -477,7 +483,7 @@ def cmd_laurent_demo(args) -> int:
             print(f"  {label:17s} = {render_laurent(value)}")
         print(f"  defect            = {render_laurent(defect)}")
     if args.json:
-        print(json.dumps({"seed": seed, "pairs": pairs, "all_defects_zero": all_zero}))
+        print(_dumps({"seed": seed, "pairs": pairs, "all_defects_zero": all_zero}))
     else:
         print(f"all defects zero: {'yes' if all_zero else 'NO'}")
     return 0 if all_zero else 1

@@ -58,10 +58,16 @@ class OrderedMonoid:
     coordinate in lo..hi, and window_size counts them without building them.
     int_exponents is True when the elements are plain ints added as ints, so
     a series product may pack its factors into big integers, or sum the
-    exponents of its pairs without calling add (series.py).
+    exponents of its pairs without calling add (series.py). total_order is
+    True when lt is total and is the builtin < of the elements: ints, or
+    int tuples compared lexicographically. Strict compatibility makes such
+    an order invariant under translation, so u + v < w exactly when
+    u < w - v, computed in Z or Z^d; a cutoff there is decided by its
+    threshold alone (projectors.Projector.cutoff, series._convolve).
     """
 
     int_exponents = False
+    total_order = False
 
     def zero(self):
         raise NotImplementedError
@@ -115,6 +121,7 @@ class IntLine(OrderedMonoid):
 
     nonneg: bool = False
     int_exponents = True
+    total_order = True
 
     def zero(self) -> int:
         return 0
@@ -177,6 +184,10 @@ class IntVector(OrderedMonoid):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
+
+    @property
+    def total_order(self) -> bool:
+        return self.lex
 
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.dim

@@ -4,8 +4,10 @@ A Projector(monoid, keeps, label) splits the monoid carrier into a kept part
 {s : keeps(s)} and a killed part, its complement, and zeroes every
 coefficient whose exponent falls in the killed part. Projector.cutoff keeps
 the exponents strictly below a threshold, Projector.from_mask a bitmask of a
-finite carrier, and complement() swaps the two parts. A cutoff on Z or N
-carries its threshold as `bound`. The central question downstream is when
+finite carrier, and complement() swaps the two parts. A cutoff on a
+totally ordered carrier, Z, N or Z^d:lex, carries its threshold as `bound`,
+and rb_defect forms only the pairs of its products that cross it. The
+central question downstream is when
 such an operator P satisfies the weight -1 identity
 
     P(f) P(g) = P(f P(g)) + P(P(f) g) - P(f g)
@@ -26,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator
 
-from .monoids import FiniteTable, OrderedMonoid, _is_int
+from .monoids import BadElement, FiniteTable, OrderedMonoid, _is_int
 from .outcomes import CheckOutcome
 from .scalars import ZZ, Ring
 from .series import Series, _convolve, indicator
@@ -37,17 +39,27 @@ class Projector:
     """Linear operator on series that keeps the exponents s with keeps(s), kills the rest.
 
     The kept subset of the carrier determines the projector; the killed
-    subset is its complement. Only a cutoff on int exponents carries a bound.
+    subset is its complement. A cutoff on a carrier with total_order (Z, N,
+    Z^d:lex) carries its threshold w as bound, with keeps = w.__gt__; any
+    other bound is a ValueError, so the product order and tables carry none.
     """
 
     monoid: OrderedMonoid
     keeps: Callable[[object], bool]
     label: str = "custom"
-    bound: int | None = None
+    bound: object = None
 
     def __post_init__(self):
         w = self.bound
-        if w is not None and not (self.monoid.int_exponents and _is_int(w) and self.keeps == w.__gt__):
+        if w is None:
+            return
+        try:
+            self.monoid.check_elem(w)
+        except BadElement:
+            ok = False
+        else:
+            ok = self.monoid.total_order and self.keeps == w.__gt__
+        if not ok:
             raise ValueError(f"bound {w!r} is not the threshold of a cutoff on {self.monoid}")
 
     def __call__(self, f: Series) -> Series:
@@ -75,12 +87,12 @@ class Projector:
 
         "Not below w" is evaluated literally as not(s < w); under a partial
         order that is weaker than w <= s, and the two must not be conflated.
-        On int exponents keeps is the C method w.__gt__ and the projector
-        carries w as its bound; complement() drops the bound.
+        On a total order (Z, N, Z^d:lex) keeps is the C method w.__gt__ and
+        the projector carries w as its bound; complement() drops the bound.
         """
         monoid.check_elem(w)
         label = f"below({monoid.elem_repr(w)})"
-        if monoid.int_exponents:
+        if monoid.total_order:
             return Projector(monoid, w.__gt__, label, w)
         lt = monoid.lt
         return Projector(monoid, lambda s: lt(s, w), label)
@@ -123,18 +135,19 @@ def rb_defect(P: Projector, f: Series, g: Series) -> Series:
     Q(Pf Pg) + P(Qf Qg): two products of the numerators (series._convolve)
     over the one denominator of f g, the first keeping the sums P kills and
     the second the sums P keeps, so their supports are disjoint and nothing
-    cancels. Each operand is split once by keeps; a product with an empty
-    factor is not formed, and a bounded cutoff forms Qf Qg from the pairs
-    that land below its bound only. P must be a Projector (TypeError
-    otherwise); the pole-part defect of Laurent values is
-    laurent.tl_rb_defect.
+    cancels. Each operand is split once by keeps, and a product with an
+    empty factor is not formed. A cutoff that carries its bound w forms only
+    the pairs that cross it: Pf Pg from the pairs that reach w, Qf Qg from
+    those that land below it, each factor trimmed first (`_convolve`). P
+    must be a Projector (TypeError otherwise); the pole-part defect of
+    Laurent values is laurent.tl_rb_defect.
     """
     if not isinstance(P, Projector):
         raise TypeError(f"rb_defect takes a Projector, not {P!r}")
     P._check(f)
     P._check(g)
     f._check_peer(g)
-    monoid, keeps, m = P.monoid, P.keeps, f.ring.modulus
+    monoid, keeps, w, m = P.monoid, P.keeps, P.bound, f.ring.modulus
     pF, qF, pG, qG = {}, {}, {}, {}
     for s, c in f._terms.items():
         (pF if keeps(s) else qF)[s] = c
@@ -142,9 +155,9 @@ def rb_defect(P: Projector, f: Series, g: Series) -> Series:
         (pG if keeps(s) else qG)[s] = c
     acc = {}
     if pF and pG:
-        acc = {s: c for s, c in _convolve(monoid, pF, pG, m).items() if not keeps(s)}
+        acc = {s: c for s, c in _convolve(monoid, pF, pG, m, at_least=w).items() if not keeps(s)}
     if qF and qG:
-        acc.update([(s, c) for s, c in _convolve(monoid, qF, qG, m, P.bound).items() if keeps(s)])
+        acc.update([(s, c) for s, c in _convolve(monoid, qF, qG, m, below=w).items() if keeps(s)])
     return Series._raw(monoid, f.ring, acc, f._den * g._den)
 
 

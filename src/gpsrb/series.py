@@ -22,6 +22,7 @@ the neutral exponent, and multiplies as any other series does.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from itertools import repeat
 from math import gcd, lcm
@@ -107,6 +108,12 @@ class Series:
         """The stored (exponent, numerator) terms and their denominator, a part for `_merged`."""
         return self._terms.items(), self._den
 
+    def _neg_part(self) -> tuple:
+        """The part of -self: the numerators negated, m - c over Z/m, over the same denominator."""
+        m = self.ring.modulus
+        terms = self._terms.items()
+        return ([(s, m - c) for s, c in terms] if m else [(s, -c) for s, c in terms]), self._den
+
     def _kept(self, keeps) -> "Series":
         """The terms at the exponents s with keeps(s)."""
         return Series._raw(self.monoid, self.ring, {s: c for s, c in self._terms.items() if keeps(s)}, self._den)
@@ -161,10 +168,8 @@ class Series:
         return Series._raw(self.monoid, self.ring, acc, den)
 
     def __neg__(self) -> "Series":
-        m = self.ring.modulus
-        terms = self._terms.items()
-        neg = {s: m - c for s, c in terms} if m else {s: -c for s, c in terms}
-        return Series._raw(self.monoid, self.ring, neg, self._den)
+        terms, den = self._neg_part()
+        return Series._raw(self.monoid, self.ring, dict(terms), den)
 
     def __sub__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
@@ -179,8 +184,8 @@ class Series:
     def mul(self, other: "Series", below: int | None = None) -> "Series":
         """The product of the numerators (`_convolve`), over the product of the denominators.
 
-        Over Q the result is brought to lowest terms once, by `_raw`. With
-        integer exponents, below drops every exponent >= below. A factor
+        Over Q the result is brought to lowest terms once, by `_raw`. On a
+        carrier with total_order, below drops every exponent >= below. A factor
         that is not a Series is a TypeError; a scalar c is the series c·e^0.
         """
         if not isinstance(other, Series):
@@ -246,7 +251,7 @@ PACK_MIN_TERMS = 12
 PACK_DENSITY = 4
 
 
-def _convolve(monoid: OrderedMonoid, f: dict, g: dict, m: int | None, below: int | None = None) -> dict:
+def _convolve(monoid: OrderedMonoid, f: dict, g: dict, m: int | None, below=None, at_least=None) -> dict:
     """The convolution of two numerator maps, reduced mod m when m is set; zeros dropped.
 
     The integer product runs as one packed big-int product (`_packed`)
@@ -257,28 +262,46 @@ def _convolve(monoid: OrderedMonoid, f: dict, g: dict, m: int | None, below: int
     pair product into a map keyed by the exponent sum (`u + v` inline on int
     exponents, `monoid.add` on any other monoid).
 
-    With integer exponents, below drops every exponent >= below: each
-    factor is first trimmed to the terms that can land below it.
+    On a carrier with total_order, below drops every sum >= below and
+    at_least every sum < at_least. Both are decided by differences, with one
+    subtraction in Z or Z^d per factor and per term of f: each factor is
+    first trimmed to the terms that can land in range against the other's
+    extreme term, and each u of f meets the run of the sorted v of g with
+    at_least - u <= v < below - u, cut by bisection.
     """
-    if below is not None and f and g:
-        f_lo, g_lo = min(f), min(g)
-        f = {u: c for u, c in f.items() if u < below - g_lo}
-        g = {v: c for v, c in g.items() if v < below - f_lo}
+    if below is not None or at_least is not None:
+        sub = operator.sub if monoid.int_exponents else _difference
+        if below is not None and f and g:
+            f_cut, g_cut = sub(below, min(g)), sub(below, min(f))
+            f = {u: c for u, c in f.items() if u < f_cut}
+            g = {v: c for v, c in g.items() if v < g_cut}
+        if at_least is not None and f and g:
+            f_cut, g_cut = sub(at_least, max(g)), sub(at_least, max(f))
+            f = {u: c for u, c in f.items() if u >= f_cut}
+            g = {v: c for v, c in g.items() if v >= g_cut}
+        if not (f and g):
+            return {}
     # with a one-term factor each pair is its own output term, so packing
     # could save nothing
     nb = slot_bytes(monoid, f, g, m) if len(f) > 1 and len(g) > 1 else 0
     if nb:
-        return _packed(f, g, m, below, nb)
-    pairs = g.items()
-    if below is not None:
+        return _packed(f, g, m, below, nb, at_least)
+    pairs, runs = g.items(), None
+    if below is not None or at_least is not None:
+        # the pairs of each u, a slice of the sorted terms of g
         pairs = sorted(pairs)
         keys = [v for v, _ in pairs]
+        runs = {}
+        for u in f:
+            start = None if at_least is None else bisect_left(keys, sub(at_least, u))
+            stop = None if below is None else bisect_left(keys, sub(below, u))
+            runs[u] = pairs[start:stop]
     acc = {}
     if monoid.int_exponents:
         # the same loop with the sum inline, which costs half of a
         # bound-method call per pair
         for u, cu in f.items():
-            for v, cv in pairs if below is None else pairs[: bisect_left(keys, below - u)]:
+            for v, cv in pairs if runs is None else runs[u]:
                 s = u + v
                 if s in acc:
                     acc[s] += cu * cv
@@ -287,7 +310,7 @@ def _convolve(monoid: OrderedMonoid, f: dict, g: dict, m: int | None, below: int
     else:
         add = monoid.add
         for u, cu in f.items():
-            for v, cv in pairs if below is None else pairs[: bisect_left(keys, below - u)]:
+            for v, cv in pairs if runs is None else runs[u]:
                 s = add(u, v)
                 if s in acc:
                     acc[s] += cu * cv
@@ -300,6 +323,11 @@ def _convolve(monoid: OrderedMonoid, f: dict, g: dict, m: int | None, below: int
         # needs two pairs landing on the same exponent
         return {s: c for s, c in acc.items() if c}
     return acc
+
+
+def _difference(a: tuple, b: tuple) -> tuple:
+    """a - b in Z^d, componentwise."""
+    return tuple(map(operator.sub, a, b))
 
 
 def slot_bytes(monoid: OrderedMonoid, f: dict, g: dict, m: int | None) -> int:
@@ -337,7 +365,7 @@ def _pack(terms: dict, lo: int, nb: int, signed: bool) -> int:
     return packed - _biased(nb, len(slots)) if signed else packed
 
 
-def _packed(f: dict, g: dict, m: int | None, below: int | None, nb: int) -> dict:
+def _packed(f: dict, g: dict, m: int | None, below: int | None, nb: int, at_least: int | None) -> dict:
     """Kronecker substitution: one big-int product, decoded slot by slot.
 
     Each factor becomes one integer with coefficient c of x^s in the nb-byte
@@ -345,7 +373,8 @@ def _packed(f: dict, g: dict, m: int | None, below: int | None, nb: int) -> dict
     bias of half the slot range in every slot makes each slot a nonnegative
     digit, so all digits come out of one to_bytes with no shift of the big
     product; over Z/m the residues are nonnegative already, and each digit
-    is reduced mod m once.
+    is reduced mod m once. Only the slots of at_least <= s < below are
+    decoded.
     """
     f_lo, g_lo = min(f), min(g)
     signed = not m
@@ -354,9 +383,11 @@ def _packed(f: dict, g: dict, m: int | None, below: int | None, nb: int) -> dict
     if signed:
         h += _biased(nb, width)
     base = f_lo + g_lo
+    first = 0 if at_least is None else max(0, at_least - base)
     n = width if below is None else min(width, below - base)
     buf = h.to_bytes(nb * width, "little")
-    digits = [int.from_bytes(buf[i : i + nb], "little") for i in range(0, nb * n, nb)]
+    digits = [int.from_bytes(buf[i : i + nb], "little") for i in range(nb * first, nb * n, nb)]
+    base += first
     if m:
         return {base + i: r for i, c in enumerate(digits) if (r := c % m)}
     half = 1 << (8 * nb - 1)

@@ -7,9 +7,10 @@ the four terms of the identity as Series values, through P(.), * and the
 projections of whole products, and is the oracle here: the signed sum
 t1 - t2 - t3 + t4 of its terms must store the same numerators over the same
 denominator, on every monoid, ring and kind of projector, and every refusal
-must be the one the P(f)-first path makes. A cutoff on Z or N carries its
-bound and multiplies only the pairs of Qf Qg landing below it; it must store
-what a projector with the same keeps and no bound stores.
+must be the one the P(f)-first path makes. A cutoff on Z, N or Z^d:lex
+carries its bound and multiplies only the pairs of Pf Pg that reach it and
+the pairs of Qf Qg that land below it; it must store what a projector with
+the same keeps and no bound stores.
 """
 
 from fractions import Fraction
@@ -47,6 +48,7 @@ M = IntLine()
 NAT = IntLine(nonneg=True)
 PROD = IntVector(2)
 LEX = IntVector(2, lex=True)
+LEX3 = IntVector(3, lex=True)
 Z7 = Zmod(7)
 RINGS = (ZZ, QQ, Z7)
 
@@ -204,30 +206,39 @@ def test_defect_terms_sit_where_one_side_is_not_closed(case):
 
 
 def test_at_most_two_products_and_none_across_the_sides(monkeypatch):
+    # every _convolve call is recorded with its result; operands over Z with
+    # positive coefficients never cancel, so a call forms a product (at
+    # least one pair) exactly when its result is not empty
     calls = []
     real = gpsrb.projectors._convolve
-    monkeypatch.setattr(gpsrb.projectors, "_convolve", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(gpsrb.projectors, "_convolve", lambda *a, **k: calls.append(real(*a, **k)) or calls[-1])
     table = TABLES[4]
-    for P in (Projector.cutoff(M, 0), parse_decomposition(M, "odds"), Projector.from_mask(table, 0b10110)):
+    cutoffs = (Projector.cutoff(M, 0), Projector.cutoff(M, 2))
+    for P in (*cutoffs, parse_decomposition(M, "odds"), Projector.from_mask(table, 0b10110)):
         for Q in (P, P.complement()):
             window = list(table.carrier()) if Q.monoid is table else list(int_window(-4, 4))
-            kept, killed = Q.kept(window), Q.killed(window)
+            kept, killed, keeps, add = Q.kept(window), Q.killed(window), Q.keeps, Q.monoid.add
             one = lambda s: Series(Q.monoid, ZZ, {s: 1})
             # one term on each side: neither Pf Pg nor Qf Qg has two factors
             for u, v in ((kept[0], killed[0]), (killed[-1], kept[-1])):
                 calls.clear()
                 assert_matches_oracle(Q, one(u), one(v))
                 assert calls == []
-            # a single-term pair on one side forms its one product
+            # a single-term pair on one side asks for its one product; a
+            # bounded cutoff forms it only when the sum crosses the bound
             for u, v in ((kept[0], kept[-1]), (killed[0], killed[-1])):
                 calls.clear()
                 assert_matches_oracle(Q, one(u), one(v))
                 assert len(calls) == 1
-            # operands on both sides form both, and no more
+                assert bool(calls[0]) == (Q.bound is None or keeps(add(u, v)) != keeps(u))
+            # operands on both sides ask for both, and no more; a bounded
+            # cutoff forms one on each side whose pairs can cross
             both = Series(Q.monoid, ZZ, {s: i + 1 for i, s in enumerate(window)})
+            crossing = {keeps(u) for u in window for v in window if keeps(u) == keeps(v) != keeps(add(u, v))}
             calls.clear()
             assert_matches_oracle(Q, both, both)
             assert len(calls) == 2
+            assert sum(map(bool, calls)) == (2 if Q.bound is None else len(crossing))
 
 
 def test_projector_defect_makes_no_series_values(monkeypatch):
@@ -255,20 +266,48 @@ def unbounded(P: Projector) -> Projector:
 
 
 BOUNDED = [Projector.cutoff(M, w) for w in (-3, 0, 2, 5)] + [Projector.cutoff(NAT, w) for w in (0, 1, 4)]
-BOUNDED += [parse_decomposition(monoid, "negatives") for monoid in (M, NAT)]
+BOUNDED += [Projector.cutoff(LEX, w) for w in ((0, 0), (0, 1), (1, -2), (-1, 3))]
+BOUNDED += [Projector.cutoff(LEX3, w) for w in ((0, 0, 0), (0, 0, 1), (0, 1, -5), (1, -1, 2))]
+BOUNDED += [parse_decomposition(monoid, "negatives") for monoid in (M, NAT, LEX, LEX3)]
 
 
-@settings(max_examples=300, deadline=None)
+def exponents(P: Projector):
+    """Exponents for operands of P: on Z^d:lex, boxes around 0, w // 2 and w, so
+    that an operand straddles w and the sums of its pairs land on both sides."""
+    w = P.bound
+    if not isinstance(w, tuple):
+        return st.integers(0 if P.monoid.nonneg else -8, 10)
+    centres = [(0,) * len(w), tuple(c // 2 for c in w), w]
+    return st.sampled_from(centres).flatmap(lambda c: st.tuples(*[st.integers(x - 2, x + 2) for x in c]))
+
+
+@settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_bounded_cutoff_defect_is_the_keeps_path(data):
     P = data.draw(st.sampled_from(BOUNDED))
     ring = data.draw(st.sampled_from(RINGS))
-    exps = st.integers(0 if P.monoid.nonneg else -8, 10)
-    terms = st.dictionaries(exps, scalars(ring), max_size=7)
+    terms = st.dictionaries(exponents(P), scalars(ring), max_size=7)
     f, g = (Series(P.monoid, ring, data.draw(terms)) for _ in range(2))
     d, want = rb_defect(P, f, g), rb_defect(unbounded(P), f, g)
     assert (d._terms, d._den) == (want._terms, want._den)
     assert d == signed_sum(P, f, g)
+
+
+@pytest.mark.parametrize("P", [P for P in BOUNDED if isinstance(P.bound, tuple)], ids=lambda P: f"{P.monoid}-{P.label}")
+def test_lex_operands_that_straddle_the_bound(P):
+    # every term of boxes around w // 2 and w: kept and killed terms in both
+    # operands, and pairs of each side on both sides of w
+    w, r = P.bound, 2 if P.monoid.dim == 2 else 1
+    box = vector_window(-r, r, P.monoid.dim)
+    elems = {tuple(map(sum, zip(c, d))) for c in (tuple(x // 2 for x in w), w) for d in box}
+    f = Series(P.monoid, ZZ, {s: i % 5 - 2 or 3 for i, s in enumerate(sorted(elems))})
+    g = Series(P.monoid, ZZ, {s: 1 + i % 3 for i, s in enumerate(sorted(elems, reverse=True))})
+    assert P.kept(f.support()) and P.killed(f.support())
+    d = assert_matches_oracle(P, f, g)
+    want = rb_defect(unbounded(P), f, g)
+    assert (d._terms, d._den) == (want._terms, want._den)
+    # the cutoffs at 0 and at e = (0, ..., 0, 1) satisfy the identity
+    assert d.is_zero() == (w in (P.monoid.zero(), (0,) * (P.monoid.dim - 1) + (1,)))
 
 
 @pytest.mark.parametrize("ring", [ZZ, Z7])
@@ -290,14 +329,33 @@ def test_dense_bounded_cutoff_takes_the_packed_product_below_its_bound(monkeypat
     assert (d._terms, d._den) == (want._terms, want._den) == (signed_sum(P, f, g)._terms, 1)
 
 
-def test_only_cutoffs_on_int_exponents_carry_a_bound():
+@pytest.mark.parametrize("ring", [ZZ, Z7])
+def test_dense_bounded_cutoff_packs_pf_pg_from_its_bound(monkeypatch, ring):
+    bounds = []
+    real = gpsrb.series._packed
+    monkeypatch.setattr(gpsrb.series, "_packed", lambda *a: bounds.append(a[3:]) or real(*a))
+    n = 3 * PACK_MIN_TERMS
+    f = Series(M, ring, {k: ring.from_int(k % 5 - 2 or 7) for k in range(-n, n)})
+    g = Series(M, ring, {k: ring.from_int(3 - k % 4 or 5) for k in range(-n, n)})
+    # a threshold above 0: the kept terms from 1 up reach it in pairs, and
+    # enough of them to pack Pf Pg, decoded from the bound up
+    w = 2 * PACK_MIN_TERMS
+    P = Projector.cutoff(M, w)
+    d = rb_defect(P, f, g)
+    assert not d.is_zero()
+    assert [(below, at_least) for below, _, at_least in bounds] == [(None, w)]
+    want = rb_defect(unbounded(P), f, g)
+    assert (d._terms, d._den) == (want._terms, want._den) == (signed_sum(P, f, g)._terms, 1)
+
+
+def test_only_cutoffs_on_total_orders_carry_a_bound():
     for P in BOUNDED:
-        window = P.monoid.window(-12, 12)
+        window = P.monoid.window(-12, 12) if P.monoid.int_exponents else P.monoid.window(-3, 3)
         assert P.bound is not None
-        assert [P.keeps(s) for s in window] == [s < P.bound for s in window]
+        assert [P.keeps(s) for s in window] == [P.monoid.lt(s, P.bound) for s in window]
         assert P.complement().bound is None
-    others = [parse_decomposition(X, spec) for X in (M, NAT, PROD) for spec in ("nonnegatives", "positives")]
-    others += [Projector.cutoff(PROD, (0, 0)), Projector.cutoff(LEX, (0, 1)), parse_decomposition(PROD, "negatives")]
+    others = [parse_decomposition(X, spec) for X in (M, NAT, PROD, LEX) for spec in ("nonnegatives", "positives")]
+    others += [Projector.cutoff(PROD, (0, 0)), Projector.cutoff(IntVector(1), (0,)), parse_decomposition(PROD, "negatives")]
     others += [parse_decomposition(M, "odds"), Projector.from_mask(TABLES[4], 0b101)]
     assert [P.label for P in others if P.bound is not None] == []
 
@@ -305,6 +363,8 @@ def test_only_cutoffs_on_int_exponents_carry_a_bound():
 def test_a_bound_that_is_not_the_cutoffs_own_is_refused():
     P = Projector.cutoff(M, 3)
     assert replace(P, label="negatives").bound == 3
+    w = (0, 1)
+    assert Projector(LEX, w.__gt__, "below((0,1))", w).bound == w
     refused = [
         lambda: Projector(M, lambda s: s % 2 == 0, "evens", 3),
         lambda: Projector(M, (3).__gt__, "below(3)", 4),
@@ -312,7 +372,13 @@ def test_a_bound_that_is_not_the_cutoffs_own_is_refused():
         lambda: replace(P, bound=2),
         lambda: Projector(M, True.__gt__, "below(True)", True),
         lambda: Projector(M, (2.5).__gt__, "below(2.5)", 2.5),
+        lambda: Projector(LEX, (0, 0, 0).__gt__, "below((0, 0, 0))", (0, 0, 0)),
+        lambda: Projector(LEX, (0, 1).__gt__, "below((0, 1))", (0, 2)),
+        lambda: Projector(LEX3, lambda s: s < (0, 0, 1), "below((0, 0, 1))", (0, 0, 1)),
+        # the threshold's own keeps, on a carrier whose order is not total
+        # or not the elements' <: the product order and a table
         lambda: Projector(PROD, (0, 0).__gt__, "below((0, 0))", (0, 0)),
+        lambda: Projector(IntVector(3), (0, 0, 1).__gt__, "below((0,0,1))", (0, 0, 1)),
         lambda: Projector(TABLES[4], (1).__gt__, "below(1)", 1),
     ]
     for build in refused:
