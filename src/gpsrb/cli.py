@@ -150,16 +150,17 @@ def parse_ring_spec(spec: str) -> Ring:
     raise UsageError(f"unknown ring spec {spec!r} (want Z, Q, or Z/m)")
 
 
-def parse_range(text: str) -> tuple[int, int]:
+def parse_range(text: str, flag: str) -> tuple[int, int]:
+    """The bounds of "a..b"; each error names flag, the option the text came from."""
     if ".." not in text:
-        raise UsageError(f"range must look like a..b, got {text!r}")
+        raise UsageError(f"{flag} range must look like a..b, got {text!r}")
     lo_text, hi_text = text.split("..", 1)
     try:
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise UsageError(f"range bounds must be integers: {text!r}") from None
+        raise UsageError(f"{flag} range bounds must be integers: {text!r}") from None
     if lo > hi:
-        raise UsageError(f"empty range {text!r}")
+        raise UsageError(f"{flag} empty range {text!r}")
     return lo, hi
 
 
@@ -173,7 +174,7 @@ def parse_window_spec(
     come from the bounds alone, so an oversized box is never built.
     """
     try:
-        bounds = monoid.bounds(*(monoid.default_bounds() if text is None else parse_range(text)))
+        bounds = monoid.bounds(*(monoid.default_bounds() if text is None else parse_range(text, "--window")))
     except BadElement as exc:
         raise UsageError(f"--window {exc}") from None
     size = monoid.window_size(*bounds)
@@ -302,8 +303,14 @@ def cmd_arith(args) -> int:
             f"--json would list the {out.trunc - out.ord} coefficients of [{out.ord}, {out.trunc}), "
             f"above the budget of {LAURENT_JSON_BUDGET}; without --json the result prints sparse"
         )
-    render = render_laurent if args.laurent else render_series
-    print(_dumps(_printable(out.to_json)) if args.json else _printable(render, out, args.var))
+    if not args.json:
+        text = _printable(render_laurent if args.laurent else render_series, out, args.var)
+    elif args.laurent:
+        # a flat document of strings, which the C encoder writes cheaply
+        text = _dumps(_printable(out.to_json))
+    else:
+        text = _printable(out.json_text)
+    print(text)
     return 0
 
 
@@ -356,7 +363,7 @@ def cmd_cutoff_scan(args) -> int:
     ring = parse_ring_spec(args.ring)
     # the header names the thresholds scanned: the range trimmed to the carrier
     try:
-        w_lo, w_hi = monoid.bounds(*parse_range(args.w_range))
+        w_lo, w_hi = monoid.bounds(*parse_range(args.w_range, "--w-range"))
     except BadElement as exc:
         raise UsageError(f"--w-range {exc}") from None
     window = parse_window_spec(monoid, args.window, (w_lo, w_hi))

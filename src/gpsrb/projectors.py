@@ -58,7 +58,15 @@ class Projector:
         except BadElement:
             ok = False
         else:
-            ok = self.monoid.total_order and self.keeps == w.__gt__
+            # a method-wrapper compares its object by identity, so the keeps
+            # of a bound equal in value but held apart is matched by its owner
+            owner = getattr(self.keeps, "__self__", None)
+            ok = (
+                self.monoid.total_order
+                and type(owner) is type(w)
+                and owner == w
+                and self.keeps == owner.__gt__
+            )
         if not ok:
             raise ValueError(f"bound {w!r} is not the threshold of a cutoff on {self.monoid}")
 

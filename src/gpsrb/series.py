@@ -25,6 +25,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from itertools import repeat
+from json import dumps
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -231,6 +232,11 @@ class Series:
         return f"Series({self.monoid}, {self.ring}, {self!s})"
 
     def to_json(self) -> dict:
+        """The series as a JSON tree, for the documents that nest it (rb-check's defect, a witness).
+
+        A command that prints the series alone writes `json_text`, the same
+        bytes built without a dict per term; this tree is its test oracle.
+        """
         rep, keys = self.monoid.elem_repr, sorted(self._terms)
         texts = self.coeff_texts(keys, self.ring.fmt)
         return {
@@ -238,6 +244,20 @@ class Series:
             "ring": str(self.ring),
             "terms": [{"exp": rep(s), "coeff": text} for s, text in zip(keys, texts)],
         }
+
+    def json_text(self) -> str:
+        """The text json.dumps gives for `to_json()`, as mul and add --json print it.
+
+        No term text needs escaping: an exponent prints as digits, "-", and
+        for a vector "(", "," and ")"; a coefficient as digits, "-", "/" and
+        for Z/m " mod ". So each term is one f-string and no dict is built.
+        The monoid and ring names go through json.dumps, since a table's
+        name comes from its file and may hold quotes or non-ASCII text.
+        """
+        rep, keys = self.monoid.elem_repr, sorted(self._terms)
+        texts = self.coeff_texts(keys, self.ring.fmt)
+        terms = ", ".join([f'{{"exp": "{rep(s)}", "coeff": "{text}"}}' for s, text in zip(keys, texts)])
+        return f'{{"monoid": {dumps(str(self.monoid))}, "ring": {dumps(str(self.ring))}, "terms": [{terms}]}}'
 
 
 _new = object.__new__
@@ -318,9 +338,10 @@ def _convolve(monoid: OrderedMonoid, f: dict, g: dict, m: int | None, below=None
                     acc[s] = cu * cv
     if m:
         return {s: r for s, c in acc.items() if (r := c % m)}
-    if len(acc) < len(f) * len(g):
+    if len(acc) < len(f) * len(g) and not all(acc.values()):
         # over Z and Q a product of nonzero terms is nonzero, so a zero sum
-        # needs two pairs landing on the same exponent
+        # needs two pairs landing on the same exponent; only then is the
+        # map scanned, and rebuilt only when a sum did cancel
         return {s: c for s, c in acc.items() if c}
     return acc
 

@@ -554,8 +554,8 @@ def test_deep_parentheses_exit_two(capsys):
          "variable name 'x-1' is not a name: a letter or _, then letters, digits or _"),
         (["mul", "e", "e", "--ring", "Z/x"], "bad modulus in 'Z/x'"),
         (["mul", "e", "e", "--ring", "R"], "unknown ring spec 'R' (want Z, Q, or Z/m)"),
-        (["rb-check", "--decomp", "odds", "--window", "3"], "range must look like a..b, got '3'"),
-        (["rb-check", "--decomp", "odds", "--window", "a..b"], "range bounds must be integers: 'a..b'"),
+        (["rb-check", "--decomp", "odds", "--window", "3"], "--window range must look like a..b, got '3'"),
+        (["rb-check", "--decomp", "odds", "--window", "a..b"], "--window range bounds must be integers: 'a..b'"),
         (["rb-check", "--monoid", "TABLE", "--decomp", "BAD.json"],
          "cannot read decomposition file BAD.json: "
          "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
@@ -565,6 +565,14 @@ def test_deep_parentheses_exit_two(capsys):
         (["rb-check", "--monoid", "table:NONCOMM.json", "--decomp", "mask:1"],
          "table file NONCOMM.json fails monoid axioms: {'axiom': 'commutative', 'a': '1', 'b': '2'}"),
         (["add", "O(1)", "e", "--laurent"], "expected 'name', found '1' (line 1, column 3)"),
+        # a range error names its flag, so with both flags given the user
+        # sees which one is at fault (--w-range is read first)
+        (["cutoff-scan", "--w-range", "3"], "--w-range range must look like a..b, got '3'"),
+        (["cutoff-scan", "--w-range", "a..b"], "--w-range range bounds must be integers: 'a..b'"),
+        (["cutoff-scan", "--w-range", "5..1"], "--w-range empty range '5..1'"),
+        (["cutoff-scan", "--w-range", "3", "--window", "3"], "--w-range range must look like a..b, got '3'"),
+        (["cutoff-scan", "--w-range", "0..1", "--window", "3"], "--window range must look like a..b, got '3'"),
+        (["rb-check", "--decomp", "odds", "--window", "3..1"], "--window empty range '3..1'"),
     ],
 )
 def test_user_input_value_errors_exit_two(capsys, monkeypatch, tmp_path, argv, message):
@@ -594,11 +602,13 @@ def test_user_input_value_errors_raise_usage_error_at_the_source():
 
 
 def test_overlong_result_exits_two(capsys):
-    # the product has more digits than int() may turn into text
+    # the result has more digits than int() may turn into text, in the
+    # rendered text and in the --json text written from the term texts
     big = "9" * 3000
-    for extra in ((), ("--json",)):
-        code, out, err = run(capsys, "mul", big, big, "--ring", "Z", *extra)
-        assert (code, out) == (2, "") and err.startswith("error: Exceeds the limit")
+    for command, ring, f in (("mul", "Z", big), ("add", "Z", f"{big}*{big}"), ("mul", "Q", f"{big}/7*e")):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, command, f, f, "--ring", ring, *extra)
+            assert (code, out) == (2, "") and err.startswith("error: Exceeds the limit")
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):

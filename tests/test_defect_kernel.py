@@ -380,7 +380,25 @@ def test_a_bound_that_is_not_the_cutoffs_own_is_refused():
         lambda: Projector(PROD, (0, 0).__gt__, "below((0, 0))", (0, 0)),
         lambda: Projector(IntVector(3), (0, 0, 1).__gt__, "below((0,0,1))", (0, 0, 1)),
         lambda: Projector(TABLES[4], (1).__gt__, "below(1)", 1),
+        # equal in value, but not the threshold's own __gt__: another
+        # comparison, or the method of an equal value of another type
+        lambda: Projector(M, (3).__lt__, "below(3)", 3),
+        lambda: Projector(M, (3.0).__gt__, "below(3)", 3),
+        lambda: Projector(LEX, [0, 1].__gt__, "below((0,1))", (0, 1)),
     ]
     for build in refused:
         with pytest.raises(ValueError, match="is not the threshold of a cutoff"):
             build()
+
+
+def test_a_bound_equal_to_the_keeps_threshold_but_held_apart_is_accepted():
+    # a method-wrapper compares its object by identity, so these two pairs
+    # were refused while the bound was checked by keeps == bound.__gt__
+    big, big_again = 10**6, int("1000000")
+    assert big is not big_again
+    P = Projector(M, big.__gt__, "below(1000000)", big_again)
+    assert P.bound == big and P.keeps(999_999) and not P.keeps(big)
+    w, w_again = (0, big), (0, big_again)
+    assert w is not w_again
+    Q = Projector(LEX, w.__gt__, "below((0,1000000))", w_again)
+    assert Q.bound == w and Q.keeps((0, 999_999)) and not Q.keeps(w)

@@ -134,6 +134,11 @@ def test_zero_divisors_without_collision():
         (QQ, {0: Fraction(1, 2), 1: Fraction(1, 3)}, {0: Fraction(1, 2), 1: Fraction(-1, 3)},
          {0: Fraction(1, 4), 2: Fraction(-1, 9)}),
         (ZZ, {-1: 1, 1: 1}, {1: 1, 3: -1}, {0: 1, 4: -1}),
+        # (1 + 2e)(3 + 5e) and (1/2 + e)^2: the e terms meet and add up, so
+        # the product keeps every sum though fewer terms than pairs
+        (ZZ, {0: 1, 1: 2}, {0: 3, 1: 5}, {0: 3, 1: 11, 2: 10}),
+        (QQ, {0: Fraction(1, 2), 1: Fraction(1)}, {0: Fraction(1, 2), 1: Fraction(1)},
+         {0: Fraction(1, 4), 1: Fraction(1), 2: Fraction(1)}),
     ],
 )
 def test_cancellation_through_collisions(ring, f, g, want):

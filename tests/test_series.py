@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpsrb import (
     BadElement,
+    FiniteTable,
     IntLine,
     IntVector,
     MonoidMismatch,
@@ -15,6 +16,8 @@ from gpsrb import (
     Zmod,
     indicator,
 )
+
+from gpsrb.cli import _dumps
 
 from conftest import int_series, naive_convolve, rat_scalars, vec2_series
 
@@ -91,6 +94,40 @@ def test_str_and_json():
     j = f.to_json()
     assert j["ring"] == "Q"
     assert j["terms"][0] == {"exp": "-1", "coeff": "1/2"}
+
+
+# Z/3 under a name with a quote, a backslash and non-ASCII letters, which
+# the JSON text must escape as the encoder does
+ODD_NAME = FiniteTable.from_lists(3, 0, [[(a + b) % 3 for b in range(3)] for a in range(3)], name='t"\\ä∑')
+JSON_MONOIDS = [
+    (M, st.integers(-(10**6), 10**6)),
+    (IntLine(nonneg=True), st.integers(0, 50)),
+    (IntVector(2), st.tuples(st.integers(-9, 9), st.integers(-9, 9))),
+    (IntVector(3, lex=True), st.tuples(*[st.integers(-3, 3)] * 3)),
+    (ODD_NAME, st.integers(0, 2)),
+]
+JSON_RINGS = [
+    (ZZ, st.integers(-(10**30), 10**30)),
+    (QQ, st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99))),
+    (Zmod(7), st.integers(0, 6)),
+]
+
+
+@st.composite
+def printable_series(draw):
+    monoid, exps = draw(st.sampled_from(JSON_MONOIDS))
+    ring, values = draw(st.sampled_from(JSON_RINGS))
+    # sizes 0 and 1 come up often: the zero series and one-term series
+    terms = draw(st.lists(st.tuples(exps, values), max_size=draw(st.sampled_from([0, 1, 8]))))
+    return Series(monoid, ring, terms)
+
+
+@settings(max_examples=200)
+@given(f=printable_series())
+@example(f=Series(ODD_NAME, Zmod(7), {1: 3}))
+@example(f=Series(M, QQ))
+def test_json_text_is_the_encoded_tree(f):
+    assert f.json_text() == _dumps(f.to_json())
 
 
 @settings(max_examples=60)
