@@ -14,10 +14,10 @@ product of at most one pair is not counted, a Laurent
 a table file above monoids.MAX_TABLE_SIZE elements, theorem-verify --max-size
 outside 1..MAX_SWEEP_SIZE or full scans above oracles.SCAN_PAIR_BUDGET single-term
 pairs, or laurent-demo --count above MAX_DEMO_COUNT), 3 internal fault: the
-structural and semantic routes of cutoff-scan or theorem-verify disagreed
-(theorem-verify still prints its report first), or an unexpected exception
-escaped (its traceback goes to stderr); either means a bug. The env var
-GPS_RB_SEED fixes the demo RNG seed.
+structural and semantic routes of rb-check, cutoff-scan or theorem-verify
+disagreed (theorem-verify still prints its report first), or an unexpected
+exception escaped (its traceback goes to stderr); either means a bug. The
+env var GPS_RB_SEED fixes the demo RNG seed.
 """
 
 from __future__ import annotations
@@ -335,9 +335,19 @@ def cmd_rb_check(args) -> int:
             print(f"defect: {_printable(render_series, d, args.var)}")
         return 0 if d.is_zero() else 1
 
-    kept = closed_under_addition(monoid, P.kept(window), window)
-    killed = closed_under_addition(monoid, P.killed(window), window)
+    kept, killed = closed_under_addition(P, window)
     scan = indicator_pair_scan(P, window, ring)
+    # the routes agree where both can see: a closure violation has a nonzero
+    # defect, and a nonzero defect at (u, v) with u + v in the window is a
+    # closure violation on u's side
+    agree = kept and killed
+    if not scan:
+        elem = {monoid.elem_repr(s): s for s in window}
+        u, v = elem[scan.witness["u"]], elem[scan.witness["v"]]
+        agree = monoid.add(u, v) not in window or not (kept if P.keeps(u) else killed)
+    if not agree:
+        sides = f"kept part {kept.verdict}, killed part {killed.verdict}"
+        raise RouteDisagreement(f"routes disagree on {P.label}: {sides}, defect scan {scan.verdict}")
     if args.json:
         print(
             _dumps(

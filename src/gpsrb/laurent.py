@@ -161,22 +161,14 @@ class TruncatedLaurent:
         return f"TruncatedLaurent({self.ring}, {dict(self.items())}, trunc={self.tail})"
 
     def to_json(self) -> dict:
-        series, tail = self.series, self.tail
-        terms = series._terms
-        # ord and trunc as the properties give them, from one read of the terms
-        if terms:
-            lo = min(terms)
-            hi = max(terms) + 1 if tail is None else tail
-        else:
-            lo = hi = 0 if tail is None else tail
-        ring = series.ring
+        lo, hi, ring = self.ord, self.trunc, self.ring
         return {
             "ring": str(ring),
             "ord": lo,
             # the coefficients of [ord, trunc), with the zeros filled in
-            "coeffs": series.coeff_texts(range(lo, hi), ring.fmt),
+            "coeffs": self.series.coeff_texts(range(lo, hi), ring.fmt),
             "trunc": hi,
-            "exact": tail is None,
+            "exact": self.tail is None,
         }
 
 

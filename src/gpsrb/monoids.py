@@ -144,8 +144,7 @@ class IntLine(OrderedMonoid):
             n = int(text.strip())
         except ValueError:
             raise BadElement(f"not {self._kind()}: {text!r}") from None
-        if self.nonneg and n < 0:
-            raise BadElement(f"not a natural number: {n}")
+        self.check_elem(n)
         return n
 
     def bounds(self, lo: int, hi: int) -> tuple[int, int]:

@@ -210,9 +210,9 @@ def scan_cutoffs(
     rep = monoid.elem_repr
     results: list[tuple[Any, CheckOutcome]] = []
     for w in w_set:
-        drop_in, escape = cutoff_violation_pairs(monoid, w, elems)
-        flagged = set(drop_in) | set(escape)
         P = Projector.cutoff(monoid, w)
+        drop_in, escape = cutoff_violation_pairs(P, elems)
+        flagged = set(drop_in) | set(escape)
         nonzero = set(nonzero_defect_pairs(P, elems, ring))
         if nonzero != flagged:
             u, v = next(p for p in product(elems, elems) if (p in nonzero) != (p in flagged))

@@ -78,12 +78,6 @@ class Projector:
         if f.monoid is not self.monoid and f.monoid != self.monoid:
             raise TypeError(f"projector on {self.monoid} applied to series over {f.monoid}")
 
-    def kept(self, window: Iterable) -> list:
-        return [s for s in window if self.keeps(s)]
-
-    def killed(self, window: Iterable) -> list:
-        return [s for s in window if not self.keeps(s)]
-
     def complement(self) -> "Projector":
         """id - P: keeps exactly what this projector kills."""
         keeps = self.keeps
@@ -169,25 +163,32 @@ def rb_defect(P: Projector, f: Series, g: Series) -> Series:
     return Series._raw(monoid, f.ring, acc, f._den * g._den)
 
 
-def closed_under_addition(monoid: OrderedMonoid, subset: Iterable, window: Iterable) -> CheckOutcome:
-    """Is the subset closed under addition, as far as the window can see?
+def closed_under_addition(P: Projector, window: Iterable) -> tuple[CheckOutcome, CheckOutcome]:
+    """Is each part of P, kept and killed, closed under addition as far as the window can see?
 
+    Returns (kept, killed). P.keeps puts each window element on its side.
     Closure is only tested where it is observable: a sum landing outside the
     window says nothing. A conclusive pass needs the whole carrier, so only
     finite monoids scanned in full earn a plain "pass"; a violation is
     conclusive anywhere.
     """
+    monoid, keeps, rep = P.monoid, P.keeps, P.monoid.elem_repr
     elems = list(window)
-    part = set(subset)
     window_set = set(elems)
-    desc = f"{len(part)} of {len(elems)} window elements"
-    for u in part:
-        for v in part:
-            s = monoid.add(u, v)
-            if s in window_set and s not in part:
-                rep = monoid.elem_repr
-                return CheckOutcome("fail", {"u": rep(u), "v": rep(v), "u+v": rep(s)}, desc)
-    return CheckOutcome.clean(monoid, window_set, desc)
+    kept, killed = set(), set()
+    for s in elems:
+        (kept if keeps(s) else killed).add(s)
+
+    def closed(part: set) -> CheckOutcome:
+        desc = f"{len(part)} of {len(elems)} window elements"
+        for u in part:
+            for v in part:
+                s = monoid.add(u, v)
+                if s in window_set and s not in part:
+                    return CheckOutcome("fail", {"u": rep(u), "v": rep(v), "u+v": rep(s)}, desc)
+        return CheckOutcome.clean(monoid, window_set, desc)
+
+    return closed(kept), closed(killed)
 
 
 # Digits of one packed rb_defect call in nonzero_defect_pairs: a block of
@@ -266,25 +267,22 @@ def indicator_pair_scan(P: Projector, window: Iterable, ring: Ring) -> CheckOutc
     return CheckOutcome.clean(monoid, elems, desc)
 
 
-def cutoff_violation_pairs(monoid: OrderedMonoid, w, window: Iterable) -> tuple[list, list]:
-    """The two obstruction sets for the cutoff-at-w projector, over window pairs.
+def cutoff_violation_pairs(P: Projector, window: Iterable) -> tuple[list, list]:
+    """The two obstruction sets of P, a cutoff in every command, over window pairs.
 
     Returns (drop_in, escape):
-      drop_in = pairs (u, v) with u not< w and v not< w but u + v < w
+      drop_in = pairs (u, v) with u and v killed but u + v kept
                 (the killed part fails to be closed);
-      escape  = pairs (u, v) with u < w and v < w but u + v not< w
+      escape  = pairs (u, v) with u and v kept but u + v killed
                 (the kept part fails to be closed).
     Both empty on the window means no indicator pair from the window breaks
     the identity; each listed pair is a conclusive counterexample.
     """
-    monoid.check_elem(w)
-    lt, add = monoid.lt, monoid.add
+    keeps, add = P.keeps, P.monoid.add
     kept, killed = [], []
     for v in window:
-        (kept if lt(v, w) else killed).append(v)
+        (kept if keeps(v) else killed).append(v)
     # a pair with one element on each side can never be an obstruction
-    escape = [(u, v) for u in kept for v in kept if not lt(add(u, v), w)]
-    drop_in = [(u, v) for u in killed for v in killed if lt(add(u, v), w)]
-    drop_in.sort()
-    escape.sort()
-    return drop_in, escape
+    escape = [(u, v) for u in kept for v in kept if not keeps(add(u, v))]
+    drop_in = [(u, v) for u in killed for v in killed if keeps(add(u, v))]
+    return sorted(drop_in), sorted(escape)

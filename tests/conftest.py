@@ -101,9 +101,7 @@ def reference_sweep(monoid: FiniteTable, ring=ZZ) -> dict:
     closed_masks = 0
     for mask in range(1 << monoid.n):
         P = Projector.from_mask(monoid, mask)
-        structural = bool(closed_under_addition(monoid, P.kept(elems), elems)) and bool(
-            closed_under_addition(monoid, P.killed(elems), elems)
-        )
+        structural = all(closed_under_addition(P, elems))
         closed_masks += structural
         semantic = next(pairwise_defect_pairs(P, elems, ring), None) is None
         if semantic:

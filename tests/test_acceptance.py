@@ -83,7 +83,8 @@ def test_c03_violation_witness_defect_is_exactly_one():
         one = ZZ.from_int(1)
         for mask in range(1 << table.n):
             P = Projector.from_mask(table, mask)
-            kept, killed = set(P.kept(elems)), set(P.killed(elems))
+            kept = {s for s in elems if P.keeps(s)}
+            killed = set(elems) - kept
             for u in elems:
                 for v in elems:
                     s = table.add(u, v)
@@ -158,11 +159,10 @@ def test_c07_obstruction_sets_agree_with_defect_scan():
     scanned = 0
     for monoid, w_set, window in cases:
         for w in w_set:
-            drop_in, escape = cutoff_violation_pairs(monoid, w, window)
+            P = Projector.cutoff(monoid, w)
+            drop_in, escape = cutoff_violation_pairs(P, window)
             sets_empty = not drop_in and not escape
-            scan = indicator_pair_scan(
-                Projector.cutoff(monoid, w), window, ZZ
-            )
+            scan = indicator_pair_scan(P, window, ZZ)
             assert bool(scan) == sets_empty, (monoid, w)
             scanned += 1
     assert scanned == 20
@@ -175,7 +175,7 @@ def test_c08_total_order_drop_in_empty_iff_threshold_nonneg():
         (IntLine(nonneg=True), int_window(0, 5), int_window(0, 8)),
     ):
         for w in thresholds:
-            drop_in, _ = cutoff_violation_pairs(monoid, w, window)
+            drop_in, _ = cutoff_violation_pairs(Projector.cutoff(monoid, w), window)
             assert (not drop_in) == (w >= 0), (monoid, w)
 
 

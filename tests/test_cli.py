@@ -419,31 +419,31 @@ def test_window_spec_parsing():
 def test_decomposition_vocab(tmp_path):
     M = IntLine()
     below = parse_decomposition(M, "below(2)")
-    assert below.kept([0, 1, 2, 3]) == [0, 1]
+    assert list(filter(below.keeps, [0, 1, 2, 3])) == [0, 1]
     assert below.label == "below(2)"
     notbelow = parse_decomposition(M, "notbelow(2)")
-    assert notbelow.kept([0, 1, 2, 3]) == [2, 3]
+    assert list(filter(notbelow.keeps, [0, 1, 2, 3])) == [2, 3]
     assert notbelow.label == "not(below(2))"
     V = IntVector(2)
     vb = parse_decomposition(V, "below((0,0))")
     assert vb.keeps((-1, -1)) and not vb.keeps((1, -5))
     pos = parse_decomposition(M, "positives")
-    assert pos.kept([-1, 0, 1]) == [1]
+    assert list(filter(pos.keeps, [-1, 0, 1])) == [1]
     assert pos.label == "positives"
     nonneg = parse_decomposition(M, "nonnegatives")
-    assert nonneg.kept([-1, 0, 1]) == [0, 1]
+    assert list(filter(nonneg.keeps, [-1, 0, 1])) == [0, 1]
     # incomparable elements count as "non-negative" under the literal reading
     assert parse_decomposition(V, "nonnegatives").keeps((1, -1))
     table = parse_monoid_spec(f"table:{TABLES / 'idem2.json'}")
     m = parse_decomposition(table, "mask:0x2")
-    assert m.kept([0, 1]) == [1]
+    assert list(filter(m.keeps, [0, 1])) == [1]
     assert m.label == "mask:0x2"
     # a file split is labelled by its path, whichever key it uses
     for name, payload in (("kept.json", {"kept": [1]}), ("mask.json", {"mask": 2})):
         path = tmp_path / name
         path.write_text(json.dumps(payload))
         split = parse_decomposition(table, str(path))
-        assert split.kept([0, 1]) == [1]
+        assert list(filter(split.keeps, [0, 1])) == [1]
         assert split.label == str(path)
     with pytest.raises(Exception):
         parse_decomposition(V, "odds")
@@ -454,7 +454,7 @@ def test_decomposition_from_file(capsys, tmp_path):
     p.write_text(json.dumps({"kept": [0, 2]}))
     table = parse_monoid_spec(f"table:{TABLES / 'z4.json'}")
     split = parse_decomposition(table, str(p))
-    assert split.kept(range(4)) == [0, 2]
+    assert list(filter(split.keeps, range(4))) == [0, 2]
     code, out, _ = run(
         capsys,
         "rb-check",
@@ -523,6 +523,42 @@ def test_theorem_verify_route_mismatch_exits_three(capsys, monkeypatch):
     code, out, err = run(capsys, "theorem-verify", "--table", str(TABLES / "z4.json"), "--json")
     assert (code, err) == (3, err_line)
     assert len(json.loads(out)["mismatches"]) == 14
+
+
+def test_rb_check_route_disagreement_exits_three(capsys, monkeypatch):
+    # odds on 0..8: the kept part fails at (1, 1) -> 2 and the scan fails at
+    # the same pair, so silencing either route is a disagreement
+    import gpsrb.projectors
+    from gpsrb import CheckOutcome
+
+    argv = ("rb-check", "--decomp", "odds", "--window", "0..8")
+    assert run(capsys, *argv)[0] == 1
+    with monkeypatch.context() as m:
+        m.setattr(gpsrb.projectors, "rb_defect", lambda P, f, g: Series(f.monoid, f.ring))
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal error: routes disagree on odds: kept part fail, killed part pass-on-window, "
+        "defect scan pass-on-window\n"
+    )
+    clean = lambda P, window: (CheckOutcome.clean(P.monoid, window, "silenced"),) * 2
+    monkeypatch.setattr(gpsrb.cli, "closed_under_addition", clean)
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, out) == (3, "")
+    assert err.endswith("kept part pass-on-window, killed part pass-on-window, defect scan fail\n")
+    # the limit: a scan whose first pair sums outside the window, (-7, -7)
+    # -> -14 here, is one no closure line can see, so a silenced closure
+    # route goes unnoticed
+    assert run(capsys, "rb-check", "--decomp", "odds", "--window", "-8..8")[0] == 1
+
+
+def test_rb_check_failing_pair_outside_the_window_is_no_disagreement(capsys):
+    # below(4) on 0..3: both parts are closed on the window, and the scan
+    # fails at (1, 3), whose sum 4 lies outside it
+    code, out, _ = run(capsys, "rb-check", "--decomp", "below(4)", "--window", "0..3")
+    assert code == 1
+    assert "kept part closed under addition:   pass-on-window" in out
+    assert 'defect scan on single-term pairs:  fail  witness {"u": "1", "v": "3"' in out
 
 
 def test_deep_parentheses_exit_two(capsys):

@@ -40,6 +40,13 @@ CASES = {
     "table-rb-clamped": ["rb-check", "--monoid", Z4, "--decomp", "mask:0x5", "--window", "1..9"],
     "table-scan-default": ["cutoff-scan", "--monoid", Z4, "--w-range", "0..9"],
     "table-scan-clamped": ["cutoff-scan", "--monoid", Z4, "--w-range", "0..1", "--window", "-3..2"],
+    # closure witnesses that follow set order, not window order: (1, 1) -> 2
+    # where window order meets (-7, -1) -> -8 first, and (0,1)+(0,1),
+    # (2,-2)+(-1,2) where it meets (-2,1)+(0,1), (-2,2)+(2,-2)
+    "z-rb-odds-witness": ["rb-check", "--monoid", "Z", "--decomp", "odds", "--window", "-8..8",
+                          "--ring", "Z"],
+    "z2p-rb-witness": ["rb-check", "--monoid", "Z^2:product", "--decomp", "below((1,1))",
+                       "--window", "-2..2", "--ring", "Z"],
 }
 
 ERRORS = {

@@ -78,29 +78,31 @@ def test_defect_zero_series_input():
 
 def test_closure_checks():
     win = int_window(-10, 10)
-    assert closed_under_addition(M, NEG.kept(win), win).verdict == "pass-on-window"
-    odd_kept = closed_under_addition(M, ODDS.kept(win), win)
+    neg_kept, neg_killed = closed_under_addition(NEG, win)
+    assert neg_kept.verdict == neg_killed.verdict == "pass-on-window"
+    odd_kept, odd_killed = closed_under_addition(ODDS, win)
     assert odd_kept.verdict == "fail"
     assert odd_kept.witness == {"u": "1", "v": "1", "u+v": "2"}
+    assert odd_killed.verdict == "pass-on-window"
     t = cyclic_table(3)
-    out = closed_under_addition(t, [0], t.carrier())
+    out, _ = closed_under_addition(Projector.from_mask(t, 0b1), t.carrier())  # kept {0}
     assert out.verdict == "pass"
 
 
 def test_closure_only_observable_inside_window():
-    # {5..10} escapes the window when summed; nothing observable fails
+    # {6..10} escapes the window when summed; nothing observable fails
     win = int_window(-10, 10)
-    out = closed_under_addition(M, range(6, 11), win)
+    out, _ = closed_under_addition(Projector(M, lambda s: 6 <= s <= 10, "6..10"), win)
     assert out.verdict == "pass-on-window"
 
 
 def test_cutoff_violations_on_int_line():
     win = int_window(-5, 5)
-    drop, esc = cutoff_violation_pairs(M, -1, win)
+    drop, esc = cutoff_violation_pairs(Projector.cutoff(M, -1), win)
     assert (-1, -1) in drop
-    drop0, esc0 = cutoff_violation_pairs(M, 0, win)
+    drop0, esc0 = cutoff_violation_pairs(Projector.cutoff(M, 0), win)
     assert drop0 == [] and esc0 == []
-    drop2, esc2 = cutoff_violation_pairs(M, 2, win)
+    drop2, esc2 = cutoff_violation_pairs(Projector.cutoff(M, 2), win)
     assert (1, 1) in esc2 and drop2 == []
 
 

@@ -6,6 +6,9 @@
 - Only outcomes.py decides between "pass" and "pass-on-window": every other
   CheckOutcome(...) call in the package passes the literal "fail" first,
   and a clean verdict goes through CheckOutcome.clean.
+- Only a projector's keeps decides which side of the split an exponent lies
+  on: in projectors.py and oracles.py the order `.lt` is read inside
+  Projector.cutoff alone, which builds keeps from it.
 """
 
 import argparse
@@ -105,3 +108,51 @@ def test_a_planted_clean_verdict_is_found(tmp_path):
         '    return CheckOutcome(verdict="fail", witness={}, window=desc)\n'
     )
     assert clean_verdicts_outside_outcomes([module]) == ["module.py:4", "module.py:6"]
+
+
+def order_reads_outside_cutoff(paths) -> list[str]:
+    """file:line scope of each `.lt` read outside Projector.cutoff, scope the enclosing def or class path."""
+    found = []
+
+    class Reads(ast.NodeVisitor):
+        def __init__(self, name):
+            self.name, self.scope = name, []
+
+        def enter(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = enter
+
+        def visit_Attribute(self, node):
+            scope = ".".join(self.scope)
+            if node.attr == "lt" and scope != "Projector.cutoff":
+                found.append(f"{self.name}:{node.lineno} {scope or '<module>'}")
+            self.generic_visit(node)
+
+    for path in paths:
+        Reads(path.name).visit(ast.parse(path.read_text()))
+    return found
+
+
+def test_only_cutoff_reads_the_order():
+    assert order_reads_outside_cutoff([SRC / "projectors.py", SRC / "oracles.py"]) == []
+
+
+def test_a_planted_order_read_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "class Projector:\n"
+        "    def cutoff(monoid, w):\n"
+        "        lt = monoid.lt\n"
+        "        return lambda s: lt(s, w)\n"
+        "    def complement(self):\n"
+        "        return self.monoid.lt\n"
+        "def cutoff(monoid, w, window):\n"
+        "    return [v for v in window if monoid.lt(v, w)]\n"
+    )
+    assert order_reads_outside_cutoff([module]) == [
+        "module.py:6 Projector.complement",
+        "module.py:8 cutoff",
+    ]
