@@ -14,8 +14,8 @@ product of at most one pair is not counted, a Laurent
 a table file above monoids.MAX_TABLE_SIZE elements, theorem-verify --max-size
 outside 1..MAX_SWEEP_SIZE or full scans above oracles.SCAN_PAIR_BUDGET single-term
 pairs, or laurent-demo --count above MAX_DEMO_COUNT), 3 internal fault: the
-structural and semantic routes of rb-check, cutoff-scan or theorem-verify
-disagreed (theorem-verify still prints its report first), or an unexpected
+structural and semantic routes of rb-check (by verdict), cutoff-scan or
+theorem-verify disagreed (theorem-verify still prints its report first), or an unexpected
 exception escaped (its traceback goes to stderr); either means a bug. The
 env var GPS_RB_SEED fixes the demo RNG seed.
 """
@@ -242,15 +242,18 @@ def _decomposition_from_json(monoid: OrderedMonoid, spec: str) -> Projector:
         raise UsageError(
             f"decomposition file {spec} needs a JSON object with a 'mask' or 'kept' key"
         )
-    if "mask" in data:
-        return Projector.from_mask(monoid, data["mask"], label=spec)
-    kept = data["kept"]
-    if not (isinstance(kept, list) and all(_is_int(k) for k in kept)):
-        raise UsageError(f"decomposition file {spec}: 'kept' must be a list of element indices")
-    Projector.from_mask(monoid, 0)  # refuses an infinite carrier before any bit is set
-    for k in kept:
-        monoid.check_elem(k)
-    return Projector.from_mask(monoid, sum(1 << k for k in set(kept)), label=spec)
+    Projector.from_mask(monoid, 0)  # refuses an infinite carrier, as for mask:<int>
+    try:
+        if "mask" in data:
+            return Projector.from_mask(monoid, data["mask"], label=spec)
+        kept = data["kept"]
+        if not (isinstance(kept, list) and all(_is_int(k) for k in kept)):
+            raise ValueError("'kept' must be a list of element indices")
+        for k in kept:
+            monoid.check_elem(k)
+        return Projector.from_mask(monoid, sum(1 << k for k in set(kept)), label=spec)
+    except ValueError as exc:  # a bad mask, list or index: name the file it came from
+        raise UsageError(f"decomposition file {spec}: {exc}") from None
 
 
 def _outcome_text(oc: CheckOutcome) -> str:
@@ -337,15 +340,9 @@ def cmd_rb_check(args) -> int:
 
     kept, killed = closed_under_addition(P, window)
     scan = indicator_pair_scan(P, window, ring)
-    # the routes agree where both can see: a closure violation has a nonzero
-    # defect, and a nonzero defect at (u, v) with u + v in the window is a
-    # closure violation on u's side
-    agree = kept and killed
-    if not scan:
-        elem = {monoid.elem_repr(s): s for s in window}
-        u, v = elem[scan.witness["u"]], elem[scan.witness["v"]]
-        agree = monoid.add(u, v) not in window or not (kept if P.keeps(u) else killed)
-    if not agree:
+    # both routes see every pair of window elements and every sum: a pair's
+    # defect is nonzero exactly when it breaks the closure of its side
+    if bool(scan) != (bool(kept) and bool(killed)):
         sides = f"kept part {kept.verdict}, killed part {killed.verdict}"
         raise RouteDisagreement(f"routes disagree on {P.label}: {sides}, defect scan {scan.verdict}")
     if args.json:

@@ -337,13 +337,12 @@ def load_table(path: str) -> FiniteTable:
             raise BadTable(f"table file {path} is missing {key!r}")
     if _is_int(data["n"]) and data["n"] > MAX_TABLE_SIZE:
         raise BadTable(f"table file {path} has n={data['n']}, above the cap of {MAX_TABLE_SIZE}")
-    table = FiniteTable.from_lists(
-        n=data["n"],
-        neutral=data["neutral"],
-        add=data["add"],
-        leq=data.get("leq"),
-        name=data.get("name", path),
-    )
+    try:
+        table = FiniteTable.from_lists(
+            data["n"], data["neutral"], data["add"], data.get("leq"), data.get("name", path)
+        )
+    except BadTable as exc:
+        raise BadTable(f"table file {path}: {exc}") from None
     outcome = validate_monoid(table)
     if not outcome:
         raise BadTable(f"table file {path} fails monoid axioms: {outcome.witness}")

@@ -164,31 +164,29 @@ def rb_defect(P: Projector, f: Series, g: Series) -> Series:
 
 
 def closed_under_addition(P: Projector, window: Iterable) -> tuple[CheckOutcome, CheckOutcome]:
-    """Is each part of P, kept and killed, closed under addition as far as the window can see?
+    """Is each part of P, kept and killed, closed under addition on the window's pairs?
 
-    Returns (kept, killed). P.keeps puts each window element on its side.
-    Closure is only tested where it is observable: a sum landing outside the
-    window says nothing. A conclusive pass needs the whole carrier, so only
-    finite monoids scanned in full earn a plain "pass"; a violation is
+    Returns (kept, killed) from the escape and drop-in pairs of
+    cutoff_violation_pairs, which see every sum, as the defect scan does. A
+    failing line's witness is the first pair (sorted: window order for the
+    CLI's windows) whose sum lies in the window, else the first pair. Only a
+    finite carrier scanned in full earns a plain "pass"; a violation is
     conclusive anywhere.
     """
-    monoid, keeps, rep = P.monoid, P.keeps, P.monoid.elem_repr
+    monoid, rep = P.monoid, P.monoid.elem_repr
     elems = list(window)
     window_set = set(elems)
-    kept, killed = set(), set()
-    for s in elems:
-        (kept if keeps(s) else killed).add(s)
+    drop_in, escape = cutoff_violation_pairs(P, elems)
+    n_kept = sum(1 for s in elems if P.keeps(s))
 
-    def closed(part: set) -> CheckOutcome:
-        desc = f"{len(part)} of {len(elems)} window elements"
-        for u in part:
-            for v in part:
-                s = monoid.add(u, v)
-                if s in window_set and s not in part:
-                    return CheckOutcome("fail", {"u": rep(u), "v": rep(v), "u+v": rep(s)}, desc)
-        return CheckOutcome.clean(monoid, window_set, desc)
+    def closed(pairs: list, count: int) -> CheckOutcome:
+        desc = f"{count} of {len(elems)} window elements"
+        if not pairs:
+            return CheckOutcome.clean(monoid, elems, desc)
+        u, v = next((p for p in pairs if monoid.add(*p) in window_set), pairs[0])
+        return CheckOutcome("fail", {"u": rep(u), "v": rep(v), "u+v": rep(monoid.add(u, v))}, desc)
 
-    return closed(kept), closed(killed)
+    return closed(escape, n_kept), closed(drop_in, len(elems) - n_kept)
 
 
 # Digits of one packed rb_defect call in nonzero_defect_pairs: a block of
@@ -268,7 +266,7 @@ def indicator_pair_scan(P: Projector, window: Iterable, ring: Ring) -> CheckOutc
 
 
 def cutoff_violation_pairs(P: Projector, window: Iterable) -> tuple[list, list]:
-    """The two obstruction sets of P, a cutoff in every command, over window pairs.
+    """The two obstruction sets of any projector P over window pairs, sums anywhere.
 
     Returns (drop_in, escape):
       drop_in = pairs (u, v) with u and v killed but u + v kept
@@ -276,7 +274,8 @@ def cutoff_violation_pairs(P: Projector, window: Iterable) -> tuple[list, list]:
       escape  = pairs (u, v) with u and v kept but u + v killed
                 (the kept part fails to be closed).
     Both empty on the window means no indicator pair from the window breaks
-    the identity; each listed pair is a conclusive counterexample.
+    the identity; each listed pair is a conclusive counterexample. cutoff-scan
+    lists both sets, and rb-check's closure lines read them.
     """
     keeps, add = P.keeps, P.monoid.add
     kept, killed = [], []

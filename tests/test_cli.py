@@ -526,8 +526,8 @@ def test_theorem_verify_route_mismatch_exits_three(capsys, monkeypatch):
 
 
 def test_rb_check_route_disagreement_exits_three(capsys, monkeypatch):
-    # odds on 0..8: the kept part fails at (1, 1) -> 2 and the scan fails at
-    # the same pair, so silencing either route is a disagreement
+    # both routes see every pair of window elements and every sum, so their
+    # verdicts agree on any window, and a fault in either route is exit 3
     import gpsrb.projectors
     from gpsrb import CheckOutcome
 
@@ -541,23 +541,38 @@ def test_rb_check_route_disagreement_exits_three(capsys, monkeypatch):
         "internal error: routes disagree on odds: kept part fail, killed part pass-on-window, "
         "defect scan pass-on-window\n"
     )
+    # a planted in-window filter at the pair source: below(4) on 0..3
+    # violates only at sums outside the window
+    real = gpsrb.projectors.cutoff_violation_pairs
+
+    def in_window_only(P, window):
+        elems = list(window)
+        return tuple([p for p in pairs if P.monoid.add(*p) in elems] for pairs in real(P, elems))
+
+    with monkeypatch.context() as m:
+        m.setattr(gpsrb.projectors, "cutoff_violation_pairs", in_window_only)
+        code, out, err = run(capsys, "rb-check", "--decomp", "below(4)", "--window", "0..3")
+    assert (code, out) == (3, "")
+    assert err.endswith("kept part pass-on-window, killed part pass-on-window, defect scan fail\n")
     clean = lambda P, window: (CheckOutcome.clean(P.monoid, window, "silenced"),) * 2
     monkeypatch.setattr(gpsrb.cli, "closed_under_addition", clean)
     code, out, err = run(capsys, *argv, "--json")
     assert (code, out) == (3, "")
     assert err.endswith("kept part pass-on-window, killed part pass-on-window, defect scan fail\n")
-    # the limit: a scan whose first pair sums outside the window, (-7, -7)
-    # -> -14 here, is one no closure line can see, so a silenced closure
-    # route goes unnoticed
-    assert run(capsys, "rb-check", "--decomp", "odds", "--window", "-8..8")[0] == 1
+    # the scan's first pair (-7, -7) -> -14 sums outside the window, and a
+    # silenced closure route is still seen
+    code, out, err = run(capsys, "rb-check", "--decomp", "odds", "--window", "-8..8")
+    assert (code, out) == (3, "")
 
 
-def test_rb_check_failing_pair_outside_the_window_is_no_disagreement(capsys):
-    # below(4) on 0..3: both parts are closed on the window, and the scan
-    # fails at (1, 3), whose sum 4 lies outside it
-    code, out, _ = run(capsys, "rb-check", "--decomp", "below(4)", "--window", "0..3")
+def test_rb_check_closure_line_fails_at_a_sum_outside_the_window(capsys):
+    # below(4) on 0..3: the kept part fails at (1, 3) -> 4, a sum outside
+    # the window, next to the scan failing at the same pair
+    code, out, _ = run(capsys, "rb-check", "--monoid", "Z", "--ring", "Z", "--decomp", "below(4)",
+                       "--window", "0..3")
     assert code == 1
-    assert "kept part closed under addition:   pass-on-window" in out
+    assert 'kept part closed under addition:   fail  witness {"u": "1", "v": "3", "u+v": "4"}' in out
+    assert "killed part closed under addition: pass-on-window" in out
     assert 'defect scan on single-term pairs:  fail  witness {"u": "1", "v": "3"' in out
 
 
@@ -609,16 +624,37 @@ def test_deep_parentheses_exit_two(capsys):
         (["cutoff-scan", "--w-range", "3", "--window", "3"], "--w-range range must look like a..b, got '3'"),
         (["cutoff-scan", "--w-range", "0..1", "--window", "3"], "--window range must look like a..b, got '3'"),
         (["rb-check", "--decomp", "odds", "--window", "3..1"], "--window empty range '3..1'"),
+        (["rb-check", "--decomp", "below(x)"], "not an integer: 'x'"),
+        (["rb-check", "--monoid", "Z^2:lex", "--decomp", "below((1,x))"], "not an integer vector: '(1,x)'"),
+        # every refusal of an input file names the file, so with a table
+        # file and a decomposition file the user sees which one is at fault
+        (["rb-check", "--monoid", "table:ADD5.json", "--decomp", "KEPT9.json"],
+         "table file ADD5.json: add[1][1] = 5 out of range"),
+        (["rb-check", "--monoid", "TABLE", "--decomp", "KEPT9.json"],
+         "decomposition file KEPT9.json: not an index in 0..3: 9"),
+        (["rb-check", "--monoid", "TABLE", "--decomp", "MASK99.json"],
+         "decomposition file MASK99.json: mask 0x63 out of range for n=4"),
+        (["theorem-verify", "--table", "LIST.json"], "table file LIST.json must hold a JSON object"),
+        (["theorem-verify", "--table", "N0.json"], "table file N0.json: n must be a positive integer, got 0"),
     ],
 )
 def test_user_input_value_errors_exit_two(capsys, monkeypatch, tmp_path, argv, message):
-    # TABLE is the Z/4 table, BAD.json a file that is not JSON and NONCOMM a
-    # table whose neutral element is right but which is not commutative; a
-    # leading NAME=value sets the environment, as in a shell
+    # TABLE is the Z/4 table, BAD.json a file that is not JSON, NONCOMM a
+    # table whose neutral element is right but which is not commutative,
+    # ADD5, LIST and N0 tables with an entry past n, a list and n = 0, and
+    # KEPT9 and MASK99 decomposition files past the Z/4 carrier; a leading
+    # NAME=value sets the environment, as in a shell
     (tmp_path / "BAD.json").write_text("{x")
-    (tmp_path / "NONCOMM.json").write_text(
-        json.dumps({"n": 3, "neutral": 0, "add": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]})
-    )
+    files = {
+        "NONCOMM.json": {"n": 3, "neutral": 0, "add": [[0, 1, 2], [1, 2, 0], [2, 1, 0]]},
+        "ADD5.json": {"n": 2, "neutral": 0, "add": [[0, 1], [1, 5]]},
+        "LIST.json": [],
+        "N0.json": {"n": 0, "neutral": 0, "add": []},
+        "KEPT9.json": {"kept": [9]},
+        "MASK99.json": {"mask": 99},
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
     monkeypatch.chdir(tmp_path)
     while "=" in argv[0]:
         name, value = argv[0].split("=", 1)

@@ -38,11 +38,12 @@ CASES = {
                   "--f", "e^-2 + e^(1)", "--g", "2*e"],
     "table-rb-default": ["rb-check", "--monoid", Z4, "--decomp", "mask:0x1"],
     "table-rb-clamped": ["rb-check", "--monoid", Z4, "--decomp", "mask:0x5", "--window", "1..9"],
+    # a threshold read as an element index: below(1) under the trivial order keeps nothing
+    "table-rb-below": ["rb-check", "--monoid", Z4, "--decomp", "below(1)"],
     "table-scan-default": ["cutoff-scan", "--monoid", Z4, "--w-range", "0..9"],
     "table-scan-clamped": ["cutoff-scan", "--monoid", Z4, "--w-range", "0..1", "--window", "-3..2"],
-    # closure witnesses that follow set order, not window order: (1, 1) -> 2
-    # where window order meets (-7, -1) -> -8 first, and (0,1)+(0,1),
-    # (2,-2)+(-1,2) where it meets (-2,1)+(0,1), (-2,2)+(2,-2)
+    # closure witnesses in window order, the first pair whose sum lies in
+    # the window: (-7, -1) -> -8, and (-2,1)+(0,1), (-2,2)+(2,-2)
     "z-rb-odds-witness": ["rb-check", "--monoid", "Z", "--decomp", "odds", "--window", "-8..8",
                           "--ring", "Z"],
     "z2p-rb-witness": ["rb-check", "--monoid", "Z^2:product", "--decomp", "below((1,1))",

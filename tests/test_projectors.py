@@ -82,18 +82,23 @@ def test_closure_checks():
     assert neg_kept.verdict == neg_killed.verdict == "pass-on-window"
     odd_kept, odd_killed = closed_under_addition(ODDS, win)
     assert odd_kept.verdict == "fail"
-    assert odd_kept.witness == {"u": "1", "v": "1", "u+v": "2"}
+    # the first pair in window order whose sum lies in the window
+    assert odd_kept.witness == {"u": "-9", "v": "-1", "u+v": "-10"}
     assert odd_killed.verdict == "pass-on-window"
     t = cyclic_table(3)
     out, _ = closed_under_addition(Projector.from_mask(t, 0b1), t.carrier())  # kept {0}
     assert out.verdict == "pass"
 
 
-def test_closure_only_observable_inside_window():
-    # {6..10} escapes the window when summed; nothing observable fails
+def test_closure_sees_sums_outside_the_window():
+    # {6..10} on -10..10: every violating sum of the kept part leaves the
+    # window, and the line fails at the first one; the killed part has
+    # (1, 5) -> 6 as its first violation with a sum in the window
     win = int_window(-10, 10)
-    out, _ = closed_under_addition(Projector(M, lambda s: 6 <= s <= 10, "6..10"), win)
-    assert out.verdict == "pass-on-window"
+    kept, killed = closed_under_addition(Projector(M, lambda s: 6 <= s <= 10, "6..10"), win)
+    assert kept.verdict == killed.verdict == "fail"
+    assert kept.witness == {"u": "6", "v": "6", "u+v": "12"}
+    assert killed.witness == {"u": "1", "v": "5", "u+v": "6"}
 
 
 def test_cutoff_violations_on_int_line():
@@ -255,3 +260,69 @@ def test_complement_has_the_same_defect(rng):
                     assert rb_defect(P.complement(), f, g) == d
                     nonzero += not d.is_zero()
     assert nonzero > 0
+
+
+@st.composite
+def projector_on_a_window(draw):
+    """A projector and a window of distinct elements drawn from a small pool.
+
+    Windows are random subsets, so violating sums often leave them: a cutoff
+    on Z, N, Z^2:lex or Z^2:product, odds or evens, a mask of the Z/4 or
+    min-cap(3) table, or a random kept subset of Z.
+    """
+    kind = draw(
+        st.sampled_from(["Z", "N", "Z^2:lex", "Z^2:product", "odds", "evens", "Z/4", "min-cap(3)", "subset"])
+    )
+    monoid = {
+        "N": IntLine(nonneg=True),
+        "Z^2:lex": IntVector(2, lex=True),
+        "Z^2:product": IntVector(2),
+        "Z/4": cyclic_table(4),
+        "min-cap(3)": truncated_addition_table(3),
+    }.get(kind, M)
+    if kind.startswith("Z^2"):
+        pool = vector_window(-2, 2, 2)
+    elif kind == "N":
+        pool = int_window(0, 10)
+    elif kind in ("Z/4", "min-cap(3)"):
+        pool = list(monoid.carrier())
+    else:
+        pool = int_window(-8, 8)
+    window = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10, unique=True))
+    if kind in ("odds", "evens"):
+        P = ODDS if kind == "odds" else EVENS
+    elif kind in ("Z/4", "min-cap(3)"):
+        P = Projector.from_mask(monoid, draw(st.integers(0, (1 << monoid.n) - 1)))
+    elif kind == "subset":
+        kept = frozenset(draw(st.lists(st.sampled_from(pool), unique=True)))
+        P = Projector(M, kept.__contains__, "subset")
+    else:
+        P = Projector.cutoff(monoid, draw(st.sampled_from(pool)))
+    return P, window
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=projector_on_a_window(), ring=st.sampled_from([ZZ, QQ, Zmod(2), Zmod(3)]))
+def test_closure_lines_and_defect_scan_agree_on_any_window(case, ring):
+    # the closure lines see every sum of two window elements, as the scan
+    # does, so the verdicts agree; a failing line's witness is a violating
+    # pair of its own side, with its sum in the window when one such pair has
+    P, window = case
+    monoid, keeps, rep = P.monoid, P.keeps, P.monoid.elem_repr
+    lines = closed_under_addition(P, window)
+    assert bool(indicator_pair_scan(P, window, ring)) == all(lines)
+    elem = {rep(s): s for s in window}
+    for side, line in zip((True, False), lines):
+        violating = [
+            (u, v)
+            for u in window
+            for v in window
+            if bool(keeps(u)) == bool(keeps(v)) == side != bool(keeps(monoid.add(u, v)))
+        ]
+        assert bool(line) == (not violating)
+        if line:
+            continue
+        u, v = elem[line.witness["u"]], elem[line.witness["v"]]
+        assert (u, v) in violating and line.witness["u+v"] == rep(monoid.add(u, v))
+        if any(monoid.add(*p) in window for p in violating):
+            assert monoid.add(u, v) in window
