@@ -72,6 +72,13 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an argv with UsageError, as do the subparsers it adds, which take its class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 # every --json document and witness goes through one encoder: each is a tree
 # the command has just built, so the check for cycles that json.dumps makes
 # could find none, and the bytes are those of json.dumps
@@ -510,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     Building it costs about 30x a parse (argparse reads the terminal size on
     every add_argument), and parse_args leaves the parser unchanged.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpsrb",
         description="Series over ordered monoids and their coefficient-killing projectors",
     )
@@ -598,11 +605,10 @@ def _normalize_argv(argv: Sequence[str]) -> list[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_normalize_argv(argv))
     try:
+        args = build_parser().parse_args(_normalize_argv(argv))
         return args.run(args)
     except (
         UsageError,
@@ -613,7 +619,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         TooLarge,
         OSError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # one line, whatever the message quotes of the argv
+        print("error: " + str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
     except RouteDisagreement as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -5,10 +5,10 @@ A Projector(monoid, keeps, label) splits the monoid carrier into a kept part
 coefficient whose exponent falls in the killed part. Projector.cutoff keeps
 the exponents strictly below a threshold, Projector.from_mask a bitmask of a
 finite carrier, and complement() swaps the two parts. A cutoff on a
-totally ordered carrier, Z, N or Z^d:lex, carries its threshold as `bound`,
-and rb_defect forms only the pairs of its products that cross it. The
-central question downstream is when
-such an operator P satisfies the weight -1 identity
+totally ordered carrier, Z, N or Z^d:lex, has keeps = w.__gt__, from which
+the projector reads its threshold w as `bound`, and rb_defect forms only
+the pairs of its products that cross it. The central question downstream
+is when such an operator P satisfies the weight -1 identity
 
     P(f) P(g) = P(f P(g)) + P(P(f) g) - P(f g)
 
@@ -25,7 +25,7 @@ pole-part defect of Laurent values is laurent.tl_rb_defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 from .monoids import BadElement, FiniteTable, OrderedMonoid, _is_int
@@ -39,36 +39,26 @@ class Projector:
     """Linear operator on series that keeps the exponents s with keeps(s), kills the rest.
 
     The kept subset of the carrier determines the projector; the killed
-    subset is its complement. A cutoff on a carrier with total_order (Z, N,
-    Z^d:lex) carries its threshold w as bound, with keeps = w.__gt__; any
-    other bound is a ValueError, so the product order and tables carry none.
+    subset is its complement. bound is read off keeps: on a carrier with
+    total_order (Z, N, Z^d:lex), a keeps that is w.__gt__ for an element w
+    makes w the bound, and every other projector has none.
     """
 
     monoid: OrderedMonoid
     keeps: Callable[[object], bool]
     label: str = "custom"
-    bound: object = None
+    bound: object = field(init=False, default=None)
 
     def __post_init__(self):
-        w = self.bound
-        if w is None:
+        if not self.monoid.total_order:
             return
+        w = getattr(self.keeps, "__self__", None)
         try:
             self.monoid.check_elem(w)
         except BadElement:
-            ok = False
-        else:
-            # a method-wrapper compares its object by identity, so the keeps
-            # of a bound equal in value but held apart is matched by its owner
-            owner = getattr(self.keeps, "__self__", None)
-            ok = (
-                self.monoid.total_order
-                and type(owner) is type(w)
-                and owner == w
-                and self.keeps == owner.__gt__
-            )
-        if not ok:
-            raise ValueError(f"bound {w!r} is not the threshold of a cutoff on {self.monoid}")
+            return
+        if self.keeps == w.__gt__:
+            object.__setattr__(self, "bound", w)
 
     def __call__(self, f: Series) -> Series:
         self._check(f)
@@ -89,13 +79,13 @@ class Projector:
 
         "Not below w" is evaluated literally as not(s < w); under a partial
         order that is weaker than w <= s, and the two must not be conflated.
-        On a total order (Z, N, Z^d:lex) keeps is the C method w.__gt__ and
-        the projector carries w as its bound; complement() drops the bound.
+        On a total order (Z, N, Z^d:lex) keeps is the C method w.__gt__, so
+        the projector's bound is w; complement() has none.
         """
         monoid.check_elem(w)
         label = f"below({monoid.elem_repr(w)})"
         if monoid.total_order:
-            return Projector(monoid, w.__gt__, label, w)
+            return Projector(monoid, w.__gt__, label)
         lt = monoid.lt
         return Projector(monoid, lambda s: lt(s, w), label)
 
@@ -168,10 +158,9 @@ def closed_under_addition(P: Projector, window: Iterable) -> tuple[CheckOutcome,
 
     Returns (kept, killed) from the escape and drop-in pairs of
     cutoff_violation_pairs, which see every sum, as the defect scan does. A
-    failing line's witness is the first pair (sorted: window order for the
-    CLI's windows) whose sum lies in the window, else the first pair. Only a
-    finite carrier scanned in full earns a plain "pass"; a violation is
-    conclusive anywhere.
+    failing line's witness is the first pair in window order whose sum lies
+    in the window, else the first pair. Only a finite carrier scanned in
+    full earns a plain "pass"; a violation is conclusive anywhere.
     """
     monoid, rep = P.monoid, P.monoid.elem_repr
     elems = list(window)
@@ -268,7 +257,7 @@ def indicator_pair_scan(P: Projector, window: Iterable, ring: Ring) -> CheckOutc
 def cutoff_violation_pairs(P: Projector, window: Iterable) -> tuple[list, list]:
     """The two obstruction sets of any projector P over window pairs, sums anywhere.
 
-    Returns (drop_in, escape):
+    Returns (drop_in, escape), each in window order, u outer and v inner:
       drop_in = pairs (u, v) with u and v killed but u + v kept
                 (the killed part fails to be closed);
       escape  = pairs (u, v) with u and v kept but u + v killed
@@ -284,4 +273,4 @@ def cutoff_violation_pairs(P: Projector, window: Iterable) -> tuple[list, list]:
     # a pair with one element on each side can never be an obstruction
     escape = [(u, v) for u in kept for v in kept if not keeps(add(u, v))]
     drop_in = [(u, v) for u in killed for v in killed if keeps(add(u, v))]
-    return sorted(drop_in), sorted(escape)
+    return drop_in, escape

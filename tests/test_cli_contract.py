@@ -3,11 +3,15 @@
 A hypothesis strategy builds argv for all six subcommands: monoid, ring,
 window, decomposition and --w-range specs, series texts, extreme integers
 and integers written in non-ASCII digits. It is weighted toward inputs the
-CLI accepts, so most calls reach the checkers. Every call must exit 0, 1 or
-2, never 3 (an internal fault, which rb-check also raises when the
-verdicts of its two routes disagree); exit 2 must print a stderr that starts
-with "error: "; and each call must finish within 2 s. The fixed profile
-runs 150 examples; GPS_RB_CLI_EXAMPLES sets a larger count.
+CLI accepts, so most calls reach the checkers. A second strategy builds raw
+token lists that argparse refuses: one-token mutations of those argv
+(unknown flags, missing values and operands, bad ints, stray tokens,
+tokens with a newline) and argv with no command. Every call must exit 0,
+1 or 2, never 3 (an internal fault, which rb-check also raises when the
+verdicts of its two routes disagree); exit 2 must print exactly one
+stderr line, starting "error: "; and each call must finish within 2 s.
+The fixed profile runs 150 examples of each strategy; GPS_RB_CLI_EXAMPLES
+sets a larger count.
 """
 
 import contextlib
@@ -16,6 +20,7 @@ import os
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -142,6 +147,40 @@ def argv_for_a_command(draw):
     return argv
 
 
+# tokens a mutation puts in: flags of every subcommand, prefixes that
+# match two of them, values where a flag belongs and texts no option reads;
+# none is -h or a prefix of --help, whose usage text exits 0
+TOKENS = (
+    "--bogus", "--window", "--w-range", "--w", "--decomp", "--f", "--g", "--var", "--laurent",
+    "--json", "--monoid", "--ring", "--table", "--max-size", "--count", "--", "-", "-x", "-3",
+    "", "abc", "٣", "0..", "e^", "a\nb", "--x\ny", "add", "rb-check",
+)
+
+
+@st.composite
+def refused_argv(draw):
+    """An accepted argv with one token deleted, put in or replaced, or argv with no command."""
+    if rarely(draw, 10):
+        return draw(st.sampled_from([[], ["--json"], ["--bogus"], ["help"], ["--", "add", "e", "e"]]))
+    argv = draw(argv_for_a_command())
+    i = draw(st.integers(1, len(argv)))
+    kind = draw(st.sampled_from(["delete", "insert", "replace"]))
+    if kind == "delete" and i < len(argv):
+        return argv[:i] + argv[i + 1 :]
+    token = draw(st.sampled_from(TOKENS))
+    return argv[:i] + [token] + argv[i + (kind == "replace") :]
+
+
+# the argparse refusals that once printed a usage block and two more lines
+REFUSED = {
+    "bad-int": ["theorem-verify", "--table", str(TABLES / "z4.json"), "--max-size", "abc"],
+    "missing-required-option": ["rb-check"],
+    "missing-operand": ["mul", "e"],
+    "unknown-flag": ["add", "e", "e", "--bogus"],
+    "no-command": [],
+}
+
+
 def run(argv) -> tuple[int, str, float]:
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
@@ -150,11 +189,27 @@ def run(argv) -> tuple[int, str, float]:
     return code, err.getvalue(), time.perf_counter() - start
 
 
-@settings(max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=argv_for_a_command())
-def test_cli_exits_zero_one_or_two_within_two_seconds(argv):
+def assert_contract(argv) -> int:
     code, err, seconds = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     if code == 2:
-        assert err.startswith("error: "), (argv, err)
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (argv, err)
     assert seconds < SECONDS, (argv, seconds)
+    return code
+
+
+@settings(max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argv_for_a_command())
+def test_cli_exits_zero_one_or_two_within_two_seconds(argv):
+    assert_contract(argv)
+
+
+@settings(max_examples=EXAMPLES, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=refused_argv())
+def test_raw_tokens_keep_the_contract(argv):
+    assert_contract(argv)
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+def test_an_argparse_refusal_is_one_error_line(argv):
+    assert assert_contract(argv) == 2

@@ -263,7 +263,10 @@ def test_projector_defect_makes_no_series_values(monkeypatch):
 
 def unbounded(P: Projector) -> Projector:
     """P with the same keeps and no bound: rb_defect takes the keeps path."""
-    return Projector(P.monoid, P.keeps, P.label)
+    keeps = P.keeps
+    Q = Projector(P.monoid, lambda s: keeps(s), P.label)
+    assert Q.bound is None
+    return Q
 
 
 BOUNDED = [Projector.cutoff(M, w) for w in (-3, 0, 2, 5)] + [Projector.cutoff(NAT, w) for w in (0, 1, 4)]
@@ -361,45 +364,65 @@ def test_only_cutoffs_on_total_orders_carry_a_bound():
     assert [P.label for P in others if P.bound is not None] == []
 
 
-def test_a_bound_that_is_not_the_cutoffs_own_is_refused():
-    P = Projector.cutoff(M, 3)
-    assert replace(P, label="negatives").bound == 3
-    w = (0, 1)
-    assert Projector(LEX, w.__gt__, "below((0,1))", w).bound == w
-    refused = [
-        lambda: Projector(M, lambda s: s % 2 == 0, "evens", 3),
-        lambda: Projector(M, (3).__gt__, "below(3)", 4),
-        lambda: replace(P, keeps=lambda s: s < 3),
-        lambda: replace(P, bound=2),
-        lambda: Projector(M, True.__gt__, "below(True)", True),
-        lambda: Projector(M, (2.5).__gt__, "below(2.5)", 2.5),
-        lambda: Projector(LEX, (0, 0, 0).__gt__, "below((0, 0, 0))", (0, 0, 0)),
-        lambda: Projector(LEX, (0, 1).__gt__, "below((0, 1))", (0, 2)),
-        lambda: Projector(LEX3, lambda s: s < (0, 0, 1), "below((0, 0, 1))", (0, 0, 1)),
-        # the threshold's own keeps, on a carrier whose order is not total
-        # or not the elements' <: the product order and a table
-        lambda: Projector(PROD, (0, 0).__gt__, "below((0, 0))", (0, 0)),
-        lambda: Projector(IntVector(3), (0, 0, 1).__gt__, "below((0,0,1))", (0, 0, 1)),
-        lambda: Projector(TABLES[4], (1).__gt__, "below(1)", 1),
-        # equal in value, but not the threshold's own __gt__: another
-        # comparison, or the method of an equal value of another type
-        lambda: Projector(M, (3).__lt__, "below(3)", 3),
-        lambda: Projector(M, (3.0).__gt__, "below(3)", 3),
-        lambda: Projector(LEX, [0, 1].__gt__, "below((0,1))", (0, 1)),
-    ]
-    for build in refused:
-        with pytest.raises(ValueError, match="is not the threshold of a cutoff"):
-            build()
+# (carrier, keeps, the bound read off keeps): a threshold's own __gt__ on a
+# total order, and everything else, which reads as no bound
+BIG = 10**6
+DERIVED_BOUNDS = [
+    (M, (3).__gt__, 3),
+    (M, (-3).__gt__, -3),
+    (M, BIG.__gt__, BIG),
+    (NAT, (0).__gt__, 0),
+    (NAT, (4).__gt__, 4),
+    (LEX, (0, 1).__gt__, (0, 1)),
+    (LEX, (-1, 3).__gt__, (-1, 3)),
+    (LEX3, (0, 0, 1).__gt__, (0, 0, 1)),
+    (LEX3, (1, -BIG, 2).__gt__, (1, -BIG, 2)),
+    # another comparison of a threshold
+    (M, (3).__lt__, None),
+    (M, (-3).__ge__, None),
+    (NAT, (4).__ge__, None),
+    (LEX, (0, 1).__ge__, None),
+    (LEX3, (0, 0, 1).__lt__, None),
+    # the same kept set, as a lambda
+    (M, lambda s: s < 3, None),
+    (LEX, lambda s: s < (0, 1), None),
+    # the __gt__ of a value that is not an element of the carrier
+    (M, True.__gt__, None),
+    (M, (2.5).__gt__, None),
+    (NAT, (-1).__gt__, None),
+    (LEX, [0, 1].__gt__, None),
+    (LEX, (0, 0, 0).__gt__, None),
+    (LEX3, (0, 1).__gt__, None),
+    (LEX, (0, 2.5).__gt__, None),
+    # an element's own __gt__ where the order is not total or not its <
+    (PROD, (0, 0).__gt__, None),
+    (IntVector(3), (0, 0, 1).__gt__, None),
+    (IntVector(1), (0,).__gt__, None),
+    (TABLES[4], (1).__gt__, None),
+]
 
 
-def test_a_bound_equal_to_the_keeps_threshold_but_held_apart_is_accepted():
-    # a method-wrapper compares its object by identity, so these two pairs
-    # were refused while the bound was checked by keeps == bound.__gt__
-    big, big_again = 10**6, int("1000000")
-    assert big is not big_again
-    P = Projector(M, big.__gt__, "below(1000000)", big_again)
-    assert P.bound == big and P.keeps(999_999) and not P.keeps(big)
-    w, w_again = (0, big), (0, big_again)
-    assert w is not w_again
-    Q = Projector(LEX, w.__gt__, "below((0,1000000))", w_again)
-    assert Q.bound == w and Q.keeps((0, 999_999)) and not Q.keeps(w)
+def keeps_id(case) -> str:
+    X, keeps, _ = case
+    owner = getattr(keeps, "__self__", None)
+    return f"{X}:{keeps.__name__}" if owner is None else f"{X}:{owner!r}.{keeps.__name__}"
+
+
+@pytest.mark.parametrize("X, keeps, bound", DERIVED_BOUNDS, ids=map(keeps_id, DERIVED_BOUNDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_bound_is_read_off_keeps(X, keeps, bound, data):
+    P = Projector(X, keeps, "custom")
+    assert P.bound == bound and type(P.bound) is type(bound)
+    assert replace(P, label="renamed").bound == bound
+    assert P.complement().bound is None
+    with pytest.raises(TypeError):
+        Projector(X, keeps, "custom", bound)
+    if bound is None:
+        return
+    # the bound trims rb_defect's products and changes no coefficient
+    ring = data.draw(st.sampled_from(RINGS))
+    terms = st.dictionaries(exponents(P), scalars(ring), max_size=7)
+    f, g = (Series(X, ring, data.draw(terms)) for _ in range(2))
+    d, want = rb_defect(P, f, g), rb_defect(unbounded(P), f, g)
+    assert (d._terms, d._den) == (want._terms, want._den)

@@ -9,6 +9,8 @@
 - Only a projector's keeps decides which side of the split an exponent lies
   on: in projectors.py and oracles.py the order `.lt` is read inside
   Projector.cutoff alone, which builds keeps from it.
+- Only cli.main writes the one `error: ` line of an exit 2: no other string
+  or f-string piece in the package starts with "error: ".
 """
 
 import argparse
@@ -73,10 +75,8 @@ def test_every_declared_option_is_read(monkeypatch, capsys, command):
 
 
 def test_an_option_nothing_reads_is_refused(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["cutoff-scan", "--w-range", "0..1", "--var", "x"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --var x\n")
+    assert main(["cutoff-scan", "--w-range", "0..1", "--var", "x"]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --var x\n"
 
 
 def clean_verdicts_outside_outcomes(paths) -> list[str]:
@@ -110,11 +110,11 @@ def test_a_planted_clean_verdict_is_found(tmp_path):
     assert clean_verdicts_outside_outcomes([module]) == ["module.py:4", "module.py:6"]
 
 
-def order_reads_outside_cutoff(paths) -> list[str]:
-    """file:line scope of each `.lt` read outside Projector.cutoff, scope the enclosing def or class path."""
+def scoped_nodes(paths, check) -> list[str]:
+    """file:line scope of each node for which check(node, file, scope) holds, scope the enclosing def or class path."""
     found = []
 
-    class Reads(ast.NodeVisitor):
+    class Scoped(ast.NodeVisitor):
         def __init__(self, name):
             self.name, self.scope = name, []
 
@@ -125,15 +125,22 @@ def order_reads_outside_cutoff(paths) -> list[str]:
 
         visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = enter
 
-        def visit_Attribute(self, node):
+        def visit(self, node):
             scope = ".".join(self.scope)
-            if node.attr == "lt" and scope != "Projector.cutoff":
+            if check(node, self.name, scope):
                 found.append(f"{self.name}:{node.lineno} {scope or '<module>'}")
-            self.generic_visit(node)
+            return super().visit(node)
 
     for path in paths:
-        Reads(path.name).visit(ast.parse(path.read_text()))
+        Scoped(path.name).visit(ast.parse(path.read_text()))
     return found
+
+
+def order_reads_outside_cutoff(paths) -> list[str]:
+    """Each `.lt` read outside Projector.cutoff."""
+    return scoped_nodes(
+        paths, lambda node, _, scope: isinstance(node, ast.Attribute) and node.attr == "lt" and scope != "Projector.cutoff"
+    )
 
 
 def test_only_cutoff_reads_the_order():
@@ -155,4 +162,38 @@ def test_a_planted_order_read_is_found(tmp_path):
     assert order_reads_outside_cutoff([module]) == [
         "module.py:6 Projector.complement",
         "module.py:8 cutoff",
+    ]
+
+
+def error_lines_outside_main(paths) -> list[str]:
+    """Each string, or piece of an f-string, that starts "error: ", outside cli.main."""
+
+    def check(node, name, scope):
+        text = isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith("error: ")
+        return text and (name, scope) != ("cli.py", "main")
+
+    return scoped_nodes(paths, check)
+
+
+def test_only_main_writes_the_error_line():
+    assert error_lines_outside_main(sorted(SRC.glob("*.py"))) == []
+
+
+def test_a_planted_error_line_is_found(tmp_path):
+    module = tmp_path / "cli.py"
+    module.write_text(
+        "def main(exc):\n"
+        '    print("error: " + str(exc))\n'
+        "def cmd(exc):\n"
+        '    print(f"error: {exc}")\n'
+        "    raise UsageError(f'internal error: {exc}')\n"
+        "class Parser:\n"
+        "    def error(self, message):\n"
+        '        sys.exit("error: " + message)\n'
+        'HINT = "error: see --help"\n'
+    )
+    assert error_lines_outside_main([module]) == [
+        "cli.py:4 cmd",
+        "cli.py:8 Parser.error",
+        "cli.py:9 <module>",
     ]
