@@ -109,9 +109,9 @@ MAX_DIM = 8
 MAX_SWEEP_SIZE = 20
 
 # pairs one laurent-demo may show, checked before the first is built: at the
-# cap a run takes 2.1-3.0 s at a peak RSS of 17 MB, or 2.3-2.9 s at 65 MB
-# with --json, which keeps every pair until the one document is written
-# (same host)
+# cap over Q a run takes 1.3-2.0 s at a peak RSS of 17 MB, or 1.1-1.8 s at
+# 37 MB with --json, which keeps every pair's text until the one document is
+# written (same host, in a child process)
 MAX_DEMO_COUNT = 10_000
 
 
@@ -313,13 +313,10 @@ def cmd_arith(args) -> int:
             f"--json would list the {out.trunc - out.ord} coefficients of [{out.ord}, {out.trunc}), "
             f"above the budget of {LAURENT_JSON_BUDGET}; without --json the result prints sparse"
         )
-    if not args.json:
-        text = _printable(render_laurent if args.laurent else render_series, out, args.var)
-    elif args.laurent:
-        # a flat document of strings, which the C encoder writes cheaply
-        text = _dumps(_printable(out.to_json))
-    else:
+    if args.json:
         text = _printable(out.json_text)
+    else:
+        text = _printable(render_laurent if args.laurent else render_series, out, args.var)
     print(text)
     return 0
 
@@ -440,23 +437,45 @@ def cmd_theorem_verify(args) -> int:
     return 0
 
 
+def _below(getrandbits, n: int, k: int) -> int:
+    """A uniform draw from range(n), k = n.bit_length(): getrandbits(k) until below n.
+
+    This is the algorithm Random.randint uses on Python 3.11, with the same
+    calls, so a seed draws what it drew through randint; Python promises
+    reproducible output only for random(), so the demo draws with this loop.
+    """
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _random_laurent(rng: random.Random, ring: Ring) -> TruncatedLaurent:
     # pole window reaches -3 at worst and validity extends to at least 4, so
     # every product stays known past exponent 0 and pole_part never starves
-    lo = rng.randint(-3, 0)
-    hi = rng.randint(4, 6)
-    # each coefficient goes in as the (numerator, denominator) ring.ratio
-    # stores, so no value of the ring is built; a zero draws nothing more
+    bits, uniform = rng.getrandbits, rng.random
+    lo = _below(bits, 4, 3) - 3  # -3..0
+    hi = _below(bits, 3, 2) + 4  # 4..6
+    # each numerator -9..9 goes in as its own part, over a denominator 1..9
+    # on Q, unreduced: Series._merged brings the sum to lowest terms, so no
+    # value of the ring is built; a zero draws nothing more
+    m, q = ring.modulus, ring is QQ
     parts = []
     for s in range(lo, hi):
-        if rng.random() < 0.3:
+        if uniform() < 0.3:
             continue
-        num = rng.randint(-9, 9)
-        c, d = ring.ratio(num, rng.randint(1, 9) if ring is QQ else 1)
-        parts.append((((s, c),), d))
-    exact = rng.random() < 0.3  # drawn last: a seed fixes its pairs by this order
+        num = _below(bits, 19, 5) - 9
+        if q:
+            parts.append((((s, num),), _below(bits, 9, 4) + 1))
+        else:
+            parts.append((((s, num % m if m else num),), 1))
+    exact = uniform() < 0.3  # drawn last: a seed fixes its pairs by this order
     series = Series._merged(_LINE, ring, parts)
     return TruncatedLaurent._raw(series, None if exact else hi)
+
+
+# the four terms of the identity, in the order pole_defect_terms gives them
+_DEMO_LABELS = ("pole(f)*pole(g)", "pole(f*pole(g))", "pole(pole(f)*g)", "pole(f*g)")
 
 
 def cmd_laurent_demo(args) -> int:
@@ -469,8 +488,8 @@ def cmd_laurent_demo(args) -> int:
     if not 1 <= args.count <= MAX_DEMO_COUNT:
         raise UsageError(f"--count must be in 1..{MAX_DEMO_COUNT}, got {args.count}")
     rng = random.Random(seed)
-    # only --json, one document, needs every pair at once; the text output
-    # prints each pair as it is made
+    # only --json, one document, needs every pair at once: it keeps each
+    # pair's text; the text output prints each pair as it is made
     pairs = []
     if not args.json:
         print(f"seed: {seed}")
@@ -478,33 +497,25 @@ def cmd_laurent_demo(args) -> int:
     for k in range(1, args.count + 1):
         f = _random_laurent(rng, ring)
         g = _random_laurent(rng, ring)
-        t1, t2, t3, t4 = pole_defect_terms(f, g)
-        terms = {
-            "pole(f)*pole(g)": t1,
-            "pole(f*pole(g))": t2,
-            "pole(pole(f)*g)": t3,
-            "pole(f*g)": t4,
-        }
-        defect = signed_defect(t1, t2, t3, t4)
+        terms = pole_defect_terms(f, g)
+        defect = signed_defect(*terms)
         all_zero = all_zero and defect.is_zero()
         if args.json:
+            texts = ", ".join([f'"{label}": {t.json_text()}' for label, t in zip(_DEMO_LABELS, terms)])
             pairs.append(
-                {
-                    "f": f.to_json(),
-                    "g": g.to_json(),
-                    "terms": {label: v.to_json() for label, v in terms.items()},
-                    "defect": defect.to_json(),
-                }
+                f'{{"f": {f.json_text()}, "g": {g.json_text()}, '
+                f'"terms": {{{texts}}}, "defect": {defect.json_text()}}}'
             )
             continue
         print(f"pair {k}:")
         print(f"  f = {render_laurent(f)}")
         print(f"  g = {render_laurent(g)}")
-        for label, value in terms.items():
+        for label, value in zip(_DEMO_LABELS, terms):
             print(f"  {label:17s} = {render_laurent(value)}")
         print(f"  defect            = {render_laurent(defect)}")
     if args.json:
-        print(_dumps({"seed": seed, "pairs": pairs, "all_defects_zero": all_zero}))
+        zero = "true" if all_zero else "false"
+        print(f'{{"seed": {seed}, "pairs": [{", ".join(pairs)}], "all_defects_zero": {zero}}}')
     else:
         print(f"all defects zero: {'yes' if all_zero else 'NO'}")
     return 0 if all_zero else 1
@@ -570,25 +581,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DASH_VALUE_FLAGS = ("--window", "--w-range", "--f", "--g")
+# the flags whose values may start with '-' (ranges, series), by the
+# subcommand that declares them
+_DASH_VALUE_FLAGS = {
+    "rb-check": ("--window", "--f", "--g"),
+    "cutoff-scan": ("--w-range", "--window"),
+}
 
 
 def _normalize_argv(argv: Sequence[str]) -> list[str]:
-    """Glue values onto flags whose values may start with '-' (ranges, series).
+    """Glue values onto the flags of _DASH_VALUE_FLAGS that argv's subcommand declares.
 
-    An add/mul expression that begins with '-' (say -3*e^2, as render_series
-    prints it) gets a trailing blank: argparse reads a dash token with a
-    blank as a positional, and the parser skips the blank, so neither the
-    value nor any error position changes. -h... and --flags stay options,
-    and a dash token after --monoid, --ring or --var, or a prefix of one, is
-    left to argparse.
+    A flag the subcommand does not declare stays as it is, for argparse to
+    refuse. An add/mul expression that begins with '-' (say -3*e^2, as
+    render_series prints it) gets a trailing blank: argparse reads a dash
+    token with a blank as a positional, and the parser skips the blank, so
+    neither the value nor any error position changes. -h... and --flags
+    stay options, and a dash token after --monoid, --ring or --var, or a
+    prefix of one, is left to argparse.
     """
-    exprs = len(argv) > 0 and argv[0] in ("add", "mul")
+    command = argv[0] if argv else None
+    exprs = command in ("add", "mul")
+    glued = _DASH_VALUE_FLAGS.get(command, ())
     out: list[str] = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _DASH_VALUE_FLAGS and i + 1 < len(argv):
+        if tok in glued and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
             continue

@@ -161,6 +161,7 @@ class TruncatedLaurent:
         return f"TruncatedLaurent({self.ring}, {dict(self.items())}, trunc={self.tail})"
 
     def to_json(self) -> dict:
+        """The value as a JSON tree; `json_text` writes the same bytes, and this tree is its test oracle."""
         lo, hi, ring = self.ord, self.trunc, self.ring
         return {
             "ring": str(ring),
@@ -170,6 +171,23 @@ class TruncatedLaurent:
             "trunc": hi,
             "exact": self.tail is None,
         }
+
+    def json_text(self) -> str:
+        """The text json.dumps gives for `to_json()`, built with no dict.
+
+        No text needs escaping: a ring prints as Z, Q or Z/m, and a
+        coefficient as digits, "-", "/" and " mod ". The window is read
+        once from the stored terms and the tail.
+        """
+        terms, tail, ring = self.series._terms, self.tail, self.series.ring
+        if tail is None:
+            lo, hi = (min(terms), max(terms) + 1) if terms else (0, 0)
+        else:
+            lo, hi = (min(terms) if terms else tail), tail
+        texts = self.series.coeff_texts(range(lo, hi), ring.fmt)
+        coeffs = '["' + '", "'.join(texts) + '"]' if texts else "[]"
+        exact = "true" if tail is None else "false"
+        return f'{{"ring": "{ring}", "ord": {lo}, "coeffs": {coeffs}, "trunc": {hi}, "exact": {exact}}}'
 
 
 def make_laurent(ring: Ring, terms: Mapping | Iterable, trunc: int | None = None) -> TruncatedLaurent:

@@ -345,6 +345,46 @@ def test_random_laurent_matches_the_make_laurent_draw(ring):
         assert rng.getstate() == oracle_rng.getstate()
 
 
+class RecordingRandom(random.Random):
+    """A Random that logs each getrandbits(k) as "bk" and each random() as "r"."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls.append(f"b{k}")
+        return super().getrandbits(k)
+
+    def random(self):
+        self.calls.append("r")
+        return super().random()
+
+
+# the calls of one _random_laurent draw: lo and hi, then per exponent a
+# random() and, unless it skips the term, a numerator (and over Q a
+# denominator), then the exactness; a "b3 b3" is a rejected draw
+SAMPLER_CALLS = {
+    (0, "Z"): "b3 b3 b2 b2 b2 r r b5 r b5 b5 b5 r b5 r b5 b5 r",
+    (0, "Q"): "b3 b3 b2 b2 b2 r r b5 b4 r b5 b5 b4 b4 r b5 b5 b5 b4 r r",
+    (1, "Z"): "b3 b2 r b5 b5 r r b5 r b5 r b5 r b5 b5 b5 r b5 b5 b5 r b5 r",
+    (1, "Q"): "b3 b2 r b5 b5 b4 r r b5 b4 b4 r b5 b4 r r b5 b4 b4 b4 b4 r b5 b4 b4 b4 r b5 b4 b4 r",
+    (7, "Z"): "b3 b2 b2 r b5 r r b5 r b5 b5 r r",
+    (7, "Q"): "b3 b2 b2 r b5 b4 r b5 b4 r b5 b5 b4 r r b5 b4 r",
+}
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(2), Zmod(7), Zmod(12)], ids=str)
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_random_laurent_makes_the_pinned_sampler_calls(seed, ring):
+    # off Q the draws do not depend on the ring; the goldens of laurent-demo
+    # rest on these calls, not on how randint draws
+    rng = RecordingRandom(seed)
+    got = _random_laurent(rng, ring)
+    assert " ".join(rng.calls) == SAMPLER_CALLS[seed, "Q" if ring is QQ else "Z"]
+    assert got == _random_laurent(random.Random(seed), ring)
+
+
 def test_laurent_demo_rejects_empty_count(capsys):
     for count in ("0", "-1"):
         code, out, err = run(capsys, "laurent-demo", "--count", count)
@@ -678,6 +718,15 @@ def test_overlong_result_exits_two(capsys):
         for extra in ((), ("--json",)):
             code, out, err = run(capsys, command, f, f, "--ring", ring, *extra)
             assert (code, out) == (2, "") and err.startswith("error: Exceeds the limit")
+
+
+def test_overlong_laurent_json_exits_two(capsys):
+    # a Laurent --json coefficient past the digit limit is refused by
+    # _printable around json_text, before anything is printed
+    big = "9" * 3000
+    for ring in ("Z", "Q"):
+        code, out, err = run(capsys, "mul", big, f"{big}*e^-1", "--laurent", "--json", "--ring", ring)
+        assert (code, out) == (2, "") and err.startswith("error: Exceeds the limit")
 
 
 def test_internal_fault_exits_three(capsys, monkeypatch):

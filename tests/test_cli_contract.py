@@ -178,6 +178,8 @@ REFUSED = {
     "missing-operand": ["mul", "e"],
     "unknown-flag": ["add", "e", "e", "--bogus"],
     "no-command": [],
+    # rb-check's --g on add: left unglued, so argparse names it
+    "flag-of-another-command": ["add", "--g", "e + 1", "e"],
 }
 
 
@@ -213,3 +215,8 @@ def test_raw_tokens_keep_the_contract(argv):
 @pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
 def test_an_argparse_refusal_is_one_error_line(argv):
     assert assert_contract(argv) == 2
+
+
+def test_a_flag_of_another_command_is_an_unrecognized_argument():
+    code, err, _ = run(REFUSED["flag-of-another-command"])
+    assert (code, err) == (2, "error: unrecognized arguments: --g\n")

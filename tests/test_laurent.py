@@ -20,7 +20,7 @@ from gpsrb import (
     render_laurent,
     tl_rb_defect,
 )
-from gpsrb.cli import main
+from gpsrb.cli import _dumps, main
 
 one = QQ.from_int(1)
 
@@ -286,3 +286,18 @@ def test_sparse_products_over_wide_exponents_stay_on_the_dict_loop(capsys):
     assert max(exps) > 900_000 and len(dict(h.items())) == 210
     assert capsys.readouterr().out.strip() == render_laurent(TruncatedLaurent.from_series(h))
     assert peak < 1_000_000
+
+
+@settings(max_examples=200)
+@given(
+    h=st.one_of(
+        *(
+            st.one_of(laurents_with_empty_windows(r), st.just(make_laurent(r, {}, -2)))
+            for r in (ZZ, QQ, Zmod(5), Zmod(6))
+        )
+    )
+)
+def test_json_text_is_the_encoded_tree(h):
+    # exact and inexact values, the exact zero, empty windows at a positive
+    # and a negative tail, and ord down to -4
+    assert h.json_text() == _dumps(h.to_json())
